@@ -8,6 +8,7 @@ non-semistable curve or a prime whose local class cannot be determined).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -15,7 +16,7 @@ import sys
 from .brauer import canonical_relation, norm_constant, relation_lattice, verify_relation
 from .curves import WeierstrassModel, compute_invariants, make_profile, minimal_model
 from .database import ScanFilters, ingest, scan
-from .groups import GroupError, parse_group_spec, family_prime
+from .groups import GroupError, family_prime, local_classes, parse_group_spec
 from .quotients import (
     ImpossibleCellError,
     MissingLocalClassError,
@@ -29,7 +30,7 @@ from .quotients import (
     table_lookup,
     _cells_for_family,
 )
-from .splitting import AmbiguousSplittingError, FieldSpec, LocalClass
+from .splitting import AmbiguousSplittingError, FieldSpec
 
 
 class UsageError(ValueError):
@@ -97,11 +98,18 @@ def _field_from_args(args) -> FieldSpec:
     raise UsageError(f"unknown field spec {text!r}")
 
 
+def _ingest(path):
+    try:
+        return ingest(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read data file {path}: {exc.strerror or exc}") from None
+
+
 def _record_by_label(args):
     path = args.data or os.environ.get("SGL_DATA")
     if not path:
         raise UsageError("--label needs --data or the SGL_DATA environment variable")
-    result = ingest(path)
+    result = _ingest(path)
     for rec in result.records:
         if rec.label == args.label:
             return rec
@@ -130,27 +138,6 @@ def _cmd_relations(args) -> dict:
     }
 
 
-def _enumerate_realizations(G):
-    """All (D, I) subgroup pairs with I normal in D and D/I cyclic."""
-    from .groups import _check_inertia_pair
-
-    pairs = []
-    for dcls in G.subgroup_classes:
-        D = dcls.representative
-        inner = {}
-        for icls in G.subgroup_classes:
-            for x in range(G.order):
-                I = G.conjugate_subgroup(icls.representative, x)
-                if I.element_set <= D.element_set and I.elements not in inner:
-                    try:
-                        _check_inertia_pair(G, D, I)
-                    except GroupError:
-                        continue
-                    inner[I.elements] = I
-        pairs.extend((D, I) for I in inner.values())
-    return pairs
-
-
 def _cmd_tables(args) -> dict:
     from .curves import NONSPLIT_MULT, SPLIT_MULT, ReductionData
 
@@ -162,8 +149,7 @@ def _cmd_tables(args) -> dict:
     odd_order = G.order % 2 == 1
     hits = {}  # (row, col, parity) -> {'ords': set, 'count': int}
     nonsplit_trivial = True
-    for D, I in _enumerate_realizations(G):
-        lc = LocalClass(G, D, I)
+    for lc in local_classes(G):
         row = classify_row(lc)
         for red in (SPLIT_MULT, NONSPLIT_MULT):
             col = classify_column(red, lc)
@@ -308,7 +294,7 @@ def _cmd_scan(args) -> dict:
     path = args.data or os.environ.get("SGL_DATA")
     if not path:
         raise UsageError("scan needs --data or the SGL_DATA environment variable")
-    result = ingest(path)
+    result = _ingest(path)
     filters = ScanFilters(
         min_rank=args.min_rank,
         require_semistable=True,
@@ -395,6 +381,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on first use; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 _COMMANDS = {
     "relations": _cmd_relations,
     "tables": _cmd_tables,
@@ -405,9 +397,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         out = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

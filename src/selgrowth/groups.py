@@ -2,16 +2,22 @@
 
 Elements are the integers 0..order-1. Everything downstream (subgroup
 lattices, conjugacy classes, double cosets, permutation-character values)
-is computed by direct enumeration, which is exact and fast at the scale
-this package supports (group order at most 200).
+is computed by direct enumeration over precomputed tables (multiplication,
+inverse, conjugation), which is exact and fast at the scale this package
+supports (group order at most 200).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
 MAX_ORDER = 200
+# Family groups kept by the constructors, least recently used dropped first.
+# A group of order near the cap holds two 200 x 200 tables and its lattice,
+# so the cache stays small.
+GROUP_CACHE_SIZE = 4
 
 
 class GroupError(ValueError):
@@ -73,10 +79,10 @@ class SubgroupClass:
 class FiniteGroup:
     """Finite group on 0..order-1 with an explicit multiplication table.
 
-    Instances are immutable after construction; derived structure (inverse
-    table, conjugacy classes, subgroup lattice) is computed on first use and
-    cached. ``kind`` optionally records the CLI spec string the group was
-    built from (``c2xc2``, ``d:5``, ``cpxcp:3``, ``sd:7:3``, ``c:6``).
+    Instances are immutable after construction; derived structure
+    (conjugation table, conjugacy classes, subgroup lattice) is computed on
+    first use and cached. ``kind`` optionally records the CLI spec string the
+    group was built from (``c2xc2``, ``d:5``, ``cpxcp:3``, ``sd:7:3``, ``c:6``).
     """
 
     def __init__(self, table, identity=0, kind=None, validate=False, generators=None):
@@ -158,9 +164,28 @@ class FiniteGroup:
             k += 1
         return k
 
+    @cached_property
+    def conj(self) -> tuple:
+        """Conjugation table: conj[x][g] = x^-1 g x, one row per element x."""
+        table = self.table
+        return tuple(
+            tuple(table[r][x] for r in table[self._inv[x]]) for x in range(self.order)
+        )
+
     def conjugate(self, g: int, x: int) -> int:
         """x^-1 g x"""
-        return self.mul(self.mul(self.inv(x), g), x)
+        return self.conj[x][g]
+
+    @cached_property
+    def _generators(self) -> tuple:
+        """A small generating set: each element not yet generated, in index order."""
+        gens = ()
+        span = (self.identity,)
+        for g in range(self.order):
+            if g not in span:
+                span = self._join(span, gens, g)
+                gens += (g,)
+        return gens
 
     # -- conjugacy classes of elements --------------------------------------
 
@@ -174,7 +199,7 @@ class FiniteGroup:
         for g in range(self.order):
             if g in seen:
                 continue
-            orbit = {self.conjugate(g, x) for x in range(self.order)}
+            orbit = {row[g] for row in self.conj}
             seen |= orbit
             classes.append(tuple(sorted(orbit)))
         classes.sort(key=lambda c: c[0])
@@ -221,72 +246,114 @@ class FiniteGroup:
     def full_subgroup(self) -> Subgroup:
         return Subgroup(tuple(range(self.order)))
 
+    def _join(self, elements: tuple, gens: tuple, g: int) -> tuple:
+        """Sorted elements of <H, g>, where H = ``elements`` is generated by ``gens``.
+
+        Dimino's coset step: the join is a union of right cosets Hr, grown
+        until it is closed under right multiplication by gens and g.
+        """
+        table = self.table
+        rows = [table[h] for h in elements]
+        gens = gens + (g,)
+        seen = set(elements)
+        reps = [self.identity]
+        i = 0
+        while i < len(reps):
+            row = table[reps[i]]
+            i += 1
+            for s in gens:
+                y = row[s]
+                if y not in seen:
+                    seen.update([r[y] for r in rows])
+                    reps.append(y)
+        return tuple(sorted(seen))
+
+    def _conjugates(self, elements: tuple) -> set:
+        """The conjugacy orbit of a subgroup, as sorted element tuples."""
+        rows = [self.conj[x] for x in self._generators]
+        orbit = {elements}
+        stack = [elements]
+        while stack:
+            s = stack.pop()
+            for row in rows:
+                t = tuple(sorted([row[h] for h in s]))
+                if t not in orbit:
+                    orbit.add(t)
+                    stack.append(t)
+        return orbit
+
+    @cached_property
+    def _subgroup_orbits(self) -> list:
+        """Conjugacy orbits of all subgroups, as sets of sorted element tuples,
+        sorted by (order, least member).
+
+        Cyclic extension up to conjugacy: every subgroup is generated by the
+        cyclic subgroups inside it, so joining one member of each orbit found
+        so far with each cyclic subgroup reaches a conjugate of every subgroup.
+        """
+        e = self.identity
+        cyclic_gens = {}  # nontrivial cyclic subgroup -> a generator
+        for g in range(self.order):
+            if g != e:
+                cyclic_gens.setdefault(self.subgroup_closure((g,)), g)
+        known = {(e,)}
+        orbits = [{(e,)}]
+        work = [((e,), ())]  # (a member of a new orbit, its generators)
+        while work:
+            elements, gens = work.pop()
+            members = set(elements)
+            for g in cyclic_gens.values():
+                if g in members:
+                    continue
+                joined = self._join(elements, gens, g)
+                if joined in known:
+                    continue
+                orbit = self._conjugates(joined)
+                known |= orbit
+                orbits.append(orbit)
+                work.append((joined, gens + (g,)))
+        return sorted(orbits, key=lambda orbit: min((len(s), s) for s in orbit))
+
     @cached_property
     def all_subgroups(self):
-        """Every subgroup, built from cyclic subgroups closed under joins."""
-        gens_of = {}
-        triv = frozenset((self.identity,))
-        gens_of[triv] = ()
-        cyclics = []
-        for g in range(self.order):
-            c = frozenset(self.subgroup_closure((g,)))
-            if c not in gens_of:
-                gens_of[c] = (g,)
-                cyclics.append(c)
-        work = list(gens_of)
-        while work:
-            fresh = []
-            for s in work:
-                for c in cyclics:
-                    if c <= s:
-                        continue
-                    gens = gens_of[s] + gens_of[c]
-                    j = frozenset(self.subgroup_closure(gens))
-                    if j not in gens_of:
-                        gens_of[j] = gens
-                        fresh.append(j)
-            work = fresh
-        subs = [Subgroup(tuple(sorted(s))) for s in gens_of]
-        subs.sort(key=lambda s: (len(s), s.elements))
-        return subs
+        """Every subgroup, sorted by (order, elements)."""
+        subs = [s for orbit in self._subgroup_orbits for s in orbit]
+        subs.sort(key=lambda s: (len(s), s))
+        return [Subgroup(s) for s in subs]
 
     def conjugate_subgroup(self, H: Subgroup, x: int) -> Subgroup:
-        return Subgroup(tuple(self.conjugate(h, x) for h in H))
+        row = self.conj[x]
+        return Subgroup(tuple(row[h] for h in H))
 
     def normalizer_size(self, H: Subgroup) -> int:
-        return sum(
-            1 for x in range(self.order) if self.conjugate_subgroup(H, x) == H
-        )
+        hset = H.element_set
+        return sum(1 for row in self.conj if all(row[h] in hset for h in H))
 
     @cached_property
     def subgroup_classes(self):
         """Conjugacy classes of subgroups, sorted by (order, representative)."""
-        remaining = {s.elements: s for s in self.all_subgroups}
-        raw = []
-        while remaining:
-            _, H = next(iter(remaining.items()))
-            orbit = {self.conjugate_subgroup(H, x).elements for x in range(self.order)}
-            rep = min(orbit)
-            for o in orbit:
-                remaining.pop(o, None)
-            raw.append((rep, len(orbit)))
-        raw.sort(key=lambda t: (len(t[0]), t[0]))
         return [
-            SubgroupClass(representative=Subgroup(rep), class_size=size, class_id=i)
-            for i, (rep, size) in enumerate(raw)
+            SubgroupClass(representative=Subgroup(min(orbit)), class_size=len(orbit), class_id=i)
+            for i, orbit in enumerate(self._subgroup_orbits)
         ]
+
+    @cached_property
+    def _class_of(self) -> dict:
+        """Sorted element tuple of every subgroup -> its SubgroupClass."""
+        return {
+            s: cls
+            for cls, orbit in zip(self.subgroup_classes, self._subgroup_orbits)
+            for s in orbit
+        }
 
     def class_of_subgroup(self, H) -> SubgroupClass:
         """The conjugacy class containing H (H given as Subgroup or iterable)."""
         if not isinstance(H, Subgroup):
             H = self.subgroup(H)
-        rep = min(
-            self.conjugate_subgroup(H, x).elements for x in range(self.order)
-        )
-        for cls in self.subgroup_classes:
-            if cls.representative.elements == rep:
-                return cls
-        raise GroupError(f"not a subgroup of this group: {H}")
+        try:
+            return self._class_of[H.elements]
+        except KeyError:
+            raise GroupError(f"not a subgroup of this group: {H}") from None
 
     def is_cyclic_subgroup(self, H: Subgroup) -> bool:
         return any(len(self.subgroup_closure((g,))) == len(H) for g in H)
@@ -343,9 +410,92 @@ def subgroup_classes(G: FiniteGroup):
 def fixed_points(G: FiniteGroup, H: Subgroup, g: int) -> int:
     """Number of cosets xH fixed by g, i.e. #{x : x^-1 g x in H} / |H|."""
     s = H.element_set
-    hits = sum(1 for x in range(G.order) if G.conjugate(g, x) in s)
-    assert hits % len(H) == 0
+    hits = sum(1 for row in G.conj if row[g] in s)
+    if hits % len(H):
+        raise GroupError(f"{hits} conjugates of {g} land in H, not a multiple of |H| = {len(H)}")
     return hits // len(H)
+
+
+@dataclass(frozen=True)
+class LocalClass:
+    """A nested pair: inertia inside decomposition, up to simultaneous conjugacy.
+
+    Building one is the single place where a (D, I) pair is checked: I must
+    lie in D and be normal there, with D/I cyclic. Code that receives a
+    LocalClass relies on that and does not check again.
+    """
+
+    group: FiniteGroup
+    decomposition: Subgroup
+    inertia: Subgroup
+
+    def __post_init__(self):
+        G, D, I = self.group, self.decomposition, self.inertia
+        iset = I.element_set
+        if not iset <= D.element_set:
+            raise GroupError("inertia subgroup is not contained in the decomposition group")
+        table = G.table
+        cosets = []  # one element d of each coset dI in D
+        covered = set()
+        for d in D:
+            if d not in covered:
+                cosets.append(d)
+                row = table[d]
+                covered.update([row[a] for a in I])
+        # I is normalized by itself, so one element per coset decides normality
+        for d in cosets:
+            row = G.conj[d]
+            if any(row[a] not in iset for a in I):
+                raise GroupError("inertia subgroup is not normal in the decomposition group")
+        q = len(D) // len(I)
+        for d in cosets:
+            k, x = 1, d
+            while x not in iset:
+                x = table[x][d]
+                k += 1
+            if k == q:
+                return
+        raise GroupError("quotient D/I is not cyclic")
+
+    @property
+    def e(self) -> int:
+        return len(self.inertia)
+
+    @property
+    def f(self) -> int:
+        return len(self.decomposition) // len(self.inertia)
+
+    def num_primes_in_field(self) -> int:
+        return self.group.order // len(self.decomposition)
+
+    def names(self) -> tuple:
+        g = self.group
+        return (
+            g.class_names[g.class_of_subgroup(self.decomposition).class_id],
+            g.class_names[g.class_of_subgroup(self.inertia).class_id],
+        )
+
+
+def local_classes(G: FiniteGroup) -> list:
+    """Every (D, I) pair with I normal in D and D/I cyclic, as LocalClass.
+
+    D runs over the subgroup class representatives and I over every subgroup
+    of D, both in lattice order; up to simultaneous conjugacy this is every
+    pair.
+    """
+    pairs = []
+    for dcls in G.subgroup_classes:
+        D = dcls.representative
+        for I in G.all_subgroups:
+            if len(I) > len(D):
+                break
+            if not I.element_set <= D.element_set:
+                continue
+            try:
+                pairs.append(LocalClass(G, D, I))
+            except GroupError:
+                continue
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -357,70 +507,91 @@ class DoubleCoset:
     f_index: int | None = None
 
 
-def double_cosets(G: FiniteGroup, H: Subgroup, D: Subgroup, I: Subgroup | None = None):
+def double_cosets(G: FiniteGroup, H: Subgroup, D, I: Subgroup | None = None):
     """Partition of G into double cosets HxD, with local degree bookkeeping.
 
-    When the inertia subgroup I is supplied it must be normal in D with D/I
-    cyclic; each record then carries e = |I|/|I meet x^-1Hx| and f = degree/e.
+    D is a decomposition subgroup, or a LocalClass carrying an inertia
+    subgroup checked when it was built. An inertia subgroup I passed on its
+    own is checked by building that LocalClass here. With inertia, each
+    record carries e = |I|/|I meet x^-1Hx| and f = degree/e.
     """
-    if I is not None:
-        _check_inertia_pair(G, D, I)
+    if isinstance(D, LocalClass):
+        if I is not None:
+            raise GroupError("pass the inertia subgroup inside the LocalClass, not again")
+        local = D
+    else:
+        local = LocalClass(G, D, I) if I is not None else None
+    if local is not None:
+        if local.group is not G and local.group.table != G.table:
+            raise GroupError("local class and subgroup live in different groups")
+        D, I = local.decomposition, local.inertia
+    table, conj, inv = G.table, G.conj, G._inv
     hset = H.element_set
-    seen = [False] * G.order
+    h_rows = [table[h] for h in H.elements]
+    d_elems = D.elements
+    i_elems = I.elements if I is not None else None
+    seen = set()
     records = []
     for x in range(G.order):
-        if seen[x]:
+        if x in seen:
             continue
-        coset = set()
-        for h in H:
-            hx = G.mul(h, x)
-            for d in D:
-                coset.add(G.mul(hx, d))
-        for y in coset:
-            seen[y] = True
-        xinvHx = {G.conjugate(h, x) for h in hset}
-        meet_d = sum(1 for d in D if d in xinvHx)
-        degree = len(D) // meet_d
-        if I is not None:
-            meet_i = sum(1 for a in I if a in xinvHx)
-            e = len(I) // meet_i
+        # HxD is the union of the left cosets (hx)D; add each one once
+        size = 0
+        for h_row in h_rows:
+            y = h_row[x]
+            if y not in seen:
+                y_row = table[y]
+                seen.update([y_row[d] for d in d_elems])
+                size += len(d_elems)
+        row = conj[inv[x]]  # d lies in x^-1 H x iff x d x^-1 = row[d] lies in H
+        meet_d = len(hset.intersection([row[d] for d in d_elems]))
+        degree = len(d_elems) // meet_d
+        if i_elems is not None:
+            meet_i = len(hset.intersection([row[a] for a in i_elems]))
+            e = len(i_elems) // meet_i
             f = degree // e
-            assert e * f == degree
-            records.append(DoubleCoset(x, len(coset), degree, e, f))
+            if e * f != degree:
+                raise GroupError(f"ramification index {e} does not divide the local degree {degree}")
+            records.append(DoubleCoset(x, size, degree, e, f))
         else:
-            records.append(DoubleCoset(x, len(coset), degree))
+            records.append(DoubleCoset(x, size, degree))
     total_degree = sum(r.degree for r in records)
-    assert total_degree == G.order // len(H), "local degrees must sum to [G:H]"
+    if total_degree != G.order // len(H):
+        raise GroupError(f"local degrees sum to {total_degree}, not [G:H] = {G.order // len(H)}")
     return records
-
-
-def _check_inertia_pair(G: FiniteGroup, D: Subgroup, I: Subgroup):
-    if not I.element_set <= D.element_set:
-        raise GroupError("inertia subgroup is not contained in the decomposition group")
-    for d in D:
-        if G.conjugate_subgroup(I, d) != I:
-            raise GroupError("inertia subgroup is not normal in the decomposition group")
-    q = len(D) // len(I)
-    iset = I.element_set
-    for d in D:
-        k, x = 1, d
-        while x not in iset:
-            x = G.mul(x, d)
-            k += 1
-        if k == q:
-            return
-    raise GroupError("quotient D/I is not cyclic")
 
 
 # -- constructors ------------------------------------------------------------
 
 
+_recent_groups: OrderedDict = OrderedDict()  # spec -> FiniteGroup
+
+
+def _family_group(kind: str, build) -> FiniteGroup:
+    """The group with spec ``kind``, built by ``build()`` only when not cached.
+
+    Groups are immutable once built, so callers share one instance per spec;
+    at most GROUP_CACHE_SIZE stay cached, least recently used dropped first.
+    """
+    G = _recent_groups.pop(kind, None)
+    if G is None:
+        G = build()
+    _recent_groups[kind] = G
+    if len(_recent_groups) > GROUP_CACHE_SIZE:
+        _recent_groups.popitem(last=False)
+    return G
+
+
 def make_cyclic(n: int) -> FiniteGroup:
     if n < 1 or n > MAX_ORDER:
         raise GroupError(f"cyclic order out of range: {n}")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    gens = [1] if n > 1 else []
-    return FiniteGroup(table, kind=f"c:{n}", validate=True, generators=gens)
+
+    def build():
+        table = [[(a + b) % n for b in range(n)] for a in range(n)]
+        gens = [1] if n > 1 else []
+        return FiniteGroup(table, kind=f"c:{n}", validate=True, generators=gens)
+
+    return _family_group(f"c:{n}", build)
 
 
 def make_elem_abelian(p: int, rank: int = 2) -> FiniteGroup:
@@ -432,13 +603,16 @@ def make_elem_abelian(p: int, rank: int = 2) -> FiniteGroup:
     n = p * p
     if n > MAX_ORDER:
         raise GroupError(f"order {n} exceeds the cap {MAX_ORDER}")
+    kind = "c2xc2" if p == 2 else f"cpxcp:{p}"
 
     def add(a, b):
         return ((a // p + b // p) % p) * p + (a % p + b % p) % p
 
-    table = [[add(a, b) for b in range(n)] for a in range(n)]
-    kind = "c2xc2" if p == 2 else f"cpxcp:{p}"
-    return FiniteGroup(table, kind=kind, validate=True, generators=[1, p])
+    def build():
+        table = [[add(a, b) for b in range(n)] for a in range(n)]
+        return FiniteGroup(table, kind=kind, validate=True, generators=[1, p])
+
+    return _family_group(kind, build)
 
 
 def make_dihedral(p: int) -> FiniteGroup:
@@ -457,9 +631,12 @@ def make_dihedral(p: int) -> FiniteGroup:
             return sa * p + (ra + rb) % p
         return (1 - sa) * p + (rb - ra) % p
 
-    table = [[mul(a, b) for b in range(n)] for a in range(n)]
-    # generators: the rotation r (index 1) and a reflection s (index p)
-    return FiniteGroup(table, kind=f"d:{p}", validate=True, generators=[1, p])
+    def build():
+        table = [[mul(a, b) for b in range(n)] for a in range(n)]
+        # generators: the rotation r (index 1) and a reflection s (index p)
+        return FiniteGroup(table, kind=f"d:{p}", validate=True, generators=[1, p])
+
+    return _family_group(f"d:{p}", build)
 
 
 def make_semidirect(p: int, q: int) -> FiniteGroup:
@@ -478,9 +655,12 @@ def make_semidirect(p: int, q: int) -> FiniteGroup:
         c, d = divmod(y, q)
         return ((a + c * pow(u, b, p)) % p) * q + (b + d) % q
 
-    table = [[mul(x, y) for y in range(n)] for x in range(n)]
-    # generators: (1, 0) at index q and (0, 1) at index 1
-    return FiniteGroup(table, kind=f"sd:{p}:{q}", validate=True, generators=[q, 1])
+    def build():
+        table = [[mul(x, y) for y in range(n)] for x in range(n)]
+        # generators: (1, 0) at index q and (0, 1) at index 1
+        return FiniteGroup(table, kind=f"sd:{p}:{q}", validate=True, generators=[q, 1])
+
+    return _family_group(f"sd:{p}:{q}", build)
 
 
 def _least_unit_of_order(p: int, q: int) -> int:

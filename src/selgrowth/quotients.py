@@ -1,4 +1,4 @@
-"""Per-place Tamagawa quotients, tabulated fast path, and growth certificates.
+"""Per-place Tamagawa quotients, the quotient tables, and growth certificates.
 
 The source of truth is the double-coset oracle: for a subgroup class H with
 coefficient n_H, the primes of the fixed field F^H above v correspond to the
@@ -9,8 +9,9 @@ discriminant valuation becomes e*m; non-split reduction becomes split
 exactly when f is even and otherwise keeps the parity-of-e*m Tamagawa
 number 1 or 2.
 
-The hardcoded quotient tables for the four group families are a fast path
-and a test target; the oracle must reproduce every cell exactly.
+The hardcoded quotient tables for the four group families are never read by
+certify, which always runs the oracle; they are the target that
+`selgrowth tables` and the tests check the oracle against, cell by cell.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def local_theta_quotient(
     for cid, n in theta.coeffs:
         H = G.subgroup_classes[cid].representative
         contrib = FactoredRational.one()
-        for dc in double_cosets(G, H, lc.decomposition, lc.inertia):
+        for dc in double_cosets(G, H, lc):
             c = _local_tamagawa(rd.kind, dc.e_index, dc.f_index, rd.m)
             contrib = contrib * FactoredRational.from_int(c)
         contributions.append((cid, contrib))

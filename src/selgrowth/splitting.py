@@ -21,9 +21,9 @@ from sympy import factorint
 from .groups import (
     FiniteGroup,
     GroupError,
+    LocalClass,
     Subgroup,
     make_elem_abelian,
-    _check_inertia_pair,
 )
 
 SPLIT = "split"
@@ -75,36 +75,6 @@ def _validate_multiquadratic(d1: int, d2: int) -> int:
     if d3 in (0, 1):
         raise ValueError(f"d1*d2 = {d1 * d2} is a square; the field is not biquadratic")
     return d3
-
-
-@dataclass(frozen=True)
-class LocalClass:
-    """A nested pair: inertia inside decomposition, up to simultaneous conjugacy."""
-
-    group: FiniteGroup
-    decomposition: Subgroup
-    inertia: Subgroup
-
-    def __post_init__(self):
-        _check_inertia_pair(self.group, self.decomposition, self.inertia)
-
-    @property
-    def e(self) -> int:
-        return len(self.inertia)
-
-    @property
-    def f(self) -> int:
-        return len(self.decomposition) // len(self.inertia)
-
-    def num_primes_in_field(self) -> int:
-        return self.group.order // len(self.decomposition)
-
-    def names(self) -> tuple:
-        g = self.group
-        return (
-            g.class_names[g.class_of_subgroup(self.decomposition).class_id],
-            g.class_names[g.class_of_subgroup(self.inertia).class_id],
-        )
 
 
 def multiquadratic_local_class(
@@ -188,24 +158,6 @@ class FieldSpec:
         if self.kind == "polynomial":
             return {"kind": self.kind, "coeffs": list(self.poly)}
         return {"kind": self.kind}
-
-
-def parse_field_spec(text: str) -> FieldSpec:
-    """Parse the CLI field syntax: mq:d1,d2 or poly:c_k,...,c_0 (degree-descending)."""
-    text = text.strip()
-    if text.startswith("mq:"):
-        parts = text[3:].split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected mq:d1,d2, got {text!r}")
-        return FieldSpec.multiquadratic(int(parts[0]), int(parts[1]))
-    if text.startswith("poly:"):
-        coeffs = tuple(int(c) for c in text[5:].split(","))
-        raise ValueError(
-            "poly fields also need a group: pass --group and use FieldSpec.polynomial"
-            if coeffs
-            else "empty polynomial"
-        )
-    raise ValueError(f"unknown field spec {text!r}; expected mq:d1,d2 or poly:...")
 
 
 # -- degree patterns over F_v ---------------------------------------------------

@@ -27,11 +27,10 @@ from selgrowth.curves import (
 )
 from selgrowth.database import ScanFilters, scan
 from selgrowth.groups import (
-    _check_inertia_pair,
-    GroupError,
     direct_product,
     double_cosets,
     family_prime,
+    local_classes,
     make_cyclic,
     make_dihedral,
     make_elem_abelian,
@@ -50,7 +49,7 @@ from selgrowth.quotients import (
     table_lookup,
     _cells_for_family,
 )
-from selgrowth.splitting import FieldSpec, LocalClass
+from selgrowth.splitting import FieldSpec
 
 
 class Budget:
@@ -71,25 +70,6 @@ class Budget:
                 f"criterion {self.criterion} exceeded its {self.seconds}s budget"
             )
         return False
-
-
-def realizable_pairs(G):
-    pairs = []
-    for dcls in G.subgroup_classes:
-        D = dcls.representative
-        seen = set()
-        for icls in G.subgroup_classes:
-            for x in range(G.order):
-                I = G.conjugate_subgroup(icls.representative, x)
-                if not (I.element_set <= D.element_set) or I.elements in seen:
-                    continue
-                seen.add(I.elements)
-                try:
-                    _check_inertia_pair(G, D, I)
-                except GroupError:
-                    continue
-                pairs.append(LocalClass(G, D, I))
-    return pairs
 
 
 def test_criterion_1_norm_constants():
@@ -119,7 +99,7 @@ def test_criterion_2_table_reproduction():
             odd_order = G.order % 2 == 1
             cells = _cells_for_family(G.kind)
             covered = set()
-            for lc in realizable_pairs(G):
+            for lc in local_classes(G):
                 row = classify_row(lc)
                 for red in (SPLIT_MULT, NONSPLIT_MULT):
                     col = classify_column(red, lc)

@@ -1,6 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from selgrowth.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 EXPECTED_LIST = ["91b1", "91b2", "91b3", "123a1", "123a2", "141a1", "142a1", "155a1"]
 
@@ -141,3 +147,35 @@ def test_certificate_cli_round_trip(capsys, data_path):
     assert first == second
     doc = json.loads(first[1])
     assert doc["ord_p"]["sha_quotient"] == 1
+
+
+def test_main_twice_in_one_process_matches_separate_processes(capsys, data_path):
+    calls = [
+        ["certify", "--label", "65a1", "--data", str(data_path), "--sha-trivial", "2",
+         "--field", "mq:3,5", "-p", "2"],
+        ["scan", "--data", str(data_path), "--torsion-free"],
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    separate = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "selgrowth", *argv], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == separate
+    assert [code for code, _, _ in in_process] == [0, 0]
+
+
+def test_missing_data_file_is_usage_error(capsys, tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    for argv in (
+        ("scan", "--data", missing),
+        ("certify", "--label", "65a1", "--data", missing, "--field", "mq:3,5", "-p", "2"),
+        ("analyze", "--label", "65a1", "--data", missing),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and missing in err
+        assert err.count("\n") == 1

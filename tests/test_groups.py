@@ -1,10 +1,14 @@
 import itertools
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selgrowth.groups import (
+    GROUP_CACHE_SIZE,
     GroupError,
     Subgroup,
     double_cosets,
@@ -102,6 +106,32 @@ def test_parse_group_spec_errors():
 def test_order_cap():
     with pytest.raises(GroupError):
         make_cyclic(201)
+
+
+def test_equivalent_specs_share_one_group():
+    G = parse_group_spec("d:97")
+    assert parse_group_spec(" D:97") is G
+    assert parse_group_spec("d:097") is G
+    assert make_dihedral(97) is G
+    assert parse_group_spec("C2XC2") is make_elem_abelian(2)
+    assert parse_group_spec("sd:7:3") is make_semidirect(7, 3)
+
+
+def test_bad_spec_raises_every_time():
+    for _ in range(3):
+        for spec in ("d:4", "d:x", "q8", "cpxcp:17"):
+            with pytest.raises(GroupError):
+                parse_group_spec(spec)
+
+
+def test_group_cache_is_bounded():
+    first = make_dihedral(3)
+    for n in range(2, 2 + GROUP_CACHE_SIZE - 1):
+        make_cyclic(n)
+    assert make_dihedral(3) is first  # still among the most recent groups
+    for n in range(2, 2 + GROUP_CACHE_SIZE):
+        make_cyclic(n + 100)
+    assert make_dihedral(3) is not first
 
 
 # -- subgroup lattice -----------------------------------------------------------
@@ -237,6 +267,29 @@ def test_double_coset_degree_sum(spec, data):
     recs = double_cosets(G, H, D)
     assert sum(r.degree for r in recs) == G.order // len(H)
     assert sum(r.size for r in recs) == G.order
+
+
+def test_output_guards_raise_under_python_O():
+    # H = {0, 1} is not a subgroup of D_6: the degree-sum check of
+    # double_cosets and the divisibility check of fixed_points must fire
+    # even when asserts are compiled away
+    code = (
+        "from selgrowth.groups import GroupError, Subgroup, double_cosets, fixed_points, make_dihedral\n"
+        "G = make_dihedral(3)\n"
+        "H = Subgroup((0, 1))\n"
+        "for call in (lambda: double_cosets(G, H, G.trivial_subgroup), lambda: fixed_points(G, H, 1)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except GroupError:\n"
+        "        continue\n"
+        "    raise SystemExit('guard did not raise')\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_double_cosets_rejects_bad_inertia():

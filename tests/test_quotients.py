@@ -14,9 +14,8 @@ from selgrowth.curves import (
 )
 from selgrowth.factored import FactoredRational
 from selgrowth.groups import (
-    GroupError,
-    _check_inertia_pair,
     family_prime,
+    local_classes,
     parse_group_spec,
 )
 from selgrowth.quotients import (
@@ -41,26 +40,6 @@ from selgrowth.quotients import (
 from selgrowth.splitting import FieldSpec, LocalClass
 
 
-def realizable_pairs(G):
-    """All (D, I) with I normal in D, D/I cyclic; D up to conjugacy, I exact."""
-    pairs = []
-    for dcls in G.subgroup_classes:
-        D = dcls.representative
-        seen = set()
-        for icls in G.subgroup_classes:
-            for x in range(G.order):
-                I = G.conjugate_subgroup(icls.representative, x)
-                if not (I.element_set <= D.element_set) or I.elements in seen:
-                    continue
-                seen.add(I.elements)
-                try:
-                    _check_inertia_pair(G, D, I)
-                except GroupError:
-                    continue
-                pairs.append(LocalClass(G, D, I))
-    return pairs
-
-
 FAMILY_SPECS = ["c2xc2", "d:3", "d:5", "d:7", "cpxcp:3", "cpxcp:5", "cpxcp:7",
                 "sd:7:3", "sd:13:3"]
 
@@ -75,7 +54,7 @@ def test_oracle_reproduces_every_table_cell(spec):
     theta = canonical_relation(G)
     odd_order = G.order % 2 == 1
     seen_cells = set()
-    for lc in realizable_pairs(G):
+    for lc in local_classes(G):
         row = classify_row(lc)
         for kind in (SPLIT_MULT, NONSPLIT_MULT):
             col = classify_column(kind, lc)
@@ -108,7 +87,7 @@ def test_oracle_reproduces_every_table_cell(spec):
 def test_dash_cells_unreachable(spec):
     G = parse_group_spec(spec)
     reachable = set()
-    for lc in realizable_pairs(G):
+    for lc in local_classes(G):
         row = classify_row(lc)
         for kind in (SPLIT_MULT, NONSPLIT_MULT):
             reachable.add((row, classify_column(kind, lc)))
@@ -186,7 +165,7 @@ def test_split_completely_gives_one():
 def test_m_dependence_cancels_at_fixed_parity(spec, data, parity_rep):
     G = parse_group_spec(spec)
     theta = canonical_relation(G)
-    lc = data.draw(st.sampled_from(realizable_pairs(G)))
+    lc = data.draw(st.sampled_from(local_classes(G)))
     kind = data.draw(st.sampled_from([SPLIT_MULT, NONSPLIT_MULT]))
     m = parity_rep
     a = local_theta_quotient(theta, lc, ReductionData(0, kind, m, 1))
@@ -199,7 +178,7 @@ def test_m_dependence_cancels_at_fixed_parity(spec, data, parity_rep):
 def test_quotient_invariant_under_conjugation(spec, data):
     G = parse_group_spec(spec)
     theta = canonical_relation(G)
-    lc = data.draw(st.sampled_from(realizable_pairs(G)))
+    lc = data.draw(st.sampled_from(local_classes(G)))
     x = data.draw(st.integers(0, G.order - 1))
     conj = LocalClass(
         G, G.conjugate_subgroup(lc.decomposition, x), G.conjugate_subgroup(lc.inertia, x)
