@@ -26,7 +26,6 @@ from .curves import (
     hypothesis_counts,
     make_profile,
     minimal_model,
-    reduction_type,
 )
 from .database import CurveRecord, ScanFilters, ingest, scan
 from .factored import FactoredRational
@@ -40,10 +39,8 @@ from .groups import (
     make_cyclic,
     make_dihedral,
     make_elem_abelian,
-    make_group,
     make_semidirect,
     parse_group_spec,
-    subgroup_classes,
 )
 from .quotients import (
     GrowthCertificate,
@@ -51,6 +48,8 @@ from .quotients import (
     certify,
     hypothesis_check,
     local_theta_quotient,
+    oracle_table,
+    place_degrees,
     regulator_quotient,
     table_lookup,
 )

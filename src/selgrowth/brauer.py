@@ -139,11 +139,14 @@ def canonical_relation(G: FiniteGroup) -> BrauerRelation:
 
 def norm_constant(theta: BrauerRelation) -> FactoredRational:
     """prod |H|^{n_H} over the relation, as an exact factored rational."""
-    out = FactoredRational.one()
+    num = den = 1
     for cid, n in theta.coeffs:
         order = theta.group.subgroup_classes[cid].order
-        out = out * FactoredRational.from_int(order) ** n
-    return out
+        if n > 0:
+            num *= order ** n
+        else:
+            den *= order ** -n
+    return FactoredRational.from_int(num) / FactoredRational.from_int(den)
 
 
 def relation_lattice(G: FiniteGroup):

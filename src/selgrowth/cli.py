@@ -2,7 +2,8 @@
 
 Output is deterministic JSON on stdout (or --format pretty for humans).
 Exit codes: 0 success, 1 usage error, 2 computation refused (for example a
-non-semistable curve or a prime whose local class cannot be determined).
+non-semistable curve or a prime whose local class cannot be determined) or,
+for tables, a table cell the double-coset oracle does not reproduce.
 """
 
 from __future__ import annotations
@@ -13,22 +14,16 @@ import json
 import os
 import sys
 
-from .brauer import canonical_relation, norm_constant, relation_lattice, verify_relation
-from .curves import WeierstrassModel, compute_invariants, make_profile, minimal_model
+from .brauer import norm_constant, relation_lattice, verify_relation
+from .curves import WeierstrassModel, compute_invariants, hypothesis_counts, make_profile
 from .database import ScanFilters, ingest, scan
-from .groups import GroupError, family_prime, local_classes, parse_group_spec
+from .groups import GroupError, family_prime, parse_group_spec
 from .quotients import (
     ImpossibleCellError,
     MissingLocalClassError,
     NonSemistableError,
-    PARITY_EVEN,
-    PARITY_ODD,
     certify,
-    classify_column,
-    classify_row,
-    local_theta_quotient,
-    table_lookup,
-    _cells_for_family,
+    oracle_table,
 )
 from .splitting import AmbiguousSplittingError, FieldSpec
 
@@ -75,6 +70,8 @@ def _parse_local_classes(items) -> dict:
             names[key.strip().upper()] = val.strip()
         if "D" not in names or "I" not in names:
             raise UsageError(f"--local-class needs D=... and I=...: {item!r}")
+        if v in overrides:
+            raise UsageError(f"--local-class names the prime {v} twice")
         overrides[v] = (names["D"], names["I"])
     return overrides
 
@@ -139,72 +136,7 @@ def _cmd_relations(args) -> dict:
 
 
 def _cmd_tables(args) -> dict:
-    from .curves import NONSPLIT_MULT, SPLIT_MULT, ReductionData
-
-    G = parse_group_spec(args.group_spec)
-    kind = G.kind
-    p = family_prime(kind)
-    theta = canonical_relation(G)
-    cells = _cells_for_family(kind)
-    odd_order = G.order % 2 == 1
-    hits = {}  # (row, col, parity) -> {'ords': set, 'count': int}
-    nonsplit_trivial = True
-    for lc in local_classes(G):
-        row = classify_row(lc)
-        for red in (SPLIT_MULT, NONSPLIT_MULT):
-            col = classify_column(red, lc)
-            for m in (1, 2):
-                parity = PARITY_EVEN if m % 2 == 0 else PARITY_ODD
-                rep = local_theta_quotient(theta, lc, ReductionData(0, red, m, 1))
-                if odd_order and red == NONSPLIT_MULT:
-                    # not tabulated for odd-order groups; the p-part must vanish
-                    nonsplit_trivial = nonsplit_trivial and rep.quotient.ord(p) == 0
-                    continue
-                rec = hits.setdefault((row, col, parity), {"ords": set(), "count": 0})
-                rec["ords"].add(rep.quotient.ord(p))
-                rec["count"] += 1
-    out_cells = []
-    all_ok = True
-    for (row, col), value in sorted(cells.items()):
-        parities = (PARITY_EVEN, PARITY_ODD) if callable(value) else (None,)
-        for parity in parities:
-            expected = table_lookup(kind, row, col, parity).ord(p)
-            keys = [
-                (row, col, par)
-                for par in ((parity,) if parity else (PARITY_EVEN, PARITY_ODD))
-                if (row, col, par) in hits
-            ]
-            ords = set()
-            count = 0
-            for k in keys:
-                ords |= hits[k]["ords"]
-                count += hits[k]["count"]
-            agrees = count > 0 and ords == {expected}
-            all_ok = all_ok and agrees
-            out_cells.append(
-                {
-                    "row": row,
-                    "col": col,
-                    "parity": parity,
-                    "value_ord_p": expected,
-                    "realizations": count,
-                    "oracle": "PASS" if agrees else "FAIL",
-                }
-            )
-    dash = sorted(
-        (row, col, par)
-        for (row, col, par) in hits
-        if (row, col) not in cells
-    )
-    return {
-        "schema": 1,
-        "group": kind,
-        "p": p,
-        "cells": out_cells,
-        "unreachable_observed": [list(d) for d in dash],
-        "nonsplit_p_part_trivial": nonsplit_trivial if odd_order else None,
-        "all_pass": all_ok and not dash and nonsplit_trivial,
-    }
+    return oracle_table(parse_group_spec(args.group_spec))
 
 
 def _tables_pretty(out) -> str:
@@ -221,57 +153,37 @@ def _tables_pretty(out) -> str:
     return "\n".join(lines)
 
 
-def _profile_from_args(args):
+def _curve_from_args(args) -> tuple:
+    """(model as given, profile) from --label or from --curve, --rank and --torsion."""
     if getattr(args, "label", None):
         # sha_an = 1 in the data file concerns Sha over Q only; the stronger
         # all-proper-subfields assumption stays an explicit --sha-trivial flag
         rec = _record_by_label(args)
-        return make_profile(
-            rec.model(), rank=rec.rank, torsion_order=rec.torsion,
-            sha_p_trivial=args.sha_trivial or [], label=rec.label,
-        )
-    if not args.curve:
-        raise UsageError("pass --curve a1,a2,a3,a4,a6 or --label")
-    model = _parse_curve(args.curve)
-    if args.rank is None:
-        raise UsageError("--rank is required with --curve (ranks are ingested, not computed)")
-    return make_profile(
-        model,
-        rank=args.rank,
-        torsion_order=args.torsion,
-        sha_p_trivial=args.sha_trivial or [],
-        label=None,
-    )
-
-
-def _cmd_analyze(args) -> dict:
-    if getattr(args, "label", None):
-        rec = _record_by_label(args)
-        model = rec.model()
-        rank, torsion = rec.rank, rec.torsion
-        label = rec.label
+        model, rank, torsion, label = rec.model(), rec.rank, rec.torsion, rec.label
     else:
         if not args.curve:
             raise UsageError("pass --curve a1,a2,a3,a4,a6 or --label")
         model = _parse_curve(args.curve)
-        rank = args.rank if args.rank is not None else 0
-        torsion = args.torsion
-        label = None
-    inv = compute_invariants(model)
-    mm = minimal_model(model)
-    profile = make_profile(model, rank=rank, torsion_order=torsion, label=label)
-    semistable, n_nonsplit, n_even = (
-        profile.is_semistable(),
-        sum(1 for rd in profile.bad_places if rd.kind == "nonsplit_mult"),
-        sum(1 for rd in profile.bad_places if rd.kind == "nonsplit_mult" and rd.m % 2 == 0),
+        if args.rank is None:
+            raise UsageError("--rank is required with --curve (ranks are ingested, not computed)")
+        rank, torsion, label = args.rank, args.torsion, None
+    profile = make_profile(
+        model, rank=rank, torsion_order=torsion,
+        sha_p_trivial=getattr(args, "sha_trivial", None) or [], label=label,
     )
+    return model, profile
+
+
+def _cmd_analyze(args) -> dict:
+    model, profile = _curve_from_args(args)
+    semistable, n_nonsplit, n_even = hypothesis_counts(profile)
     return {
         "schema": 1,
-        "label": label,
+        "label": profile.label,
         "model": list(model.ainvs()),
-        "minimal_model": list(mm.ainvs()),
+        "minimal_model": list(profile.model.ainvs()),
         "invariants": {"c4": profile.c4, "c6": profile.c6, "delta_min": profile.delta_min,
-                       "delta_input": inv.delta},
+                       "delta_input": compute_invariants(model).delta},
         "bad_places": [
             {"v": rd.v, "kind": rd.kind, "m": rd.m, "tamagawa": rd.tamagawa}
             for rd in profile.bad_places
@@ -283,7 +195,7 @@ def _cmd_analyze(args) -> dict:
 
 
 def _cmd_certify(args) -> dict:
-    profile = _profile_from_args(args)
+    _, profile = _curve_from_args(args)
     field = _field_from_args(args)
     overrides = _parse_local_classes(args.local_class)
     cert = certify(profile, field, args.p, overrides)
@@ -347,7 +259,7 @@ def build_parser() -> _Parser:
     p_an.add_argument("--curve", help="a1,a2,a3,a4,a6")
     p_an.add_argument("--label", help="look the curve up in the data file")
     p_an.add_argument("--data", help="curve CSV (default: SGL_DATA)")
-    p_an.add_argument("--rank", type=int)
+    p_an.add_argument("--rank", type=int, default=0)
     p_an.add_argument("--torsion", type=int, default=1)
     add_common(p_an)
 
@@ -416,6 +328,9 @@ def main(argv=None) -> int:
         print(_tables_pretty(out))
     else:
         print(_emit(out, pretty=args.format == "pretty"))
+    if args.command == "tables" and not out["all_pass"]:
+        print(f"check failed: the oracle does not reproduce the {out['group']} table", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -32,7 +32,7 @@ class WeierstrassModel:
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a6"):
             object.__setattr__(self, name, int(getattr(self, name)))
-        if discriminant(self) == 0:
+        if compute_invariants(self).delta == 0:
             raise SingularModelError(f"singular model {self.ainvs()}")
 
     def ainvs(self) -> tuple:
@@ -72,15 +72,6 @@ def compute_invariants(m: WeierstrassModel) -> Invariants:
     assert 4 * b8 == b2 * b6 - b4 * b4
     assert 1728 * delta == c4 ** 3 - c6 ** 2
     return Invariants(b2, b4, b6, b8, c4, c6, delta)
-
-
-def discriminant(m) -> int:
-    a1, a2, a3, a4, a6 = m.a1, m.a2, m.a3, m.a4, m.a6
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
 def _ord(n: int, p: int) -> int:
@@ -273,10 +264,6 @@ def make_profile(
         sha_p_trivial_assumed=frozenset(int(p) for p in sha_p_trivial),
         label=label,
     )
-
-
-def reduction_type(profile: CurveProfile, v: int) -> ReductionData:
-    return profile.reduction(v)
 
 
 def ap_oracle(model: WeierstrassModel, v: int) -> str:

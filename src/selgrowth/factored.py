@@ -47,9 +47,6 @@ class FactoredRational:
     def factors(self) -> dict:
         return dict(self._factors)
 
-    def primes(self):
-        return sorted(self._factors)
-
     def is_one(self) -> bool:
         return not self._factors
 

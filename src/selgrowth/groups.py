@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 MAX_ORDER = 200
 # Family groups kept by the constructors, least recently used dropped first.
@@ -86,18 +87,22 @@ class FiniteGroup:
     """
 
     def __init__(self, table, identity=0, kind=None, validate=False, generators=None):
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
-        self.order = len(self.table)
-        if self.order == 0:
+        self.table = tuple(tuple(map(int, row)) for row in table)
+        n = self.order = len(self.table)
+        if n == 0:
             raise GroupError("empty multiplication table")
-        if self.order > MAX_ORDER:
-            raise GroupError(f"group order {self.order} exceeds the cap {MAX_ORDER}")
+        if n > MAX_ORDER:
+            raise GroupError(f"group order {n} exceeds the cap {MAX_ORDER}")
         for row in self.table:
-            if len(row) != self.order or any(not 0 <= x < self.order for x in row):
+            if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise GroupError("multiplication table is not square over 0..n-1")
         self.identity = int(identity)
         self.kind = kind
         self._inv = self._inverse_table()
+        # (class id of H, D elements, I elements) -> multiset of the (e, f)
+        # of the places of F^H; filled by quotients.place_degrees and dropped
+        # with the group
+        self.place_degree_memo = {}
         if validate:
             self.validate(generators)
 
@@ -108,9 +113,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return self._inv[a]
-
-    def elements(self):
-        return range(self.order)
 
     def _inverse_table(self):
         e = self.identity
@@ -403,10 +405,6 @@ class FiniteGroup:
 # -- module-level operations -------------------------------------------------
 
 
-def subgroup_classes(G: FiniteGroup):
-    return G.subgroup_classes
-
-
 def fixed_points(G: FiniteGroup, H: Subgroup, g: int) -> int:
     """Number of cosets xH fixed by g, i.e. #{x : x^-1 g x in H} / |H|."""
     s = H.element_set
@@ -498,8 +496,7 @@ def local_classes(G: FiniteGroup) -> list:
     return pairs
 
 
-@dataclass(frozen=True)
-class DoubleCoset:
+class DoubleCoset(NamedTuple):
     representative: int
     size: int
     degree: int  # |D| / |D meet x^-1 H x|, the local degree of this place
@@ -507,24 +504,18 @@ class DoubleCoset:
     f_index: int | None = None
 
 
-def double_cosets(G: FiniteGroup, H: Subgroup, D, I: Subgroup | None = None):
+def double_cosets(G: FiniteGroup, H: Subgroup, D):
     """Partition of G into double cosets HxD, with local degree bookkeeping.
 
-    D is a decomposition subgroup, or a LocalClass carrying an inertia
-    subgroup checked when it was built. An inertia subgroup I passed on its
-    own is checked by building that LocalClass here. With inertia, each
-    record carries e = |I|/|I meet x^-1Hx| and f = degree/e.
+    D is a decomposition subgroup, or a LocalClass, whose inertia subgroup
+    was checked when it was built; then each record also carries
+    e = |I|/|I meet x^-1Hx| and f = degree/e.
     """
+    I = None
     if isinstance(D, LocalClass):
-        if I is not None:
-            raise GroupError("pass the inertia subgroup inside the LocalClass, not again")
-        local = D
-    else:
-        local = LocalClass(G, D, I) if I is not None else None
-    if local is not None:
-        if local.group is not G and local.group.table != G.table:
+        if D.group is not G and D.group.table != G.table:
             raise GroupError("local class and subgroup live in different groups")
-        D, I = local.decomposition, local.inertia
+        D, I = D.decomposition, D.inertia
     table, conj, inv = G.table, G.conj, G._inv
     hset = H.element_set
     h_rows = [table[h] for h in H.elements]
@@ -680,23 +671,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-def make_group(kind: str, *params: int) -> FiniteGroup:
-    """Programmatic constructor mirroring the CLI spec strings."""
-    if kind == "cyclic":
-        return make_cyclic(*params)
-    if kind == "elem_abelian":
-        return make_elem_abelian(*params)
-    if kind == "dihedral":
-        # parameter is the order 2p
-        (n,) = params
-        if n % 2 != 0:
-            raise GroupError(f"dihedral order must be even, got {n}")
-        return make_dihedral(n // 2)
-    if kind == "semidirect":
-        return make_semidirect(*params)
-    raise GroupError(f"unknown group kind {kind!r}")
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:

@@ -9,13 +9,18 @@ discriminant valuation becomes e*m; non-split reduction becomes split
 exactly when f is even and otherwise keeps the parity-of-e*m Tamagawa
 number 1 or 2.
 
+The (e, f) of the places depend on v only through (D, I), so
+`place_degrees` computes them once per (H, D, I) and keeps them on the group;
+`local_theta_quotient` evaluates them for one reduction type and m.
+
 The hardcoded quotient tables for the four group families are never read by
-certify, which always runs the oracle; they are the target that
-`selgrowth tables` and the tests check the oracle against, cell by cell.
+certify, which always runs the oracle; `oracle_table` checks the oracle
+against them cell by cell, for `selgrowth tables` and the tests alike.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .brauer import BrauerRelation, canonical_relation, norm_constant
@@ -29,7 +34,7 @@ from .curves import (
     hypothesis_counts,
 )
 from .factored import FactoredRational
-from .groups import GroupError, double_cosets, family_prime
+from .groups import FiniteGroup, GroupError, double_cosets, family_prime, local_classes
 from .splitting import (
     FieldSpec,
     LocalClass,
@@ -182,6 +187,46 @@ def _local_tamagawa(kind: str, e: int, f: int, m: int) -> int:
     raise NonSemistableError("additive reduction has no semistable Tamagawa formula")
 
 
+def place_degrees(theta: BrauerRelation, lc: LocalClass) -> tuple:
+    """The (e, f) of the places of F^H above v, for each H in theta.
+
+    One multiset ``(((e, f), count), ...)`` per entry of ``theta.coeffs``.
+    The places of F^H are the double cosets H\\G/D, so each (H, D, I) is
+    computed once and kept on the group.
+    """
+    G = theta.group
+    if lc.group is not G and lc.group.table != G.table:
+        raise GroupError("local class and relation live in different groups")
+    memo = G.place_degree_memo
+    D, I = lc.decomposition.elements, lc.inertia.elements
+    out = []
+    for cid, _ in theta.coeffs:
+        key = (cid, D, I)
+        if key not in memo:
+            H = G.subgroup_classes[cid].representative
+            counts = Counter((dc.e_index, dc.f_index) for dc in double_cosets(G, H, lc))
+            memo[key] = tuple(sorted(counts.items()))
+        out.append(memo[key])
+    return tuple(out)
+
+
+def _evaluate(theta: BrauerRelation, degrees: tuple, kind: str, m: int) -> tuple:
+    """(contributions, quotient) of a place with these place degrees and reduction."""
+    contributions = []
+    quotient = FactoredRational.one()
+    factored = {}  # product of Tamagawa numbers -> its factorization
+    for (cid, n), places in zip(theta.coeffs, degrees):
+        product = 1
+        for (e, f), count in places:
+            product *= _local_tamagawa(kind, e, f, m) ** count
+        if product not in factored:
+            factored[product] = FactoredRational.from_int(product)
+        contrib = factored[product]
+        contributions.append((cid, contrib))
+        quotient = quotient * contrib ** n
+    return tuple(contributions), quotient
+
+
 def local_theta_quotient(
     theta: BrauerRelation, lc: LocalClass, rd: ReductionData
 ) -> PlaceQuotientReport:
@@ -190,37 +235,82 @@ def local_theta_quotient(
         raise NonSemistableError(
             f"additive reduction at {rd.v}; the quotient engine requires semistability"
         )
-    G = theta.group
-    if lc.group.table != G.table:
-        raise GroupError("local class and relation live in different groups")
-    contributions = []
-    quotient = FactoredRational.one()
-    for cid, n in theta.coeffs:
-        H = G.subgroup_classes[cid].representative
-        contrib = FactoredRational.one()
-        for dc in double_cosets(G, H, lc):
-            c = _local_tamagawa(rd.kind, dc.e_index, dc.f_index, rd.m)
-            contrib = contrib * FactoredRational.from_int(c)
-        contributions.append((cid, contrib))
-        quotient = quotient * contrib ** n
+    contributions, quotient = _evaluate(theta, place_degrees(theta, lc), rd.kind, rd.m)
     cell = None
-    if G.kind is not None and rd.kind in (SPLIT_MULT, NONSPLIT_MULT):
-        try:
-            row = classify_row(lc)
-            col = classify_column(rd.kind, lc)
-            parity = PARITY_EVEN if rd.m % 2 == 0 else PARITY_ODD
-            cell = f"{row}|{col}|{parity}"
-        except GroupError:
-            cell = None
+    if theta.group.kind is not None and rd.kind in (SPLIT_MULT, NONSPLIT_MULT):
+        parity = PARITY_EVEN if rd.m % 2 == 0 else PARITY_ODD
+        cell = f"{classify_row(lc)}|{classify_column(rd.kind, lc)}|{parity}"
     return PlaceQuotientReport(
         v=rd.v,
         reduction_kind=rd.kind,
         m=rd.m,
         local_class=lc,
-        contributions=tuple(contributions),
+        contributions=contributions,
         quotient=quotient,
         table_cell=cell,
     )
+
+
+def oracle_table(G: FiniteGroup) -> dict:
+    """The family's quotient table, each cell checked against the oracle.
+
+    Every local class is evaluated for both multiplicative reduction types at
+    m = 1 and m = 2; the factor m cancels in a relation, so the parity of m
+    is all the tables need. A cell passes when it has a realization and
+    every realization equals the tabulated value exactly. For odd-order
+    groups the non-split columns are not tabulated, and their p-part must
+    vanish instead.
+    """
+    kind = G.kind
+    p = family_prime(kind)
+    theta = canonical_relation(G)
+    cells = _cells_for_family(kind)
+    odd_order = G.order % 2 == 1
+    # (row, col, parity or None for a parity-free cell) -> [realizations, all equal]
+    hits = {}
+    nonsplit_trivial = True
+    for lc in local_classes(G):
+        row = classify_row(lc)
+        degrees = place_degrees(theta, lc)
+        for red in (SPLIT_MULT, NONSPLIT_MULT):
+            col = classify_column(red, lc)
+            value = cells.get((row, col))
+            for m, parity in ((1, PARITY_ODD), (2, PARITY_EVEN)):
+                _, quotient = _evaluate(theta, degrees, red, m)
+                if odd_order and red == NONSPLIT_MULT:
+                    nonsplit_trivial = nonsplit_trivial and quotient.ord(p) == 0
+                    continue
+                key = (row, col, None if value is not None and not callable(value) else parity)
+                rec = hits.setdefault(key, [0, True])
+                rec[0] += 1
+                if value is not None:
+                    rec[1] = rec[1] and quotient == table_lookup(kind, row, col, parity)
+    out_cells = []
+    for (row, col), value in sorted(cells.items()):
+        for parity in (PARITY_EVEN, PARITY_ODD) if callable(value) else (None,):
+            count, equal = hits.get((row, col, parity), (0, True))
+            out_cells.append(
+                {
+                    "row": row,
+                    "col": col,
+                    "parity": parity,
+                    "value_ord_p": table_lookup(kind, row, col, parity).ord(p),
+                    "realizations": count,
+                    "oracle": "PASS" if count and equal else "FAIL",
+                }
+            )
+    dash = sorted(key for key in hits if key[:2] not in cells)
+    return {
+        "schema": 1,
+        "group": kind,
+        "p": p,
+        "cells": out_cells,
+        "unreachable_observed": [list(d) for d in dash],
+        "nonsplit_p_part_trivial": nonsplit_trivial if odd_order else None,
+        "all_pass": all(c["oracle"] == "PASS" for c in out_cells)
+        and not dash
+        and nonsplit_trivial,
+    }
 
 
 def regulator_quotient(theta: BrauerRelation, rank: int) -> FactoredRational:
@@ -430,13 +520,18 @@ def certify(
 ) -> GrowthCertificate:
     """Assemble the p-part of the Tamagawa/Sha quotient identity into a certificate.
 
-    overrides maps a prime to a (decomposition, inertia) pair of subgroup class
-    names, taking precedence over anything computed from the field description.
+    overrides maps a bad prime to a (decomposition, inertia) pair of subgroup
+    class names, taking precedence over anything computed from the field
+    description; an override for any other prime is refused.
     """
     kind = field.group.kind
     expected_p = family_prime(kind)
     if p != expected_p:
         raise ValueError(f"group {kind} pairs with p = {expected_p}, not p = {p}")
+    stray = sorted(set(overrides or ()) - {rd.v for rd in profile.bad_places})
+    if stray:
+        primes = ", ".join(map(str, stray))
+        raise ValueError(f"local class overrides for {primes}, which are not bad primes of the curve")
     if not profile.is_semistable():
         bad = [rd.v for rd in profile.bad_places if rd.kind == ADDITIVE]
         raise NonSemistableError(f"additive reduction at {bad}; certificate refused")

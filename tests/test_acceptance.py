@@ -18,9 +18,7 @@ from selgrowth.brauer import (
     verify_relation,
 )
 from selgrowth.curves import (
-    NONSPLIT_MULT,
     SPLIT_MULT,
-    ReductionData,
     WeierstrassModel,
     ap_oracle,
     make_profile,
@@ -30,7 +28,6 @@ from selgrowth.groups import (
     direct_product,
     double_cosets,
     family_prime,
-    local_classes,
     make_cyclic,
     make_dihedral,
     make_elem_abelian,
@@ -39,16 +36,7 @@ from selgrowth.groups import (
     relabeled,
 )
 from selgrowth.intlinalg import matmul, smith_normal_form
-from selgrowth.quotients import (
-    PARITY_EVEN,
-    PARITY_ODD,
-    certify,
-    classify_column,
-    classify_row,
-    local_theta_quotient,
-    table_lookup,
-    _cells_for_family,
-)
+from selgrowth.quotients import certify, oracle_table
 from selgrowth.splitting import FieldSpec
 
 
@@ -93,29 +81,10 @@ def test_criterion_2_table_reproduction():
     with Budget(2, 5.0):
         specs = ["c2xc2", "d:3", "d:5", "d:7", "cpxcp:3", "cpxcp:5", "cpxcp:7", "sd:7:3"]
         for spec in specs:
-            G = parse_group_spec(spec)
-            p = family_prime(G.kind)
-            theta = canonical_relation(G)
-            odd_order = G.order % 2 == 1
-            cells = _cells_for_family(G.kind)
-            covered = set()
-            for lc in local_classes(G):
-                row = classify_row(lc)
-                for red in (SPLIT_MULT, NONSPLIT_MULT):
-                    col = classify_column(red, lc)
-                    for m in (1, 2):
-                        parity = PARITY_EVEN if m % 2 == 0 else PARITY_ODD
-                        rep = local_theta_quotient(theta, lc, ReductionData(0, red, m, 1))
-                        if odd_order and red == NONSPLIT_MULT:
-                            assert rep.quotient.ord(p) == 0
-                            continue
-                        assert (row, col) in cells, f"dash cell reached: {spec} {row} {col}"
-                        assert rep.quotient == table_lookup(G.kind, row, col, parity)
-                        covered.add((row, col))
-            for rowcol in cells:
-                if odd_order and rowcol[1] != SPLIT_MULT:
-                    continue
-                assert rowcol in covered, f"{spec}: cell {rowcol} never realized"
+            doc = oracle_table(parse_group_spec(spec))
+            assert doc["all_pass"], spec
+            assert all(c["realizations"] > 0 for c in doc["cells"]), f"{spec}: a cell never realized"
+            assert doc["unreachable_observed"] == [], f"dash cell reached: {spec}"
 
 
 def test_criterion_3_lattice_agreement():

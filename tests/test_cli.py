@@ -179,3 +179,16 @@ def test_missing_data_file_is_usage_error(capsys, tmp_path):
         assert code == 1 and out == ""
         assert err.startswith("usage error: ") and missing in err
         assert err.count("\n") == 1
+
+
+def test_local_class_overrides_that_would_be_dropped_are_refused(capsys):
+    base = ("certify", "--curve", "1,0,0,-1,0", "--rank", "1", "--torsion", "2",
+            "--field", "mq:3,5", "-p", "2")
+    for extra, prime in (
+        (("--local-class", "7:D=G,I=G"), "7"),  # 65a1 is bad at 5 and 13 only
+        (("--local-class", "5:D=1,I=1", "--local-class", "v=5:D=G,I=C2a"), "5"),
+    ):
+        code, out, err = run(capsys, *base, *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert prime in err

@@ -11,7 +11,6 @@ from selgrowth.curves import (
     legendre,
     make_profile,
     minimal_model,
-    reduction_type,
 )
 
 ainv = st.integers(-25, 25)
@@ -102,23 +101,23 @@ def test_minimal_model_idempotent_and_divides(t, u):
 
 def test_reduction_65a1():
     prof = make_profile(WeierstrassModel(1, 0, 0, -1, 0), rank=1, torsion_order=2)
-    r5 = reduction_type(prof, 5)
+    r5 = prof.reduction(5)
     assert (r5.kind, r5.m, r5.tamagawa) == ("nonsplit_mult", 1, 1)
-    r13 = reduction_type(prof, 13)
+    r13 = prof.reduction(13)
     assert (r13.kind, r13.m, r13.tamagawa) == ("nonsplit_mult", 1, 1)
-    r2 = reduction_type(prof, 2)
+    r2 = prof.reduction(2)
     assert (r2.kind, r2.tamagawa) == ("good", 1)
 
 
 def test_reduction_11a1_split():
     prof = make_profile(WeierstrassModel(0, -1, 1, -10, -20), rank=0, torsion_order=5)
-    r11 = reduction_type(prof, 11)
+    r11 = prof.reduction(11)
     assert (r11.kind, r11.m, r11.tamagawa) == ("split_mult", 5, 5)
 
 
 def test_reduction_additive_flagged():
     prof = make_profile(WeierstrassModel(0, 0, 1, 0, -7), rank=0, torsion_order=3)
-    r3 = reduction_type(prof, 3)
+    r3 = prof.reduction(3)
     assert r3.kind == "additive" and r3.tamagawa is None
     assert not prof.is_semistable()
 
@@ -126,7 +125,7 @@ def test_reduction_additive_flagged():
 def test_tamagawa_parity_rule():
     # 82a1: non-split at 2 with m = 2 even, so c = 2
     prof = make_profile(WeierstrassModel(1, 0, 1, -2, 0), rank=1, torsion_order=2)
-    r2 = reduction_type(prof, 2)
+    r2 = prof.reduction(2)
     assert (r2.kind, r2.m, r2.tamagawa) == ("nonsplit_mult", 2, 2)
 
 

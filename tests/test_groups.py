@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from selgrowth.groups import (
     GROUP_CACHE_SIZE,
     GroupError,
+    LocalClass,
     Subgroup,
     double_cosets,
     fixed_points,
     make_cyclic,
     make_dihedral,
     make_elem_abelian,
-    make_group,
     make_semidirect,
     parse_group_spec,
     direct_product,
@@ -66,10 +66,10 @@ def build(spec):
 
 
 def test_make_group_kinds():
-    assert make_group("cyclic", 6).order == 6
-    assert make_group("dihedral", 6).order == 6
-    assert make_group("elem_abelian", 3).order == 9
-    assert make_group("semidirect", 7, 3).order == 21
+    assert make_cyclic(6).order == 6
+    assert make_dihedral(3).order == 6
+    assert make_elem_abelian(3).order == 9
+    assert make_semidirect(7, 3).order == 21
 
 
 def test_group_axioms_validate():
@@ -244,7 +244,7 @@ def test_double_cosets_trivial_H():
 def test_double_cosets_klein_four_abelian():
     K = make_elem_abelian(2)
     C2 = Subgroup((0, 1))
-    recs = double_cosets(K, C2, C2, K.trivial_subgroup)
+    recs = double_cosets(K, C2, LocalClass(K, C2, K.trivial_subgroup))
     assert len(recs) == 2
     assert all(r.degree == 1 and r.e_index == 1 and r.f_index == 1 for r in recs)
 
@@ -253,7 +253,7 @@ def test_double_cosets_dihedral_full_group():
     p = 5
     G = make_dihedral(p)
     C2 = next(c.representative for c in G.subgroup_classes if c.order == 2)
-    recs = double_cosets(G, C2, G.full_subgroup, G.full_subgroup)
+    recs = double_cosets(G, C2, LocalClass(G, G.full_subgroup, G.full_subgroup))
     assert len(recs) == 1
     assert recs[0].degree == p and recs[0].e_index == p and recs[0].f_index == 1
 
@@ -296,10 +296,10 @@ def test_double_cosets_rejects_bad_inertia():
     G = make_dihedral(3)
     C2 = next(c.representative for c in G.subgroup_classes if c.order == 2)
     with pytest.raises(GroupError):
-        double_cosets(G, G.trivial_subgroup, G.full_subgroup, C2)  # C2 not normal in G
+        double_cosets(G, G.trivial_subgroup, LocalClass(G, G.full_subgroup, C2))  # C2 not normal in G
     with pytest.raises(GroupError):
         # D/I = full dihedral over trivial inertia is not cyclic
-        double_cosets(G, G.trivial_subgroup, G.full_subgroup, G.trivial_subgroup)
+        double_cosets(G, G.trivial_subgroup, LocalClass(G, G.full_subgroup, G.trivial_subgroup))
 
 
 # -- products and relabelings ------------------------------------------------------

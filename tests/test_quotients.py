@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selgrowth import quotients
 from selgrowth.brauer import canonical_relation, norm_constant
 from selgrowth.curves import (
     NONSPLIT_MULT,
@@ -12,12 +13,9 @@ from selgrowth.curves import (
     WeierstrassModel,
     make_profile,
 )
+from selgrowth.cli import main
 from selgrowth.factored import FactoredRational
-from selgrowth.groups import (
-    family_prime,
-    local_classes,
-    parse_group_spec,
-)
+from selgrowth.groups import FiniteGroup, family_prime, local_classes, parse_group_spec
 from selgrowth.quotients import (
     COL_NONSPLIT_SPLITS,
     COL_NONSPLIT_STAYS,
@@ -33,7 +31,9 @@ from selgrowth.quotients import (
     classify_column,
     classify_row,
     hypothesis_check,
+    _cells_for_family,
     local_theta_quotient,
+    oracle_table,
     regulator_quotient,
     table_lookup,
 )
@@ -50,37 +50,67 @@ FAMILY_SPECS = ["c2xc2", "d:3", "d:5", "d:7", "cpxcp:3", "cpxcp:5", "cpxcp:7",
 @pytest.mark.parametrize("spec", FAMILY_SPECS)
 def test_oracle_reproduces_every_table_cell(spec):
     G = parse_group_spec(spec)
-    p = family_prime(G.kind)
-    theta = canonical_relation(G)
-    odd_order = G.order % 2 == 1
-    seen_cells = set()
-    for lc in local_classes(G):
-        row = classify_row(lc)
-        for kind in (SPLIT_MULT, NONSPLIT_MULT):
-            col = classify_column(kind, lc)
-            for m in (1, 2, 3, 4):
-                parity = PARITY_EVEN if m % 2 == 0 else PARITY_ODD
-                rep = local_theta_quotient(theta, lc, ReductionData(0, kind, m, 1))
-                if odd_order and kind == NONSPLIT_MULT:
-                    # not tabulated: the p-part must simply vanish for odd p
-                    assert rep.quotient.ord(p) == 0
-                    continue
-                expected = table_lookup(G.kind, row, col, parity)
-                assert rep.quotient.ord(p) == expected.ord(p), (
-                    f"{spec} {row} {col} m={m}: oracle {rep.quotient.factors()} "
-                    f"table {expected.factors()}"
-                )
-                # even-order family tables hold as exact rationals, not just p-parts
-                assert rep.quotient == expected
-                seen_cells.add((row, col, parity))
-    # every non-dash cell of the family's table is realized by some pair
-    from selgrowth.quotients import _cells_for_family
+    doc = oracle_table(G)
+    # every cell of the family's table is listed, realized and reproduced exactly
+    assert {(c["row"], c["col"]) for c in doc["cells"]} == set(_cells_for_family(G.kind))
+    assert all(c["realizations"] > 0 and c["oracle"] == "PASS" for c in doc["cells"])
+    assert doc["unreachable_observed"] == []
+    assert doc["nonsplit_p_part_trivial"] is (True if G.order % 2 else None)
+    assert doc["all_pass"]
 
-    for (row, col), value in _cells_for_family(G.kind).items():
-        if odd_order and col != COL_SPLIT:
-            continue
-        parities = (PARITY_EVEN, PARITY_ODD)
-        assert any((row, col, par) in seen_cells for par in parities), (row, col)
+
+# every family group of order at most 60
+SMALL_FAMILY_SPECS = ["c2xc2", "d:3", "d:5", "d:7", "d:11", "d:13", "d:17", "d:19", "d:23",
+                      "d:29", "cpxcp:3", "cpxcp:5", "cpxcp:7", "sd:7:3", "sd:13:3", "sd:19:3",
+                      "sd:11:5"]
+
+
+def test_m_dependence_cancels_at_fixed_parity():
+    # the tables carry only the parity of m = ord_v(delta): m and m + 2 agree
+    for spec in SMALL_FAMILY_SPECS:
+        G = parse_group_spec(spec)
+        theta = canonical_relation(G)
+        for lc in local_classes(G):
+            for kind in (SPLIT_MULT, NONSPLIT_MULT):
+                for m in (1, 2):
+                    a = local_theta_quotient(theta, lc, ReductionData(0, kind, m, 1))
+                    b = local_theta_quotient(theta, lc, ReductionData(0, kind, m + 2, 1))
+                    assert a.quotient == b.quotient, (spec, lc, kind, m)
+
+
+def test_place_degrees_computed_once_per_group(monkeypatch):
+    # a fresh copy of d:5 starts with an empty memo
+    G = FiniteGroup(parse_group_spec("d:5").table, kind="d:5")
+    calls = []
+    real = quotients.double_cosets
+    monkeypatch.setattr(quotients, "double_cosets", lambda *a: calls.append(a) or real(*a))
+    first = oracle_table(G)
+    pairs = len(canonical_relation(G).coeffs) * len(local_classes(G))
+    assert len(calls) == len(G.place_degree_memo) == pairs
+    assert oracle_table(G) == first and len(calls) == pairs
+
+
+def test_tampered_table_cell_fails(monkeypatch, capsys):
+    real = quotients._cells_for_family
+
+    def tampered(kind):
+        cells = real(kind)
+        cells[(ROW_INERT_RAMIFIED, COL_SPLIT)] -= 1
+        return cells
+
+    monkeypatch.setattr(quotients, "_cells_for_family", tampered)
+    doc = oracle_table(parse_group_spec("d:5"))
+    failed = [c for c in doc["cells"] if c["oracle"] == "FAIL"]
+    assert [(c["row"], c["col"], c["value_ord_p"]) for c in failed] == [
+        (ROW_INERT_RAMIFIED, COL_SPLIT, -2)
+    ]
+    assert failed[0]["realizations"] > 0
+    assert not doc["all_pass"]
+    # the CLI prints the table and exits 2 with one line on stderr
+    assert main(["tables", "d:5"]) == 2
+    out = capsys.readouterr()
+    assert json.loads(out.out) == doc
+    assert out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("spec", ["c2xc2", "d:3", "d:5", "d:7"])
@@ -158,19 +188,6 @@ def test_split_completely_gives_one():
         for kind in (SPLIT_MULT, NONSPLIT_MULT):
             rep = local_theta_quotient(canonical_relation(G), lc, ReductionData(0, kind, 1, 1))
             assert rep.quotient.is_one()
-
-
-@given(st.sampled_from(FAMILY_SPECS), st.data(), st.sampled_from([1, 2]))
-@settings(max_examples=80, deadline=None)
-def test_m_dependence_cancels_at_fixed_parity(spec, data, parity_rep):
-    G = parse_group_spec(spec)
-    theta = canonical_relation(G)
-    lc = data.draw(st.sampled_from(local_classes(G)))
-    kind = data.draw(st.sampled_from([SPLIT_MULT, NONSPLIT_MULT]))
-    m = parity_rep
-    a = local_theta_quotient(theta, lc, ReductionData(0, kind, m, 1))
-    b = local_theta_quotient(theta, lc, ReductionData(0, kind, m + 2, 1))
-    assert a.quotient == b.quotient
 
 
 @given(st.sampled_from(FAMILY_SPECS), st.data())
