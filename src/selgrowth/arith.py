@@ -1,0 +1,210 @@
+"""Exact primality testing and integer factorization, in pure Python.
+
+``is_prime`` is Miller-Rabin with the first 13 prime bases 2, ..., 41, which
+is deterministic below psi_13 = 3317044064679887385961981 (about 3.3e24;
+the first 12 bases are deterministic only below 3.18e23). Above psi_13 it is
+BPSW (R. Baillie and S. S. Wagstaff Jr., "Lucas pseudoprimes", Math. Comp. 35,
+1980): Miller-Rabin to base 2 plus a strong Lucas test with Selfridge's
+parameters, the test sympy's ``isprime`` uses; no BPSW pseudoprime is known.
+
+``factor`` is trial division up to 1000, then Pollard's rho in Brent's form
+with batched gcds (R. P. Brent, "An improved Monte Carlo factorization
+algorithm", BIT 20, 1980) on what is left. Rho needs about sqrt(q) steps to
+find a prime factor q, so a number with two large prime factors could take
+hours; ``factor`` spends at most RHO_BUDGET steps on one number and then
+raises ``FactorizationBudgetError``.
+"""
+
+from __future__ import annotations
+
+import math
+
+TRIAL_LIMIT = 1000
+_SMALL_PRIMES = [p for p in range(2, TRIAL_LIMIT)
+                 if all(p % d for d in range(2, math.isqrt(p) + 1))]
+_MR_BASES = _SMALL_PRIMES[:13]
+PSI_13 = 3317044064679887385961981
+
+# Pollard-Brent steps allowed per factor() call: over 100 times the largest
+# count that factoring any certify_mq benchmark discriminant or any row of
+# data/curves.csv takes (203,390 steps, for 3001807103 * 52549330733).
+RHO_BUDGET = 21_000_000
+_BATCH = 128
+
+
+class FactorizationBudgetError(ArithmeticError):
+    """factor() gave up: the number has more than one large prime factor."""
+
+
+def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
+    # n - 1 = d * 2^s with d odd
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    # odd n > 1 with no small factor; Selfridge: first D in 5, -7, 9, -11, ...
+    # with (D/n) = -1, then P = 1 and Q = (1 - D) / 4
+    if math.isqrt(n) ** 2 == n:
+        return False  # no such D exists for a square
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False  # D and n share a proper factor of n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (n + 1) // 2
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1 for P = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _is_prime_no_small_factor(n: int) -> bool:
+    # n has no prime factor below TRIAL_LIMIT
+    if n < TRIAL_LIMIT * TRIAL_LIMIT:
+        return n > 1
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    if n < PSI_13:
+        return all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2, d, s) and _strong_lucas_probable_prime(n)
+
+
+def is_prime(n: int) -> bool:
+    """Whether the integer n is prime (exact below PSI_13, BPSW above)."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    return _is_prime_no_small_factor(n)
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by Newton's method on integers."""
+    x = 1 << -(-n.bit_length() // k)  # at least the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _brent(n: int, c: int, steps: int) -> tuple:
+    """(g, steps used) for the map x -> x^2 + c on the composite n.
+
+    g is a proper factor of n; or n when this c fails; or 1 when finding a
+    factor would take more than ``steps`` steps.
+    """
+    y, r, q, g, used = 2, 1, 1, 1, 0
+    while g == 1:
+        if used + r >= steps:
+            return 1, used
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        used += r
+        k = 0
+        while k < r and g == 1:
+            if used >= steps:
+                return 1, used
+            ys = y
+            batch = min(_BATCH, r - k)
+            for _ in range(batch):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = math.gcd(q, n)
+            k += batch
+            used += batch
+        r *= 2
+    if g == n:  # the batch overshot: step back one at a time
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(x - ys, n)
+    return g, used
+
+
+def _split(n: int, out: dict, budget: int, k: int = 1) -> int:
+    """Add the prime factors of n**k (none below TRIAL_LIMIT) to out; return the budget left."""
+    if n == 1:
+        return budget
+    if _is_prime_no_small_factor(n):
+        out[n] = out.get(n, 0) + k
+        return budget
+    # rho finds the prime q of q^e in sqrt(q) steps; a root finds it at once
+    for e in range(n.bit_length() // 9, 1, -1):  # every prime factor exceeds 2^9
+        r = _integer_root(n, e)
+        if r ** e == n:
+            return _split(r, out, budget, k * e)
+    c = 1
+    while True:
+        g, used = _brent(n, c, budget)
+        budget -= used
+        if g == 1:
+            raise FactorizationBudgetError(
+                f"factorization budget exhausted: {RHO_BUDGET} Pollard-Brent steps"
+                f" did not split a {len(str(n))}-digit cofactor"
+            )
+        if g != n:
+            break
+        c += 1
+    return _split(n // g, out, _split(g, out, budget, k), k)
+
+
+def factor(n: int) -> dict:
+    """The factorization {prime: exponent} of a positive integer, by increasing prime."""
+    if n < 1:
+        raise ValueError(f"positive integer required, got {n}")
+    out = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            if n > 1:
+                out[n] = 1
+            return out
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    large = {}
+    _split(n, large, RHO_BUDGET)
+    out.update(sorted(large.items()))
+    return out

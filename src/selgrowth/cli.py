@@ -1,9 +1,11 @@
 """Command line surface: analyze, relations, tables, certify, scan.
 
 Output is deterministic JSON on stdout (or --format pretty for humans).
-Exit codes: 0 success, 1 usage error, 2 computation refused (for example a
-non-semistable curve or a prime whose local class cannot be determined) or,
-for tables, a table cell the double-coset oracle does not reproduce.
+Exit codes: 0 success, 1 usage error or stdout closed before the output was
+written, 2 computation refused (for example a non-semistable curve, a prime
+whose local class cannot be determined, or a discriminant that cannot be
+factored within the work budget) or, for tables, a table cell the
+double-coset oracle does not reproduce.
 """
 
 from __future__ import annotations
@@ -14,8 +16,15 @@ import json
 import os
 import sys
 
+from .arith import FactorizationBudgetError
 from .brauer import norm_constant, relation_lattice, verify_relation
-from .curves import WeierstrassModel, compute_invariants, hypothesis_counts, make_profile
+from .curves import (
+    CurveCheckError,
+    WeierstrassModel,
+    compute_invariants,
+    hypothesis_counts,
+    make_profile,
+)
 from .database import ScanFilters, ingest, scan
 from .groups import GroupError, family_prime, parse_group_spec
 from .quotients import (
@@ -321,13 +330,19 @@ def main(argv=None) -> int:
             return 2
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ImpossibleCellError as exc:
+    except (ImpossibleCellError, FactorizationBudgetError, CurveCheckError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    if args.format == "pretty" and args.command == "tables":
-        print(_tables_pretty(out))
-    else:
-        print(_emit(out, pretty=args.format == "pretty"))
+    try:
+        if args.format == "pretty" and args.command == "tables":
+            print(_tables_pretty(out))
+        else:
+            print(_emit(out, pretty=args.format == "pretty"))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; keep the interpreter's exit flush quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if args.command == "tables" and not out["all_pass"]:
         print(f"check failed: the oracle does not reproduce the {out['group']} table", file=sys.stderr)
         return 2

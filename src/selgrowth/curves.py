@@ -14,11 +14,21 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from sympy import factorint
+from .arith import factor
 
 
 class SingularModelError(ValueError):
     pass
+
+
+class CurveCheckError(ArithmeticError):
+    """A guard of the curve arithmetic failed: a formulary identity or a stated precondition."""
+
+
+def _check(ok: bool, what: str) -> None:
+    # a raised error, unlike assert, still guards the output under python -O
+    if not ok:
+        raise CurveCheckError(what)
 
 
 @dataclass(frozen=True)
@@ -69,8 +79,8 @@ def compute_invariants(m: WeierstrassModel) -> Invariants:
     c4 = b2 * b2 - 24 * b4
     c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
     delta = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    assert 4 * b8 == b2 * b6 - b4 * b4
-    assert 1728 * delta == c4 ** 3 - c6 ** 2
+    _check(4 * b8 == b2 * b6 - b4 * b4, "4 b8 != b2 b6 - b4^2")
+    _check(1728 * delta == c4 ** 3 - c6 ** 2, "1728 delta != c4^3 - c6^2")
     return Invariants(b2, b4, b6, b8, c4, c6, delta)
 
 
@@ -110,7 +120,8 @@ def model_from_c_invariants(c4: int, c6: int) -> WeierstrassModel:
     a1 = b2 % 2
     a2 = (b2 - a1) // 4
     a3 = b6 % 2
-    assert (b4 - a1 * a3) % 2 == 0 and (b6 - a3) % 4 == 0
+    _check((b4 - a1 * a3) % 2 == 0 and (b6 - a3) % 4 == 0,
+           "no integral a4, a6 (Kraus conditions fail)")
     a4 = (b4 - a1 * a3) // 2
     a6 = (b6 - a3) // 4
     return WeierstrassModel(a1, a2, a3, a4, a6)
@@ -132,7 +143,7 @@ def minimal_model(m: WeierstrassModel) -> WeierstrassModel:
     else:
         base = math.gcd(abs(c4), abs(c6))
     exps = {}
-    for p in factorint(base):
+    for p in factor(base):
         # the scaled discriminant delta / u^12 must stay integral
         bounds = [_ord(inv.delta, p) // 12 if inv.delta % p == 0 else 0]
         if c4 != 0:
@@ -154,16 +165,16 @@ def minimal_model(m: WeierstrassModel) -> WeierstrassModel:
     # so decrementing terminates with non-negative exponents.
     while not _kraus_ok_at_3(scaled()[1]):
         exps[3] = exps.get(3, 0) - 1
-        assert exps[3] >= 0
+        _check(exps[3] >= 0, "Kraus adjustment at 3 went below the input model")
     while not _kraus_ok_at_2(*scaled()):
         exps[2] = exps.get(2, 0) - 1
-        assert exps[2] >= 0
+        _check(exps[2] >= 0, "Kraus adjustment at 2 went below the input model")
 
     mm = model_from_c_invariants(*scaled())
     u12 = 1
     for p, d in exps.items():
         u12 *= p ** (12 * d)
-    assert compute_invariants(mm).delta * u12 == inv.delta
+    _check(compute_invariants(mm).delta * u12 == inv.delta, "delta_min * u^12 != input delta")
     return mm
 
 
@@ -251,7 +262,7 @@ def make_profile(
     inv = compute_invariants(mm)
     bad = tuple(
         reduction_at(inv.c4, inv.c6, inv.delta, v)
-        for v in sorted(factorint(abs(inv.delta)))
+        for v in factor(abs(inv.delta))
     )
     return CurveProfile(
         model=mm,
@@ -292,11 +303,11 @@ def ap_oracle(model: WeierstrassModel, v: int) -> str:
                 nodes.append(x)
         else:
             affine += 1 + legendre(g, v)
-    assert len(nodes) == 1, f"expected a unique node mod {v}"
+    _check(len(nodes) == 1, f"expected a unique node mod {v}")
     smooth = affine - 1 + 1  # drop the node, add the point at infinity
     if smooth == v - 1:
         return "split"
-    assert smooth == v + 1, f"unexpected smooth point count {smooth} mod {v}"
+    _check(smooth == v + 1, f"unexpected smooth point count {smooth} mod {v}")
     return "nonsplit"
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from sympy import factorint
+from .arith import factor
 
 
 class FactoredRational:
@@ -34,11 +34,7 @@ class FactoredRational:
 
     @classmethod
     def from_int(cls, n: int) -> "FactoredRational":
-        if n <= 0:
-            raise ValueError(f"positive integer required, got {n}")
-        if n == 1:
-            return cls()
-        return cls(factorint(n))
+        return cls(factor(n))
 
     def ord(self, p: int) -> int:
         """Exponent of the prime p (0 if absent)."""

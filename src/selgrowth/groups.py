@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+from .arith import is_prime
+
 MAX_ORDER = 200
 # Family groups kept by the constructors, least recently used dropped first.
 # A group of order near the cap holds two 200 x 200 tables and its lattice,
@@ -589,7 +591,7 @@ def make_elem_abelian(p: int, rank: int = 2) -> FiniteGroup:
     """(C_p)^rank with elements encoded base p; rank 2 is the supported case."""
     if rank != 2:
         raise GroupError("only rank 2 elementary abelian groups are supported")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise GroupError(f"{p} is not prime")
     n = p * p
     if n > MAX_ORDER:
@@ -608,7 +610,7 @@ def make_elem_abelian(p: int, rank: int = 2) -> FiniteGroup:
 
 def make_dihedral(p: int) -> FiniteGroup:
     """Dihedral group of order 2p, p an odd prime. Rotations 0..p-1, reflections p..2p-1."""
-    if not _is_prime(p) or p == 2:
+    if not is_prime(p) or p == 2:
         raise GroupError(f"dihedral parameter must be an odd prime, got {p}")
     n = 2 * p
     if n > MAX_ORDER:
@@ -632,7 +634,7 @@ def make_dihedral(p: int) -> FiniteGroup:
 
 def make_semidirect(p: int, q: int) -> FiniteGroup:
     """C_p : C_q with C_q acting faithfully, via the least unit of order q mod p."""
-    if not _is_prime(p) or not _is_prime(q) or q % 2 == 0:
+    if not is_prime(p) or not is_prime(q) or q % 2 == 0:
         raise GroupError(f"need primes p and odd q, got p={p} q={q}")
     if (p - 1) % q != 0:
         raise GroupError(f"no faithful action: {q} does not divide {p}-1")
@@ -660,17 +662,6 @@ def _least_unit_of_order(p: int, q: int) -> int:
             # order divides q prime, and u != 1, so the order is exactly q
             return u
     raise GroupError(f"no unit of order {q} mod {p}")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:

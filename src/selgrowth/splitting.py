@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from sympy import factorint
-
+from .arith import factor
 from .groups import (
     FiniteGroup,
     GroupError,
@@ -42,7 +41,7 @@ class RamifiedPrimeError(ValueError):
 def is_squarefree(d: int) -> bool:
     if d == 0:
         return False
-    return all(e == 1 for e in factorint(abs(d)).values())
+    return all(e == 1 for e in factor(abs(d)).values())
 
 
 def quadratic_symbol(d: int, v: int) -> str:
@@ -141,7 +140,13 @@ class FieldSpec:
             raise ValueError(
                 f"polynomial degree {len(coeffs) - 1} does not match the group order {group.order}"
             )
-        from sympy import Poly, Symbol
+        try:
+            from sympy import Poly, Symbol
+        except ImportError:
+            raise ValueError(
+                "polynomial fields need sympy to test irreducibility; "
+                "install the 'poly' extra: pip install 'selgrowth[poly]'"
+            ) from None
 
         x = Symbol("x")
         if not Poly(list(coeffs), x).is_irreducible:

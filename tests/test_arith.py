@@ -1,0 +1,128 @@
+import math
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from selgrowth import arith
+from selgrowth.arith import PSI_13, FactorizationBudgetError, factor, is_prime
+
+# the differential tests below run the same examples on every run
+DIFFERENTIAL = settings(derandomize=True, max_examples=200, deadline=None)
+
+STRONG_PSEUDOPRIMES = [  # psi_1, psi_4, psi_9, psi_12, psi_13: composite
+    2047,
+    3215031751,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+]
+CARMICHAEL = [561, 41041]
+MERSENNE_PRIMES = [2 ** 61 - 1, 2 ** 89 - 1]
+
+
+def _sieve(limit):
+    flags = bytearray([1]) * limit
+    flags[0:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytearray(len(range(p * p, limit, p)))
+    return flags
+
+
+# -- primality -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + CARMICHAEL)
+def test_pseudoprimes_are_composite(n):
+    assert not is_prime(n)
+
+
+def test_psi_13_takes_the_bpsw_branch():
+    assert PSI_13 == STRONG_PSEUDOPRIMES[-1]
+    d, s = PSI_13 - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # psi_13 fools all 13 Miller-Rabin bases; only the Lucas half rejects it
+    assert all(arith._strong_probable_prime(PSI_13, a, d, s) for a in arith._MR_BASES)
+    assert not arith._strong_lucas_probable_prime(PSI_13)
+
+
+@pytest.mark.parametrize("n", MERSENNE_PRIMES)
+def test_mersenne_primes(n):
+    assert is_prime(n)
+    assert factor(n) == {n: 1}
+
+
+def test_is_prime_matches_a_sieve():
+    flags = _sieve(200_000)
+    assert [n for n in range(200_000) if is_prime(n)] == [n for n in range(200_000) if flags[n]]
+
+
+def test_strong_lucas_test_with_selfridge_parameters():
+    # the odd composites below 60000 it accepts are exactly the strong Lucas
+    # pseudoprimes (OEIS A217255), and it accepts every odd prime
+    flags = _sieve(60_000)
+    accepted = [n for n in range(3, 60_000, 2) if arith._strong_lucas_probable_prime(n)]
+    assert [n for n in accepted if not flags[n]] == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+    ]
+    assert [n for n in accepted if flags[n]] == [n for n in range(3, 60_000, 2) if flags[n]]
+
+
+def _prime_near(lo, hi):
+    return st.integers(lo, hi).map(sympy.nextprime)
+
+
+@DIFFERENTIAL
+@given(st.one_of(
+    st.integers(PSI_13, 10 ** 40),
+    _prime_near(PSI_13, 10 ** 40),
+    st.tuples(_prime_near(10 ** 12, 10 ** 20), _prime_near(10 ** 12, 10 ** 20)).map(math.prod),
+))
+def test_is_prime_matches_sympy_above_psi_13(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+# -- factorization -----------------------------------------------------------------
+
+
+def test_factor_small_cases():
+    assert factor(1) == {}
+    assert factor(2) == {2: 1}
+    assert factor(997 * 997) == {997: 2}
+    assert factor(1009 ** 50) == {1009: 50}
+    assert list(factor(2 ** 5 * 1013 ** 3 * 1019 ** 2 * 7)) == [2, 7, 1013, 1019]
+    # rho would need about 10^10 steps for this square; the root check needs none
+    big = 100000000000000000039  # the least prime above 10^20
+    assert factor(1013 * big ** 2) == {1013: 1, big: 2}
+    for n in (0, -5):
+        with pytest.raises(ValueError):
+            factor(n)
+
+
+@DIFFERENTIAL
+@given(st.one_of(
+    st.integers(1, 10 ** 6),
+    st.integers(1, 10 ** 10).map(lambda k: k * k),
+    st.tuples(_prime_near(2, 10 ** 7), st.integers(1, 6)).map(lambda t: t[0] ** t[1]),
+    st.tuples(_prime_near(10 ** 5, 10 ** 7), _prime_near(10 ** 5, 10 ** 7)).map(math.prod),
+))
+def test_factor_matches_sympy(n):
+    assert factor(n) == sympy.factorint(n)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(_prime_near(10 ** 9, 10 ** 10), _prime_near(10 ** 9, 10 ** 11), st.integers(1, 1000))
+def test_factor_matches_sympy_near_1e20(p, q, k):
+    # the size of the discriminants in the certify_mq benchmark
+    n = k * p * q
+    assert factor(n) == sympy.factorint(n)
+
+
+def test_budget_refuses_two_large_prime_factors(monkeypatch):
+    monkeypatch.setattr(arith, "RHO_BUDGET", 1000)
+    with pytest.raises(FactorizationBudgetError, match="23-digit cofactor"):
+        factor(10000000019 * 1000000000039)
+    assert factor(1009 * 1013) == {1009: 1, 1013: 1}

@@ -192,3 +192,75 @@ def test_local_class_overrides_that_would_be_dropped_are_refused(capsys):
         assert code == 1 and out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert prime in err
+
+
+def _selgrowth(*argv, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "selgrowth", *argv], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120, **kwargs,
+    )
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    argv = ("relations", "d:97", "--format", "pretty")
+    # the reader is gone before anything is written, as when `| head -1` has
+    # already exited: every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _selgrowth(*argv, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    # the reader closes after the first line; whether the write still fails
+    # depends on timing, but it never ends in a traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "selgrowth", *argv], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) in (0, 1) and err == ""
+
+
+def test_discriminant_with_two_large_prime_factors_is_refused():
+    # two primes of 25 digits: squarefreeness of d2 needs its factorization,
+    # which the Pollard-Brent budget refuses instead of running for hours
+    d2 = (10 ** 24 + 7) * (3 * 10 ** 24 + 7)
+    proc = _selgrowth(
+        "certify", "--curve", "1,0,0,-1,0", "--rank", "1", "--field", f"mq:3,{d2}", "-p", "2",
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("refused: ") and proc.stderr.count("\n") == 1
+    assert "49-digit" in proc.stderr
+
+
+def test_polynomial_field_without_sympy_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "sympy", None)  # import sympy now fails
+    code, out, err = run(
+        capsys, "certify", "--curve", "0,-1,1,-10,-20", "--rank", "0",
+        "--field", "poly:1,0,61,-16,1603,1168,16831", "--group", "d:3", "-p", "3",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "'poly' extra" in err
+
+
+def test_sympy_stays_off_the_runtime_path():
+    code = (
+        "import sys\n"
+        "import selgrowth.cli\n"
+        "if 'sympy' in sys.modules: raise SystemExit('import selgrowth.cli imported sympy')\n"
+        "status = selgrowth.cli.main(['certify', '--curve', '1,0,0,-1,0', '--rank', '1',\n"
+        "                             '--torsion', '2', '--field', 'mq:3,5', '-p', '2'])\n"
+        "if status != 0: raise SystemExit(f'certify exited {status}')\n"
+        "if 'sympy' in sys.modules: raise SystemExit('certify imported sympy')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

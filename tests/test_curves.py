@@ -1,3 +1,7 @@
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -185,3 +189,33 @@ def test_hypothesis_counts_91b1():
 def test_hypothesis_counts_additive():
     prof = make_profile(WeierstrassModel(0, 0, 1, 0, -7), rank=0, torsion_order=3)
     assert hypothesis_counts(prof)[0] is False
+
+
+def test_guards_raise_under_python_O():
+    # three of the curve guards, made to fire; they must raise CurveCheckError
+    # even when asserts are compiled away (a Kraus step that never succeeds
+    # would otherwise loop forever)
+    code = (
+        "from selgrowth import curves\n"
+        "from selgrowth.curves import CurveCheckError, ReductionData, SPLIT_MULT, WeierstrassModel\n"
+        "def no_integral_model():\n"
+        "    curves.model_from_c_invariants(-200, -2960)  # fails the Kraus condition at 2\n"
+        "def kraus_never_met():\n"
+        "    curves._kraus_ok_at_3 = lambda c6: False\n"
+        "    curves.minimal_model(WeierstrassModel(1, 0, 0, -1, 0))\n"
+        "def node_at_a_good_prime():\n"
+        "    curves.reduction_at = lambda c4, c6, delta, v: ReductionData(v, SPLIT_MULT, 1, 1)\n"
+        "    curves.ap_oracle(WeierstrassModel(1, 0, 0, -1, 0), 7)\n"
+        "for call in (no_integral_model, kraus_never_met, node_at_a_good_prime):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except CurveCheckError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'{call.__name__}: guard did not raise')\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
