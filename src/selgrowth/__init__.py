@@ -30,6 +30,7 @@ from .curves import (
 from .database import CurveRecord, ScanFilters, ingest, scan
 from .factored import FactoredRational
 from .groups import (
+    Family,
     FiniteGroup,
     Subgroup,
     SubgroupClass,

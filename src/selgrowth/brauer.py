@@ -86,54 +86,26 @@ def verify_relation(theta: BrauerRelation) -> bool:
 
 
 def canonical_relation(G: FiniteGroup) -> BrauerRelation:
-    """The standard relation of each theorem family.
+    """The standard relation of each theorem family (T. & V. Dokchitser,
+    "Regulator constants and the parity conjecture", Invent. Math. 178, 2009).
 
-    c2xc2:     1 - C2a - C2b - C2c + 2G
-    d:p:       1 - 2 C2 - Cp + 2G
-    cpxcp:p:   1 - (all subgroups of order p) + pG
-    sd:p:q:    1 - q Cq - Cp + qG
+    Every subgroup class of a listed order gets that order's coefficient:
+
+    c2xc2, cpxcp:p:  1 - (all subgroups of order p) + p G
+    d:p:             1 - 2 C2 - Cp + 2 G
+    sd:p:q:          1 - q Cq - Cp + q G
     """
-    kind = G.kind
-    if kind is None:
+    family = G.family
+    if family is None:
         raise GroupError("canonical relations exist only for the named families")
-    classes = G.subgroup_classes
-    by_order = {}
-    for cls in classes:
-        by_order.setdefault(cls.order, []).append(cls)
-
-    def only(order):
-        found = by_order.get(order, [])
-        if len(found) != 1:
-            raise GroupError(f"expected a unique subgroup class of order {order}")
-        return found[0].class_id
-
-    coeffs = {}
-    if kind == "c2xc2":
-        coeffs[only(1)] = 1
-        for cls in by_order[2]:
-            coeffs[cls.class_id] = -1
-        coeffs[only(4)] = 2
-    elif kind.startswith("d:"):
-        p = int(kind.split(":")[1])
-        coeffs[only(1)] = 1
-        coeffs[only(2)] = -2
-        coeffs[only(p)] = -1
-        coeffs[only(2 * p)] = 2
-    elif kind.startswith("cpxcp:"):
-        p = int(kind.split(":")[1])
-        coeffs[only(1)] = 1
-        for cls in by_order[p]:
-            coeffs[cls.class_id] = -1
-        coeffs[only(p * p)] = p
-    elif kind.startswith("sd:"):
-        _, p, q = kind.split(":")
-        p, q = int(p), int(q)
-        coeffs[only(1)] = 1
-        coeffs[only(q)] = -q
-        coeffs[only(p)] = -1
-        coeffs[only(p * q)] = q
+    p, q = family.p, family.q
+    if family.name == "d":
+        rule = {1: 1, 2: -2, p: -1, 2 * p: 2}
+    elif family.name == "sd":
+        rule = {1: 1, q: -q, p: -1, p * q: q}
     else:
-        raise GroupError(f"no canonical relation for group kind {kind!r}")
+        rule = {1: 1, p: -1, p * p: p}
+    coeffs = {cls.class_id: rule[cls.order] for cls in G.subgroup_classes if cls.order in rule}
     return BrauerRelation.from_dict(G, coeffs)
 
 
@@ -221,7 +193,11 @@ def inflate(theta: BrauerRelation, gamma: FiniteGroup, projection) -> BrauerRela
         H = G.subgroup_classes[cid].representative
         hset = H.element_set
         preimage = [x for x in range(gamma.order) if projection[x] in hset]
-        assert len(preimage) == kernel_size * len(H)
+        if len(preimage) != kernel_size * len(H):
+            raise GroupError(
+                f"preimage of a subgroup of order {len(H)} has {len(preimage)} elements, "
+                f"not {kernel_size * len(H)}"
+            )
         cls = gamma.class_of_subgroup(preimage)
         coeffs[cls.class_id] = coeffs.get(cls.class_id, 0) + n
     return BrauerRelation.from_dict(gamma, coeffs)

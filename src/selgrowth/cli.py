@@ -26,7 +26,7 @@ from .curves import (
     make_profile,
 )
 from .database import ScanFilters, ingest, scan
-from .groups import GroupError, family_prime, parse_group_spec
+from .groups import Family, GroupError, parse_group_spec
 from .quotients import (
     ImpossibleCellError,
     MissingLocalClassError,
@@ -223,16 +223,14 @@ def _cmd_scan(args) -> dict:
         require_sha_an_one=not args.any_sha,
         torsion_order=1 if args.torsion_free else None,
     )
-    kind = None
-    p = None
+    family = None
     if args.group:
-        kind = parse_group_spec(args.group).kind
-        p = family_prime(kind)
-        if args.p is not None and args.p != p:
-            raise UsageError(f"--group {kind} pairs with p = {p}, not -p {args.p}")
+        family = Family.parse(args.group)
+        if args.p is not None and args.p != family.p:
+            raise UsageError(f"--group {family} pairs with p = {family.p}, not -p {args.p}")
     elif args.p is not None:
         raise UsageError("-p only makes sense together with --group")
-    scanned = scan(result.records, p=p, kind=kind, filters=filters)
+    scanned = scan(result.records, family, filters=filters)
     return {
         "schema": 1,
         "filters": {
@@ -240,7 +238,7 @@ def _cmd_scan(args) -> dict:
             "max_nonsplit": filters.max_nonsplit,
             "require_sha_an_one": filters.require_sha_an_one,
             "torsion_order": filters.torsion_order,
-            "group": kind,
+            "group": None if family is None else str(family),
         },
         "matches": [e.as_json() for e in scanned.matches],
         "labels": [e.label for e in scanned.matches],

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curves import SingularModelError, WeierstrassModel, make_profile
+from .groups import Family
 from .quotients import hypothesis_check
 
 HEADER = ["label", "a1", "a2", "a3", "a4", "a6", "rank", "torsion", "sha_an"]
@@ -138,14 +139,14 @@ class ScanResult:
     skipped_nonsemistable: list  # labels
 
 
-def scan(records, p: int | None = None, kind: str | None = None,
+def scan(records, family: Family | None = None,
          filters: ScanFilters = ScanFilters()) -> ScanResult:
     """Shortlist records meeting the filters; pure function of the input list.
 
-    Without p/kind the scan demands the hypotheses of every theorem case,
+    Without a family the scan demands the hypotheses of every theorem case,
     which for the default filters reduces to having no non-split places.
-    With p and a group kind only that case's inequality is enforced on top
-    of the filters.
+    With a family only its case's inequality is enforced on top of the
+    filters.
     """
     matches = []
     skipped = []
@@ -153,7 +154,7 @@ def scan(records, p: int | None = None, kind: str | None = None,
         profile = make_profile(
             rec.model(), rank=rec.rank, torsion_order=rec.torsion, label=rec.label
         )
-        report = hypothesis_check(profile, p if p is not None else 2, kind)
+        report = hypothesis_check(profile, family)
         if not profile.is_semistable():
             skipped.append(rec.label)
             if filters.require_semistable:
@@ -166,7 +167,7 @@ def scan(records, p: int | None = None, kind: str | None = None,
             continue
         if filters.torsion_order is not None and rec.torsion != filters.torsion_order:
             continue
-        if kind is None:
+        if family is None:
             if not (report.case_a and report.case_b and report.case_c):
                 continue
         elif not report.hypotheses_pass:

@@ -27,6 +27,80 @@ class GroupError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class Family:
+    """One of the paper's four theorem families, with its parameters.
+
+    ``name`` is ``c2xc2`` (case (a), p = 2), ``d`` (D_2p, case (b)),
+    ``cpxcp`` (Cp x Cp, case (c)) or ``sd`` (Cp : Cq, case (c)); ``p`` is the
+    prime of the theorem and ``q`` the order of the complement in ``sd``.
+    Building one checks the parameters, so a Family always names a group of
+    order at most MAX_ORDER. ``str`` gives the normalized spec.
+    """
+
+    name: str
+    p: int
+    q: int | None = None
+
+    def __post_init__(self):
+        p, q = self.p, self.q
+        if self.name == "d":
+            if not is_prime(p) or p == 2:
+                raise GroupError(f"dihedral parameter must be an odd prime, got {p}")
+        elif self.name in ("c2xc2", "cpxcp"):
+            if not is_prime(p):
+                raise GroupError(f"{p} is not prime")
+            if (self.name == "c2xc2") != (p == 2):
+                raise GroupError(f"the elementary abelian family of p = {p} is not {self.name}")
+        elif self.name == "sd":
+            if not is_prime(p) or not is_prime(q) or q % 2 == 0:
+                raise GroupError(f"need primes p and odd q, got p={p} q={q}")
+            if (p - 1) % q != 0:
+                raise GroupError(f"no faithful action: {q} does not divide {p}-1")
+        else:
+            raise GroupError(f"unknown group family {self.name!r}")
+        if self.order > MAX_ORDER:
+            raise GroupError(f"order {self.order} exceeds the cap {MAX_ORDER}")
+
+    @property
+    def order(self) -> int:
+        if self.name == "sd":
+            return self.p * self.q
+        return 2 * self.p if self.name == "d" else self.p ** 2
+
+    @property
+    def case(self) -> str:
+        """The theorem case: a (c2xc2), b (d) or c (cpxcp and sd)."""
+        return {"c2xc2": "a", "d": "b"}.get(self.name, "c")
+
+    def __str__(self):
+        if self.name == "c2xc2":
+            return "c2xc2"
+        if self.name == "sd":
+            return f"sd:{self.p}:{self.q}"
+        return f"{self.name}:{self.p}"
+
+    @staticmethod
+    def parse(spec: str) -> "Family":
+        """The family of a CLI group spec: c2xc2, d:<p>, cpxcp:<p> or sd:<p>:<q>.
+
+        Case and surrounding space are ignored, and cpxcp:2 is c2xc2.
+        """
+        spec = spec.strip().lower()
+        name, *params = spec.split(":")
+        if {"c2xc2": 0, "d": 1, "cpxcp": 1, "sd": 2}.get(name) != len(params):
+            raise GroupError(
+                f"unknown group spec {spec!r}; expected c2xc2, d:<p>, cpxcp:<p> or sd:<p>:<q>"
+            )
+        try:
+            ints = [int(x) for x in params]
+            if name == "c2xc2" or (name == "cpxcp" and ints[0] == 2):
+                return Family("c2xc2", 2)
+            return Family(name, *ints)
+        except ValueError as exc:
+            raise GroupError(f"bad group spec {spec!r}: {exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Subgroup:
     """A subgroup stored as its sorted tuple of element indices."""
@@ -84,11 +158,11 @@ class FiniteGroup:
 
     Instances are immutable after construction; derived structure
     (conjugation table, conjugacy classes, subgroup lattice) is computed on
-    first use and cached. ``kind`` optionally records the CLI spec string the
-    group was built from (``c2xc2``, ``d:5``, ``cpxcp:3``, ``sd:7:3``, ``c:6``).
+    first use and cached. ``family`` is the theorem family of a group built by
+    a family constructor, and None for any other group.
     """
 
-    def __init__(self, table, identity=0, kind=None, validate=False, generators=None):
+    def __init__(self, table, identity=0, family=None, validate=False, generators=None):
         self.table = tuple(tuple(map(int, row)) for row in table)
         n = self.order = len(self.table)
         if n == 0:
@@ -99,7 +173,7 @@ class FiniteGroup:
             if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise GroupError("multiplication table is not square over 0..n-1")
         self.identity = int(identity)
-        self.kind = kind
+        self.family = family
         self._inv = self._inverse_table()
         # (class id of H, D elements, I elements) -> multiset of the (e, f)
         # of the places of F^H; filled by quotients.place_degrees and dropped
@@ -152,6 +226,11 @@ class FiniteGroup:
                     if row_ab[c] != row_a[row_b[c]]:
                         raise GroupError(f"associativity fails at ({a},{b},{c})")
         return self
+
+    @property
+    def kind(self) -> str | None:
+        """The normalized spec of the group's family (``d:5``), or None."""
+        return None if self.family is None else str(self.family)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -400,8 +479,7 @@ class FiniteGroup:
         return self.subgroup_classes[idx]
 
     def __repr__(self):
-        tag = self.kind or f"order {self.order}"
-        return f"FiniteGroup({tag})"
+        return f"FiniteGroup({self.family or f'order {self.order}'})"
 
 
 # -- module-level operations -------------------------------------------------
@@ -560,16 +638,16 @@ def double_cosets(G: FiniteGroup, H: Subgroup, D):
 _recent_groups: OrderedDict = OrderedDict()  # spec -> FiniteGroup
 
 
-def _family_group(kind: str, build) -> FiniteGroup:
-    """The group with spec ``kind``, built by ``build()`` only when not cached.
+def _cached_group(spec: str, build) -> FiniteGroup:
+    """The group with normalized spec ``spec``, built by ``build()`` only when not cached.
 
     Groups are immutable once built, so callers share one instance per spec;
     at most GROUP_CACHE_SIZE stay cached, least recently used dropped first.
     """
-    G = _recent_groups.pop(kind, None)
+    G = _recent_groups.pop(spec, None)
     if G is None:
         G = build()
-    _recent_groups[kind] = G
+    _recent_groups[spec] = G
     if len(_recent_groups) > GROUP_CACHE_SIZE:
         _recent_groups.popitem(last=False)
     return G
@@ -582,78 +660,63 @@ def make_cyclic(n: int) -> FiniteGroup:
     def build():
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
         gens = [1] if n > 1 else []
-        return FiniteGroup(table, kind=f"c:{n}", validate=True, generators=gens)
+        return FiniteGroup(table, validate=True, generators=gens)
 
-    return _family_group(f"c:{n}", build)
+    return _cached_group(f"c:{n}", build)
 
 
 def make_elem_abelian(p: int, rank: int = 2) -> FiniteGroup:
     """(C_p)^rank with elements encoded base p; rank 2 is the supported case."""
     if rank != 2:
         raise GroupError("only rank 2 elementary abelian groups are supported")
-    if not is_prime(p):
-        raise GroupError(f"{p} is not prime")
-    n = p * p
-    if n > MAX_ORDER:
-        raise GroupError(f"order {n} exceeds the cap {MAX_ORDER}")
-    kind = "c2xc2" if p == 2 else f"cpxcp:{p}"
-
-    def add(a, b):
-        return ((a // p + b // p) % p) * p + (a % p + b % p) % p
-
-    def build():
-        table = [[add(a, b) for b in range(n)] for a in range(n)]
-        return FiniteGroup(table, kind=kind, validate=True, generators=[1, p])
-
-    return _family_group(kind, build)
+    return _family_group(Family("c2xc2" if p == 2 else "cpxcp", p))
 
 
 def make_dihedral(p: int) -> FiniteGroup:
     """Dihedral group of order 2p, p an odd prime. Rotations 0..p-1, reflections p..2p-1."""
-    if not is_prime(p) or p == 2:
-        raise GroupError(f"dihedral parameter must be an odd prime, got {p}")
-    n = 2 * p
-    if n > MAX_ORDER:
-        raise GroupError(f"order {n} exceeds the cap {MAX_ORDER}")
-
-    def mul(a, b):
-        ra, sa = a % p, a // p
-        rb, sb = b % p, b // p
-        # s^sa r^ra * s^sb r^rb; reflections act by inversion on rotations
-        if sb == 0:
-            return sa * p + (ra + rb) % p
-        return (1 - sa) * p + (rb - ra) % p
-
-    def build():
-        table = [[mul(a, b) for b in range(n)] for a in range(n)]
-        # generators: the rotation r (index 1) and a reflection s (index p)
-        return FiniteGroup(table, kind=f"d:{p}", validate=True, generators=[1, p])
-
-    return _family_group(f"d:{p}", build)
+    return _family_group(Family("d", p))
 
 
 def make_semidirect(p: int, q: int) -> FiniteGroup:
     """C_p : C_q with C_q acting faithfully, via the least unit of order q mod p."""
-    if not is_prime(p) or not is_prime(q) or q % 2 == 0:
-        raise GroupError(f"need primes p and odd q, got p={p} q={q}")
-    if (p - 1) % q != 0:
-        raise GroupError(f"no faithful action: {q} does not divide {p}-1")
-    n = p * q
-    if n > MAX_ORDER:
-        raise GroupError(f"order {n} exceeds the cap {MAX_ORDER}")
-    u = _least_unit_of_order(p, q)
+    return _family_group(Family("sd", p, q))
 
-    def mul(x, y):
-        a, b = divmod(x, q)
-        c, d = divmod(y, q)
-        return ((a + c * pow(u, b, p)) % p) * q + (b + d) % q
+
+def _family_group(family: Family) -> FiniteGroup:
+    """The group of a theorem family, shared by every caller while it stays cached."""
 
     def build():
-        table = [[mul(x, y) for y in range(n)] for x in range(n)]
-        # generators: (1, 0) at index q and (0, 1) at index 1
-        return FiniteGroup(table, kind=f"sd:{p}:{q}", validate=True, generators=[q, 1])
+        p, q, n = family.p, family.q, family.order
+        if family.name == "d":
 
-    return _family_group(f"sd:{p}:{q}", build)
+            def mul(a, b):
+                ra, sa = a % p, a // p
+                rb, sb = b % p, b // p
+                # s^sa r^ra * s^sb r^rb; reflections act by inversion on rotations
+                if sb == 0:
+                    return sa * p + (ra + rb) % p
+                return (1 - sa) * p + (rb - ra) % p
+
+            gens = [1, p]  # the rotation r and a reflection s
+        elif family.name == "sd":
+            u = _least_unit_of_order(p, q)
+
+            def mul(x, y):
+                a, b = divmod(x, q)
+                c, d = divmod(y, q)
+                return ((a + c * pow(u, b, p)) % p) * q + (b + d) % q
+
+            gens = [q, 1]  # (1, 0) at index q and (0, 1) at index 1
+        else:
+            # C_p x C_p, elements encoded base p
+            def mul(a, b):
+                return ((a // p + b // p) % p) * p + (a % p + b % p) % p
+
+            gens = [1, p]
+        table = [[mul(a, b) for b in range(n)] for a in range(n)]
+        return FiniteGroup(table, family=family, validate=True, generators=gens)
+
+    return _cached_group(str(family), build)
 
 
 def _least_unit_of_order(p: int, q: int) -> int:
@@ -665,35 +728,8 @@ def _least_unit_of_order(p: int, q: int) -> int:
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:
-    """Parse a CLI group spec: c2xc2, d:<p>, cpxcp:<p>, sd:<p>:<q>."""
-    spec = spec.strip().lower()
-    if spec == "c2xc2":
-        return make_elem_abelian(2)
-    parts = spec.split(":")
-    try:
-        if parts[0] == "d" and len(parts) == 2:
-            return make_dihedral(int(parts[1]))
-        if parts[0] == "cpxcp" and len(parts) == 2:
-            return make_elem_abelian(int(parts[1]))
-        if parts[0] == "sd" and len(parts) == 3:
-            return make_semidirect(int(parts[1]), int(parts[2]))
-    except ValueError as exc:
-        raise GroupError(f"bad group spec {spec!r}: {exc}") from None
-    raise GroupError(
-        f"unknown group spec {spec!r}; expected c2xc2, d:<p>, cpxcp:<p> or sd:<p>:<q>"
-    )
-
-
-def family_prime(kind: str | None) -> int:
-    """The prime attached to a theorem family: 2 for c2xc2, else the p parameter."""
-    if kind is None:
-        raise GroupError("group has no family kind")
-    if kind == "c2xc2":
-        return 2
-    parts = kind.split(":")
-    if parts[0] in ("d", "cpxcp", "sd"):
-        return int(parts[1])
-    raise GroupError(f"group kind {kind!r} is not one of the theorem families")
+    """The group of a CLI group spec: c2xc2, d:<p>, cpxcp:<p>, sd:<p>:<q>."""
+    return _family_group(Family.parse(spec))
 
 
 # -- generic constructions used for transport of relations -------------------

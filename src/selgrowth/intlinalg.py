@@ -35,11 +35,6 @@ def _scale_row(M, i, s):
     M[i] = [s * a for a in M[i]]
 
 
-def _scale_col(M, j, s):
-    for row in M:
-        row[j] *= s
-
-
 def smith_normal_form(A):
     """Return (U, D, V) with U*A*V = D, U and V unimodular, D diagonal.
 

@@ -34,7 +34,7 @@ from .curves import (
     hypothesis_counts,
 )
 from .factored import FactoredRational
-from .groups import FiniteGroup, GroupError, double_cosets, family_prime, local_classes
+from .groups import Family, FiniteGroup, GroupError, double_cosets, local_classes
 from .splitting import (
     FieldSpec,
     LocalClass,
@@ -89,61 +89,49 @@ def classify_column(kind: str, lc: LocalClass) -> str:
     raise ValueError(f"only multiplicative reduction is tabulated, got {kind}")
 
 
-def _cells_for_family(kind: str) -> dict:
+def _cells_for_family(family: Family) -> dict:
     """Cell values as p-exponents; callables take the parity of ord_v(delta)."""
-    if kind == "c2xc2":
+    if family.case == "c":
+        # p-exponent 1 - p for Cp x Cp, 1 - q for Cp : Cq
+        drop = 1 - (family.p if family.q is None else family.q)
         return {
             (ROW_SPLITS, COL_SPLIT): 0,
-            (ROW_SPLITS, COL_NONSPLIT_STAYS): 0,
-            (ROW_SPLITS, COL_NONSPLIT_SPLITS): 0,
-            (ROW_INERT_RAMIFIED, COL_SPLIT): -1,
-            (ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS): lambda par: 1 if par == PARITY_EVEN else -1,
-            (ROW_TOTALLY_RAMIFIED, COL_SPLIT): -1,
-            (ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS): lambda par: 0 if par == PARITY_EVEN else -2,
+            (ROW_INERT_RAMIFIED, COL_SPLIT): drop,
+            (ROW_TOTALLY_RAMIFIED, COL_SPLIT): drop,
         }
-    if kind.startswith("d:"):
-        return {
-            (ROW_SPLITS, COL_SPLIT): 0,
-            (ROW_SPLITS, COL_NONSPLIT_STAYS): 0,
-            (ROW_SPLITS, COL_NONSPLIT_SPLITS): 0,
-            (ROW_INERT_RAMIFIED, COL_SPLIT): -1,
-            (ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS): 1,
-            (ROW_TOTALLY_RAMIFIED, COL_SPLIT): -1,
-            (ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS): 0,
-        }
-    if kind.startswith("cpxcp:"):
-        p = int(kind.split(":")[1])
-        return {
-            (ROW_SPLITS, COL_SPLIT): 0,
-            (ROW_INERT_RAMIFIED, COL_SPLIT): 1 - p,
-            (ROW_TOTALLY_RAMIFIED, COL_SPLIT): 1 - p,
-        }
-    if kind.startswith("sd:"):
-        q = int(kind.split(":")[2])
-        return {
-            (ROW_SPLITS, COL_SPLIT): 0,
-            (ROW_INERT_RAMIFIED, COL_SPLIT): 1 - q,
-            (ROW_TOTALLY_RAMIFIED, COL_SPLIT): 1 - q,
-        }
-    raise GroupError(f"no quotient table for group kind {kind!r}")
+    cells = {
+        (ROW_SPLITS, COL_SPLIT): 0,
+        (ROW_SPLITS, COL_NONSPLIT_STAYS): 0,
+        (ROW_SPLITS, COL_NONSPLIT_SPLITS): 0,
+        (ROW_INERT_RAMIFIED, COL_SPLIT): -1,
+        (ROW_TOTALLY_RAMIFIED, COL_SPLIT): -1,
+    }
+    if family.name == "c2xc2":
+        cells[(ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS)] = lambda par: 1 if par == PARITY_EVEN else -1
+        cells[(ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS)] = lambda par: 0 if par == PARITY_EVEN else -2
+    else:
+        cells[(ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS)] = 1
+        cells[(ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS)] = 0
+    return cells
 
 
-def table_lookup(kind: str, row: str, col: str, m_parity: str | None = None) -> FactoredRational:
+def table_lookup(
+    family: Family, row: str, col: str, m_parity: str | None = None
+) -> FactoredRational:
     """The tabulated value of the local quotient, as a power of the family prime.
 
     Raises ImpossibleCellError on dash cells and on combinations the odd-order
     tables do not carry (their non-split columns never touch the p-part).
     """
-    cells = _cells_for_family(kind)
+    cells = _cells_for_family(family)
     if (row, col) not in cells:
-        raise ImpossibleCellError(f"no table cell for {kind}: ({row}, {col})")
+        raise ImpossibleCellError(f"no table cell for {family}: ({row}, {col})")
     value = cells[(row, col)]
     if callable(value):
         if m_parity not in (PARITY_EVEN, PARITY_ODD):
             raise ValueError(f"cell ({row}, {col}) needs the parity of ord_v(delta)")
         value = value(m_parity)
-    p = family_prime(kind)
-    return FactoredRational({p: value})
+    return FactoredRational({family.p: value})
 
 
 @dataclass(frozen=True)
@@ -237,7 +225,7 @@ def local_theta_quotient(
         )
     contributions, quotient = _evaluate(theta, place_degrees(theta, lc), rd.kind, rd.m)
     cell = None
-    if theta.group.kind is not None and rd.kind in (SPLIT_MULT, NONSPLIT_MULT):
+    if theta.group.family is not None and rd.kind in (SPLIT_MULT, NONSPLIT_MULT):
         parity = PARITY_EVEN if rd.m % 2 == 0 else PARITY_ODD
         cell = f"{classify_row(lc)}|{classify_column(rd.kind, lc)}|{parity}"
     return PlaceQuotientReport(
@@ -261,10 +249,10 @@ def oracle_table(G: FiniteGroup) -> dict:
     groups the non-split columns are not tabulated, and their p-part must
     vanish instead.
     """
-    kind = G.kind
-    p = family_prime(kind)
     theta = canonical_relation(G)
-    cells = _cells_for_family(kind)
+    family = G.family
+    p = family.p
+    cells = _cells_for_family(family)
     odd_order = G.order % 2 == 1
     # (row, col, parity or None for a parity-free cell) -> [realizations, all equal]
     hits = {}
@@ -284,7 +272,7 @@ def oracle_table(G: FiniteGroup) -> dict:
                 rec = hits.setdefault(key, [0, True])
                 rec[0] += 1
                 if value is not None:
-                    rec[1] = rec[1] and quotient == table_lookup(kind, row, col, parity)
+                    rec[1] = rec[1] and quotient == table_lookup(family, row, col, parity)
     out_cells = []
     for (row, col), value in sorted(cells.items()):
         for parity in (PARITY_EVEN, PARITY_ODD) if callable(value) else (None,):
@@ -294,7 +282,7 @@ def oracle_table(G: FiniteGroup) -> dict:
                     "row": row,
                     "col": col,
                     "parity": parity,
-                    "value_ord_p": table_lookup(kind, row, col, parity).ord(p),
+                    "value_ord_p": table_lookup(family, row, col, parity).ord(p),
                     "realizations": count,
                     "oracle": "PASS" if count and equal else "FAIL",
                 }
@@ -302,7 +290,7 @@ def oracle_table(G: FiniteGroup) -> dict:
     dash = sorted(key for key in hits if key[:2] not in cells)
     return {
         "schema": 1,
-        "group": kind,
+        "group": str(family),
         "p": p,
         "cells": out_cells,
         "unreachable_observed": [list(d) for d in dash],
@@ -313,11 +301,11 @@ def oracle_table(G: FiniteGroup) -> dict:
     }
 
 
-def regulator_quotient(theta: BrauerRelation, rank: int) -> FactoredRational:
-    """prod_H Reg(E/F^H)^{n_H} = norm_constant(theta)^(-rank), exactly."""
+def regulator_quotient(norm: FactoredRational, rank: int) -> FactoredRational:
+    """prod_H Reg(E/F^H)^{n_H} = norm^(-rank), exactly, for a relation's norm constant."""
     if rank < 0:
         raise ValueError("rank must be non-negative")
-    return norm_constant(theta) ** (-rank)
+    return norm ** (-rank)
 
 
 # -- theorem hypotheses --------------------------------------------------------
@@ -352,27 +340,16 @@ class HypothesisReport:
         }
 
 
-def _case_of_kind(kind: str | None) -> str | None:
-    if kind is None:
-        return None
-    if kind == "c2xc2":
-        return "a"
-    if kind.startswith("d:"):
-        return "b"
-    if kind.startswith("cpxcp:") or kind.startswith("sd:"):
-        return "c"
-    return None
-
-
-def hypothesis_check(profile: CurveProfile, p: int, kind: str | None) -> HypothesisReport:
-    """Evaluate the rank inequalities of the three theorem cases on a profile."""
+def hypothesis_check(profile: CurveProfile, family: Family | None) -> HypothesisReport:
+    """Evaluate the rank inequalities of the three theorem cases on a profile;
+    the family's case decides ``hypotheses_pass`` (never passes without one)."""
     semistable, n_nonsplit, n_even = hypothesis_counts(profile)
     rank = profile.rank
     positive = rank >= 1
     case_a = semistable and positive and rank > n_even
     case_b = semistable and positive and rank > n_nonsplit
     case_c = semistable and positive
-    case = _case_of_kind(kind)
+    case = None if family is None else family.case
     passed = {None: False, "a": case_a, "b": case_b, "c": case_c}[case]
     failing = None
     if case is not None and not passed:
@@ -416,6 +393,7 @@ class GrowthCertificate:
     field: FieldSpec
     p: int
     theta: BrauerRelation
+    norm: FactoredRational  # norm_constant(theta)
     hypothesis: HypothesisReport
     places: tuple  # PlaceQuotientReport per bad prime
     ord_p_tamagawa: int
@@ -447,7 +425,7 @@ class GrowthCertificate:
             "p": self.p,
             "relation": {
                 "coeffs": self.theta.named_coeffs(),
-                "norm": norm_constant(self.theta).as_json(),
+                "norm": self.norm.as_json(),
             },
             "assumptions": {
                 "rank": prof.rank,
@@ -458,7 +436,7 @@ class GrowthCertificate:
             },
             "hypotheses": self.hypothesis.as_json(),
             "places": [pr.as_json() for pr in self.places],
-            "regulator_quotient": regulator_quotient(self.theta, prof.rank).as_json(),
+            "regulator_quotient": regulator_quotient(self.norm, prof.rank).as_json(),
             "ord_p": {
                 "tamagawa_quotient": self.ord_p_tamagawa,
                 "rhs": self.ord_p_rhs,
@@ -524,10 +502,10 @@ def certify(
     class names, taking precedence over anything computed from the field
     description; an override for any other prime is refused.
     """
-    kind = field.group.kind
-    expected_p = family_prime(kind)
-    if p != expected_p:
-        raise ValueError(f"group {kind} pairs with p = {expected_p}, not p = {p}")
+    theta = canonical_relation(field.group)  # refuses groups outside the families
+    family = field.group.family
+    if p != family.p:
+        raise ValueError(f"group {family} pairs with p = {family.p}, not p = {p}")
     stray = sorted(set(overrides or ()) - {rd.v for rd in profile.bad_places})
     if stray:
         primes = ", ".join(map(str, stray))
@@ -535,15 +513,15 @@ def certify(
     if not profile.is_semistable():
         bad = [rd.v for rd in profile.bad_places if rd.kind == ADDITIVE]
         raise NonSemistableError(f"additive reduction at {bad}; certificate refused")
-    theta = canonical_relation(field.group)
     places = []
     for rd in profile.bad_places:
         lc = resolve_local_class(field, rd.v, overrides)
         places.append(local_theta_quotient(theta, lc, rd))
     ord_tam = sum(pr.quotient.ord(p) for pr in places)
-    ord_rhs = profile.rank * norm_constant(theta).ord(p)
+    norm = norm_constant(theta)
+    ord_rhs = profile.rank * norm.ord(p)
     ord_sha = ord_rhs - ord_tam
-    hyp = hypothesis_check(profile, p, kind)
+    hyp = hypothesis_check(profile, family)
     prediction = None
     if p in profile.sha_p_trivial_assumed:
         prediction = ord_sha
@@ -560,6 +538,7 @@ def certify(
         field=field,
         p=p,
         theta=theta,
+        norm=norm,
         hypothesis=hyp,
         places=tuple(places),
         ord_p_tamagawa=ord_tam,

@@ -48,6 +48,11 @@ def quadratic_symbol(d: int, v: int) -> str:
     """Splitting of the prime v in Q(sqrt(d)) for squarefree d != 0, 1."""
     if d in (0, 1) or not is_squarefree(d):
         raise ValueError(f"need a squarefree integer other than 0, 1; got {d}")
+    return _symbol(d, v)
+
+
+def _symbol(d: int, v: int) -> str:
+    """quadratic_symbol for a d already known to be squarefree and not 0 or 1."""
     if v == 2:
         r = d % 8
         if r in (2, 3, 6, 7):  # d = 2, 3 mod 4
@@ -88,7 +93,7 @@ def multiquadratic_local_class(
     """
     d3 = _validate_multiquadratic(d1, d2)
     G = group if group is not None else make_elem_abelian(2)
-    if G.kind != "c2xc2":
+    if G.family is None or G.family.name != "c2xc2":
         raise GroupError("multiquadratic local classes live in c2xc2")
     # element (i, j) = index 2i + j flips sqrt(d1) iff i = 1, sqrt(d2) iff j = 1
     fixers = {
@@ -96,7 +101,8 @@ def multiquadratic_local_class(
         d2: Subgroup((0, 2)),  # fixes sqrt(d2)
         d3: Subgroup((0, 3)),  # fixes sqrt(d1 d2)
     }
-    symbols = {d: quadratic_symbol(d, v) for d in (d1, d2, d3)}
+    # d1 and d2 passed validation, so d3 = d1 d2 / gcd(d1, d2)^2 is squarefree too
+    symbols = {d: _symbol(d, v) for d in (d1, d2, d3)}
     full = set(range(4))
     inertia = set(full)
     decomp = set(full)
@@ -107,10 +113,9 @@ def multiquadratic_local_class(
             decomp &= fixers[d].element_set
     if v != 2 and any(s == RAMIFIED for s in symbols.values()):
         unram = [d for d, s in symbols.items() if s != RAMIFIED]
-        assert len(unram) == 1, "odd v ramified in F must be unramified in exactly one subfield"
-    lc = LocalClass(G, G.subgroup(decomp), G.subgroup(inertia))
-    assert lc.e * lc.f * lc.num_primes_in_field() == G.order
-    return lc
+        if len(unram) != 1:
+            raise GroupError(f"ramified odd v = {v} is unramified in {len(unram)} quadratic subfields, not 1")
+    return LocalClass(G, G.subgroup(decomp), G.subgroup(inertia))
 
 
 # -- field specifications ------------------------------------------------------
@@ -275,12 +280,14 @@ def factor_degree_pattern(coeffs, v: int) -> tuple:
         g = _polgcd(work, _trim(hx), v)
         if len(g) > 1:
             deg = len(g) - 1
-            assert deg % k == 0
+            if deg % k:
+                raise ValueError(f"the degree-{k} part mod {v} has degree {deg}, not a multiple of {k}")
             degrees.extend([k] * (deg // k))
             work = _poldiv(work, g, v)
             h = _polrem(h, work, v)
     out = tuple(sorted(degrees))
-    assert sum(out) == len(coeffs) - 1
+    if sum(out) != len(coeffs) - 1:
+        raise ValueError(f"factor degrees {out} mod {v} do not sum to the degree {len(coeffs) - 1}")
     return out
 
 
@@ -298,27 +305,27 @@ def frobenius_class(G: FiniteGroup, pattern) -> LocalClass:
     if len(set(pattern)) != 1:
         raise ValueError(f"pattern {pattern} is not a Galois cycle type for this group")
     d = pattern[0]
-    kind = G.kind or ""
-    if kind == "c2xc2":
+    name = None if G.family is None else G.family.name
+    if name == "c2xc2":
         if d == 1:
             return LocalClass(G, G.trivial_subgroup, G.trivial_subgroup)
         raise AmbiguousSplittingError(
             "pattern {2,2} cannot tell the three order-2 classes apart; "
             "pass --local-class explicitly"
         )
-    if kind.startswith("d:"):
+    if name == "d":
         if d == 1:
             return LocalClass(G, G.trivial_subgroup, G.trivial_subgroup)
         for cls in G.subgroup_classes:
             if cls.order == d and G.is_cyclic_subgroup(cls.representative):
                 return LocalClass(G, cls.representative, G.trivial_subgroup)
-        raise ValueError(f"no cyclic subgroup of order {d} in {kind}")
-    if kind.startswith("cpxcp:"):
+        raise ValueError(f"no cyclic subgroup of order {d} in {G.family}")
+    if name == "cpxcp":
         raise AmbiguousSplittingError(
             "degree patterns cannot distinguish the order-p subgroups of cpxcp; "
             "pass --local-class explicitly"
         )
-    raise GroupError(f"frobenius_class supports d:<p> and c2xc2, not {kind or 'generic groups'}")
+    raise GroupError(f"frobenius_class supports d:<p> and c2xc2, not {G.family or 'generic groups'}")
 
 
 def biquadratic_defining_polynomial(d1: int, d2: int) -> tuple:

@@ -27,7 +27,6 @@ from selgrowth.database import ScanFilters, scan
 from selgrowth.groups import (
     direct_product,
     double_cosets,
-    family_prime,
     make_cyclic,
     make_dihedral,
     make_elem_abelian,
@@ -178,7 +177,7 @@ def test_criterion_7_invariant_suite():
                 projection[perm[z]] = z // k
             induced = induce(theta, shuffled, embedding)
             inflated = inflate(theta, shuffled, projection)
-            p = family_prime(spec)
+            p = G.family.p
             assert norm_constant(induced).ord(p) == norm_constant(theta).ord(p)
             assert norm_constant(inflated).ord(p) == norm_constant(theta).ord(p)
 

@@ -1,3 +1,6 @@
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -70,9 +73,12 @@ def test_canonical_dihedral_verifies(p):
     assert theta.degree() == 0
 
 
+# every family spec of order at most 60, and three larger ones
 @pytest.mark.parametrize(
     "spec",
-    ["cpxcp:3", "cpxcp:5", "cpxcp:11", "cpxcp:13", "sd:7:3", "sd:13:3", "sd:31:5"],
+    ["c2xc2", "d:3", "d:5", "d:7", "d:11", "d:13", "d:17", "d:19", "d:23", "d:29",
+     "cpxcp:3", "cpxcp:5", "cpxcp:7", "sd:7:3", "sd:13:3", "sd:19:3", "sd:11:5",
+     "cpxcp:11", "cpxcp:13", "sd:31:5"],
 )
 def test_canonical_families_verify(spec):
     theta = canonical_relation(parse_group_spec(spec))
@@ -220,3 +226,28 @@ def test_transport_preserves_norm_valuations(spec, k, rng):
         assert norm_constant(inflated).ord(p) == norm_constant(theta).ord(p)
     # degree zero is preserved as well
     assert induced.degree() == 0 and inflated.degree() == 0
+
+
+def test_inflate_guard_raises_under_python_O():
+    # with the homomorphism check bypassed, a projection with uneven fibres
+    # must still be refused by the preimage-size check, even when asserts
+    # are compiled away
+    code = (
+        "from selgrowth import brauer\n"
+        "from selgrowth.groups import GroupError, direct_product, make_cyclic, make_elem_abelian\n"
+        "K = make_elem_abelian(2)\n"
+        "brauer.check_homomorphism = lambda *args: None\n"
+        "try:\n"
+        "    brauer.inflate(brauer.canonical_relation(K), direct_product(make_cyclic(2), K),\n"
+        "                   [0, 0, 0, 0, 1, 2, 3, 3])\n"
+        "except GroupError as exc:\n"
+        "    if 'preimage' in str(exc):\n"
+        "        raise SystemExit(0)\n"
+        "raise SystemExit('guard did not raise')\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -10,6 +10,7 @@ from selgrowth.database import (
     natural_label_key,
     scan,
 )
+from selgrowth.groups import Family
 
 EXPECTED_LIST = ["91b1", "91b2", "91b3", "123a1", "123a2", "141a1", "142a1", "155a1"]
 TORSION_FREE = ["91b3", "123a2", "141a1", "142a1"]
@@ -91,7 +92,7 @@ def test_scan_with_specific_case(fixture_records):
     # case (a) tolerates non-split places of odd discriminant valuation:
     # 65a1 (two odd-ord non-split places) joins once max_nonsplit allows it
     result = scan(
-        fixture_records, p=2, kind="c2xc2",
+        fixture_records, Family.parse("c2xc2"),
         filters=ScanFilters(max_nonsplit=2),
     )
     labels = [e.label for e in result.matches]

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selgrowth.cli import main
 from selgrowth.groups import (
     GROUP_CACHE_SIZE,
+    MAX_ORDER,
+    Family,
     GroupError,
     LocalClass,
     Subgroup,
@@ -122,6 +125,56 @@ def test_bad_spec_raises_every_time():
         for spec in ("d:4", "d:x", "q8", "cpxcp:17"):
             with pytest.raises(GroupError):
                 parse_group_spec(spec)
+
+
+def _primes_below(n):
+    return [p for p in range(2, n) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+# every family spec of order at most MAX_ORDER, in normalized form
+ODD = _primes_below(MAX_ORDER)[1:]
+ALL_FAMILY_SPECS = (
+    ["c2xc2"]
+    + [f"d:{p}" for p in ODD if 2 * p <= MAX_ORDER]
+    + [f"cpxcp:{p}" for p in ODD if p * p <= MAX_ORDER]
+    + [f"sd:{p}:{q}" for p in ODD for q in ODD if (p - 1) % q == 0 and p * q <= MAX_ORDER]
+)
+
+
+def test_family_parse_round_trips():
+    assert len(ALL_FAMILY_SPECS) == 39
+    for spec in ALL_FAMILY_SPECS:
+        family = Family.parse(spec)
+        assert str(family) == spec == parse_group_spec(spec).kind
+        assert parse_group_spec(spec).family == family
+        assert family.order == parse_group_spec(spec).order
+    assert Family.parse(" D:97") == Family.parse("d:097") == Family("d", 97)
+    assert str(Family.parse("d:097")) == "d:97"
+    assert Family.parse("cpxcp:2") == Family.parse("C2XC2") == Family("c2xc2", 2)
+    assert [Family.parse(s).case for s in ("c2xc2", "d:5", "cpxcp:3", "sd:7:3")] == list("abcc")
+    assert make_cyclic(6).family is None and make_cyclic(6).kind is None
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("c:6", "unknown group spec 'c:6'; expected c2xc2, d:<p>, cpxcp:<p> or sd:<p>:<q>"),
+        ("d:", "bad group spec 'd:': invalid literal for int() with base 10: ''"),
+        ("sd:7", "unknown group spec 'sd:7'; expected c2xc2, d:<p>, cpxcp:<p> or sd:<p>:<q>"),
+        ("d:x", "bad group spec 'd:x': invalid literal for int() with base 10: 'x'"),
+        ("cpxcp:4", "bad group spec 'cpxcp:4': 4 is not prime"),
+    ],
+)
+def test_bad_family_specs_refused(spec, message, capsys, tmp_path):
+    with pytest.raises(GroupError) as info:
+        Family.parse(spec)
+    assert str(info.value) == message
+    data = tmp_path / "curves.csv"
+    data.write_text("label,a1,a2,a3,a4,a6,rank,torsion,sha_an\n")
+    for argv in (["tables", spec], ["relations", spec], ["scan", "--data", str(data), "--group", spec]):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"usage error: {message}\n")
 
 
 def test_group_cache_is_bounded():

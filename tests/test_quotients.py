@@ -15,7 +15,7 @@ from selgrowth.curves import (
 )
 from selgrowth.cli import main
 from selgrowth.factored import FactoredRational
-from selgrowth.groups import FiniteGroup, family_prime, local_classes, parse_group_spec
+from selgrowth.groups import Family, FiniteGroup, local_classes, parse_group_spec
 from selgrowth.quotients import (
     COL_NONSPLIT_SPLITS,
     COL_NONSPLIT_STAYS,
@@ -52,7 +52,7 @@ def test_oracle_reproduces_every_table_cell(spec):
     G = parse_group_spec(spec)
     doc = oracle_table(G)
     # every cell of the family's table is listed, realized and reproduced exactly
-    assert {(c["row"], c["col"]) for c in doc["cells"]} == set(_cells_for_family(G.kind))
+    assert {(c["row"], c["col"]) for c in doc["cells"]} == set(_cells_for_family(G.family))
     assert all(c["realizations"] > 0 and c["oracle"] == "PASS" for c in doc["cells"])
     assert doc["unreachable_observed"] == []
     assert doc["nonsplit_p_part_trivial"] is (True if G.order % 2 else None)
@@ -80,7 +80,7 @@ def test_m_dependence_cancels_at_fixed_parity():
 
 def test_place_degrees_computed_once_per_group(monkeypatch):
     # a fresh copy of d:5 starts with an empty memo
-    G = FiniteGroup(parse_group_spec("d:5").table, kind="d:5")
+    G = FiniteGroup(parse_group_spec("d:5").table, family=Family.parse("d:5"))
     calls = []
     real = quotients.double_cosets
     monkeypatch.setattr(quotients, "double_cosets", lambda *a: calls.append(a) or real(*a))
@@ -93,8 +93,8 @@ def test_place_degrees_computed_once_per_group(monkeypatch):
 def test_tampered_table_cell_fails(monkeypatch, capsys):
     real = quotients._cells_for_family
 
-    def tampered(kind):
-        cells = real(kind)
+    def tampered(family):
+        cells = real(family)
         cells[(ROW_INERT_RAMIFIED, COL_SPLIT)] -= 1
         return cells
 
@@ -124,23 +124,23 @@ def test_dash_cells_unreachable(spec):
     assert (ROW_INERT_RAMIFIED, COL_NONSPLIT_STAYS) not in reachable
     assert (ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_SPLITS) not in reachable
     with pytest.raises(ImpossibleCellError):
-        table_lookup(G.kind, ROW_INERT_RAMIFIED, COL_NONSPLIT_STAYS, PARITY_ODD)
+        table_lookup(G.family, ROW_INERT_RAMIFIED, COL_NONSPLIT_STAYS, PARITY_ODD)
     with pytest.raises(ImpossibleCellError):
-        table_lookup(G.kind, ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_SPLITS, PARITY_ODD)
+        table_lookup(G.family, ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_SPLITS, PARITY_ODD)
 
 
 def test_paper_cell_values_spotchecks():
     # D_2p: totally ramified x split = 1/p; inert/ramified x (nonsplit -> split over M) = p
-    assert table_lookup("d:5", ROW_TOTALLY_RAMIFIED, COL_SPLIT).factors() == {5: -1}
-    assert table_lookup("d:5", ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS).factors() == {5: 1}
-    assert table_lookup("d:5", ROW_SPLITS, COL_SPLIT).is_one()
+    assert table_lookup(Family.parse("d:5"), ROW_TOTALLY_RAMIFIED, COL_SPLIT).factors() == {5: -1}
+    assert table_lookup(Family.parse("d:5"), ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS).factors() == {5: 1}
+    assert table_lookup(Family.parse("d:5"), ROW_SPLITS, COL_SPLIT).is_one()
     # C2xC2 parity subcases
-    assert table_lookup("c2xc2", ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS, PARITY_EVEN).is_one()
-    assert table_lookup("c2xc2", ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS, PARITY_ODD).factors() == {2: -2}
-    assert table_lookup("c2xc2", ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS, PARITY_EVEN).factors() == {2: 1}
+    assert table_lookup(Family.parse("c2xc2"), ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS, PARITY_EVEN).is_one()
+    assert table_lookup(Family.parse("c2xc2"), ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS, PARITY_ODD).factors() == {2: -2}
+    assert table_lookup(Family.parse("c2xc2"), ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS, PARITY_EVEN).factors() == {2: 1}
     # odd-order families
-    assert table_lookup("cpxcp:3", ROW_TOTALLY_RAMIFIED, COL_SPLIT).factors() == {3: -2}
-    assert table_lookup("sd:7:3", ROW_INERT_RAMIFIED, COL_SPLIT).factors() == {7: -2}
+    assert table_lookup(Family.parse("cpxcp:3"), ROW_TOTALLY_RAMIFIED, COL_SPLIT).factors() == {3: -2}
+    assert table_lookup(Family.parse("sd:7:3"), ROW_INERT_RAMIFIED, COL_SPLIT).factors() == {7: -2}
 
 
 def test_spec_quotient_examples():
@@ -164,7 +164,7 @@ def test_spec_quotient_examples():
         G = parse_group_spec(spec)
         lc = LocalClass(G, G.full_subgroup, G.full_subgroup)
         rep = local_theta_quotient(canonical_relation(G), lc, ReductionData(0, SPLIT_MULT, 1, 1))
-        assert rep.quotient.ord(family_prime(G.kind)) == expected
+        assert rep.quotient.ord(G.family.p) == expected
 
 
 def test_good_reduction_contributes_one():
@@ -265,10 +265,10 @@ def test_report_internal_consistency():
 
 def test_regulator_quotient_values():
     K = parse_group_spec("c2xc2")
-    assert regulator_quotient(canonical_relation(K), 1).factors() == {2: -1}
-    assert regulator_quotient(canonical_relation(K), 0).is_one()
+    assert regulator_quotient(norm_constant(canonical_relation(K)), 1).factors() == {2: -1}
+    assert regulator_quotient(norm_constant(canonical_relation(K)), 0).is_one()
     G = parse_group_spec("d:5")
-    assert regulator_quotient(canonical_relation(G), 2).factors() == {5: -2}
+    assert regulator_quotient(norm_constant(canonical_relation(G)), 2).factors() == {5: -2}
 
 
 # -- hypothesis checks ---------------------------------------------------------------
@@ -276,15 +276,15 @@ def test_regulator_quotient_values():
 
 def test_hypothesis_check_cases():
     prof = make_profile(WeierstrassModel(0, 1, 1, -7, 5), rank=1, torsion_order=3)
-    rep = hypothesis_check(prof, 3, "d:3")
+    rep = hypothesis_check(prof, Family.parse("d:3"))
     assert rep.case_a and rep.case_b and rep.case_c and rep.hypotheses_pass
 
     prof65 = make_profile(WeierstrassModel(1, 0, 0, -1, 0), rank=1, torsion_order=2)
-    rep = hypothesis_check(prof65, 3, "d:3")
+    rep = hypothesis_check(prof65, Family.parse("d:3"))
     assert rep.case_a and not rep.case_b and rep.failing is not None
 
     prof0 = make_profile(WeierstrassModel(0, -1, 1, -10, -20), rank=0, torsion_order=5)
-    rep = hypothesis_check(prof0, 2, "c2xc2")
+    rep = hypothesis_check(prof0, Family.parse("c2xc2"))
     assert not (rep.case_a or rep.case_b or rep.case_c)
 
 

@@ -1,3 +1,7 @@
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -217,3 +221,38 @@ def test_local_class_validation():
     C2 = next(c.representative for c in G.subgroup_classes if c.order == 2)
     with pytest.raises(GroupError):
         LocalClass(G, G.full_subgroup, C2)  # C2 not normal in G
+
+
+def test_output_guards_raise_under_python_O():
+    # the consistency checks of multiquadratic_local_class and
+    # factor_degree_pattern, made to fire; they must raise even when asserts
+    # are compiled away
+    code = (
+        "from selgrowth import splitting\n"
+        "from selgrowth.groups import GroupError\n"
+        "def all_subfields_ramified():\n"
+        "    splitting._symbol = lambda d, v: splitting.RAMIFIED\n"
+        "    splitting.multiquadratic_local_class(3, 5, 7)\n"
+        "def degree_part_not_a_multiple():\n"
+        "    splitting._poldiv = lambda a, b, v: list(a)  # factors found are never removed\n"
+        "    splitting.factor_degree_pattern((1, 1, 0, 1, 2, 0), 3)  # x (x^2 + 1) (x^2 + x + 2)\n"
+        "def degrees_do_not_sum():\n"
+        "    splitting._poldiv = lambda a, b, v: list(a)\n"
+        "    splitting.factor_degree_pattern((1, 0, 1, 0), 3)  # x (x^2 + 1)\n"
+        "checks = ((all_subfields_ramified, GroupError, 'quadratic subfields'),\n"
+        "          (degree_part_not_a_multiple, ValueError, 'not a multiple'),\n"
+        "          (degrees_do_not_sum, ValueError, 'do not sum'))\n"
+        "for call, error, words in checks:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except error as exc:\n"
+        "        if words in str(exc):\n"
+        "            continue\n"
+        "    raise SystemExit(f'{call.__name__}: guard did not raise')\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
