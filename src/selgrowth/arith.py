@@ -20,8 +20,19 @@ from __future__ import annotations
 import math
 
 TRIAL_LIMIT = 1000
-_SMALL_PRIMES = [p for p in range(2, TRIAL_LIMIT)
-                 if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def _sieve(n: int) -> list:
+    """The primes below n, by the sieve of Eratosthenes."""
+    is_p = bytearray([1]) * n
+    is_p[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if is_p[p]:
+            is_p[p * p::p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(n) if is_p[p]]
+
+
+_SMALL_PRIMES = _sieve(TRIAL_LIMIT)
 _MR_BASES = _SMALL_PRIMES[:13]
 PSI_13 = 3317044064679887385961981
 

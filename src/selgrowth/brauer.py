@@ -10,15 +10,14 @@ the growth certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .factored import FactoredRational
 from .groups import FiniteGroup, GroupError, fixed_points
 from .intlinalg import integer_kernel_basis, solve_integer_combination
 
 
-@dataclass(frozen=True)
-class BrauerRelation:
+class BrauerRelation(NamedTuple):
     """Integer coefficients indexed by subgroup-class ids of ``group``."""
 
     group: FiniteGroup

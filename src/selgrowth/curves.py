@@ -11,10 +11,10 @@ assumptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import factor
+from .records import Record
 
 
 class SingularModelError(ValueError):
@@ -31,17 +31,17 @@ def _check(ok: bool, what: str) -> None:
         raise CurveCheckError(what)
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
+class WeierstrassModel(Record):
+    """The model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over the integers.
 
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+    Building one converts the coefficients to int and refuses a singular
+    model. Models are immutable and compare and hash by their a-invariants.
+    """
+
+    __slots__ = ("a1", "a2", "a3", "a4", "a6")
+
+    def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int):
+        self._set(int(a1), int(a2), int(a3), int(a4), int(a6))
         if compute_invariants(self).delta == 0:
             raise SingularModelError(f"singular model {self.ainvs()}")
 
@@ -186,8 +186,7 @@ NONSPLIT_MULT = "nonsplit_mult"
 ADDITIVE = "additive"
 
 
-@dataclass(frozen=True)
-class ReductionData:
+class ReductionData(NamedTuple):
     v: int
     kind: str
     m: int  # ord_v of the minimal discriminant
@@ -224,8 +223,7 @@ def reduction_at(c4: int, c6: int, delta_min: int, v: int) -> ReductionData:
     return ReductionData(v, NONSPLIT_MULT, m, 2 if m % 2 == 0 else 1)
 
 
-@dataclass(frozen=True)
-class CurveProfile:
+class CurveProfile(NamedTuple):
     """Minimal model plus local data plus the ingested global assumptions."""
 
     model: WeierstrassModel

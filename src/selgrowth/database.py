@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .curves import SingularModelError, WeierstrassModel, make_profile
 from .groups import Family
 from .quotients import hypothesis_check
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 HEADER = ["label", "a1", "a2", "a3", "a4", "a6", "rank", "torsion", "sha_an"]
 
@@ -26,8 +28,7 @@ class IngestError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CurveRecord:
+class CurveRecord(NamedTuple):
     label: str
     a1: int
     a2: int
@@ -42,10 +43,9 @@ class CurveRecord:
         return WeierstrassModel(self.a1, self.a2, self.a3, self.a4, self.a6)
 
 
-@dataclass
-class IngestResult:
+class IngestResult(NamedTuple):
     records: list
-    rejects: list = field(default_factory=list)  # (line_no, message)
+    rejects: list | tuple = ()  # (line_no, message)
 
 
 def natural_label_key(label: str):
@@ -60,6 +60,8 @@ def _parse_sha(text: str) -> Fraction | None:
     text = text.strip()
     if not text or text.lower() == "unknown":
         return None
+    from fractions import Fraction  # imported here: it loads decimal, which only data files need
+
     return Fraction(text)
 
 
@@ -115,8 +117,7 @@ def ingest(path) -> IngestResult:
     return IngestResult(records=records, rejects=rejects)
 
 
-@dataclass(frozen=True)
-class ScanFilters:
+class ScanFilters(NamedTuple):
     min_rank: int = 1
     require_semistable: bool = True
     max_nonsplit: int = 0
@@ -124,8 +125,7 @@ class ScanFilters:
     torsion_order: int | None = None  # exact match when set
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     label: str
     report: object  # HypothesisReport
 
@@ -133,8 +133,7 @@ class ScanEntry:
         return {"label": self.label, "hypotheses": self.report.as_json()}
 
 
-@dataclass
-class ScanResult:
+class ScanResult(NamedTuple):
     matches: list  # ScanEntry, sorted by label
     skipped_nonsemistable: list  # labels
 

@@ -6,9 +6,12 @@ that p-adic valuations are read off exactly, with no float in sight.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .arith import factor
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class FactoredRational:
@@ -47,6 +50,8 @@ class FactoredRational:
         return not self._factors
 
     def value(self) -> Fraction:
+        from fractions import Fraction  # imported here: it loads decimal, which no CLI call needs
+
         out = Fraction(1)
         for p, e in self._factors.items():
             out *= Fraction(p) ** e

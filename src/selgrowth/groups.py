@@ -10,11 +10,11 @@ supports (group order at most 200).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 from .arith import is_prime
+from .records import Record
 
 MAX_ORDER = 200
 # Family groups kept by the constructors, least recently used dropped first.
@@ -27,23 +27,21 @@ class GroupError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """One of the paper's four theorem families, with its parameters.
 
     ``name`` is ``c2xc2`` (case (a), p = 2), ``d`` (D_2p, case (b)),
     ``cpxcp`` (Cp x Cp, case (c)) or ``sd`` (Cp : Cq, case (c)); ``p`` is the
     prime of the theorem and ``q`` the order of the complement in ``sd``.
     Building one checks the parameters, so a Family always names a group of
-    order at most MAX_ORDER. ``str`` gives the normalized spec.
+    order at most MAX_ORDER. ``str`` gives the normalized spec. Families are
+    immutable and compare and hash by (name, p, q).
     """
 
-    name: str
-    p: int
-    q: int | None = None
+    __slots__ = ("name", "p", "q")
 
-    def __post_init__(self):
-        p, q = self.p, self.q
+    def __init__(self, name: str, p: int, q: int | None = None):
+        self._set(name, p, q)
         if self.name == "d":
             if not is_prime(p) or p == 2:
                 raise GroupError(f"dihedral parameter must be an odd prime, got {p}")
@@ -101,14 +99,16 @@ class Family:
             raise GroupError(f"bad group spec {spec!r}: {exc}") from None
 
 
-@dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup stored as its sorted tuple of element indices."""
+    """A subgroup stored as its sorted tuple of element indices; immutable."""
 
-    elements: tuple
+    def __init__(self, elements):
+        object.__setattr__(self, "elements", tuple(sorted(elements)))
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(sorted(self.elements)))
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Subgroup is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def element_set(self) -> frozenset:
@@ -133,8 +133,7 @@ class Subgroup:
         return f"Subgroup{self.elements}"
 
 
-@dataclass(frozen=True, eq=False)
-class SubgroupClass:
+class SubgroupClass(NamedTuple):
     """A conjugacy class of subgroups, keyed by its canonical representative.
 
     The representative is the conjugate whose sorted element tuple is
@@ -494,20 +493,24 @@ def fixed_points(G: FiniteGroup, H: Subgroup, g: int) -> int:
     return hits // len(H)
 
 
-@dataclass(frozen=True)
-class LocalClass:
+class LocalClass(Record):
     """A nested pair: inertia inside decomposition, up to simultaneous conjugacy.
 
     Building one is the single place where a (D, I) pair is checked: I must
     lie in D and be normal there, with D/I cyclic. Code that receives a
-    LocalClass relies on that and does not check again.
+    LocalClass relies on that and does not check again. Local classes are
+    immutable and compare and hash by (group, decomposition, inertia).
     """
 
-    group: FiniteGroup
-    decomposition: Subgroup
-    inertia: Subgroup
+    __slots__ = ("group", "decomposition", "inertia")
+
+    def __init__(self, group: FiniteGroup, decomposition: Subgroup, inertia: Subgroup):
+        self._set(group, decomposition, inertia)
+        self.__post_init__()
 
     def __post_init__(self):
+        # the (D, I) check; looked up on the class at each call, so
+        # bench/tracing.py can time it by wrapping this method
         G, D, I = self.group, self.decomposition, self.inertia
         iset = I.element_set
         if not iset <= D.element_set:
@@ -542,9 +545,6 @@ class LocalClass:
     @property
     def f(self) -> int:
         return len(self.decomposition) // len(self.inertia)
-
-    def num_primes_in_field(self) -> int:
-        return self.group.order // len(self.decomposition)
 
     def names(self) -> tuple:
         g = self.group
@@ -665,10 +665,8 @@ def make_cyclic(n: int) -> FiniteGroup:
     return _cached_group(f"c:{n}", build)
 
 
-def make_elem_abelian(p: int, rank: int = 2) -> FiniteGroup:
-    """(C_p)^rank with elements encoded base p; rank 2 is the supported case."""
-    if rank != 2:
-        raise GroupError("only rank 2 elementary abelian groups are supported")
+def make_elem_abelian(p: int) -> FiniteGroup:
+    """C_p x C_p with elements encoded base p."""
     return _family_group(Family("c2xc2" if p == 2 else "cpxcp", p))
 
 

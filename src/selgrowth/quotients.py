@@ -21,7 +21,7 @@ against them cell by cell, for `selgrowth tables` and the tests alike.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .brauer import BrauerRelation, canonical_relation, norm_constant
 from .curves import (
@@ -39,9 +39,9 @@ from .splitting import (
     FieldSpec,
     LocalClass,
     RamifiedPrimeError,
+    _multiquadratic_class,
     factor_degree_pattern,
     frobenius_class,
-    multiquadratic_local_class,
 )
 
 
@@ -134,8 +134,7 @@ def table_lookup(
     return FactoredRational({family.p: value})
 
 
-@dataclass(frozen=True)
-class PlaceQuotientReport:
+class PlaceQuotientReport(NamedTuple):
     v: int
     reduction_kind: str
     m: int
@@ -311,8 +310,7 @@ def regulator_quotient(norm: FactoredRational, rank: int) -> FactoredRational:
 # -- theorem hypotheses --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     semistable: bool
     rank: int
     n_nonsplit: int
@@ -387,8 +385,7 @@ TIER_SELMER_GROWTH = "selmer_growth"
 TIER_NONE = "none"
 
 
-@dataclass(frozen=True)
-class GrowthCertificate:
+class GrowthCertificate(NamedTuple):
     profile: CurveProfile
     field: FieldSpec
     p: int
@@ -466,7 +463,8 @@ def resolve_local_class(field: FieldSpec, v: int, overrides: dict | None) -> Loc
                 raise GroupError(f"inertia class {i_name} has no conjugate inside {d_name}")
         return LocalClass(G, D, I)
     if field.kind == "multiquadratic":
-        return multiquadratic_local_class(field.d1, field.d2, v, group=field.group)
+        # FieldSpec.multiquadratic validated d1 and d2 once for every place
+        return _multiquadratic_class(field.d1, field.d2, v, field.group)
     if field.kind == "polynomial":
         try:
             pattern = factor_degree_pattern(field.poly, v)

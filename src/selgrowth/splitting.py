@@ -14,7 +14,7 @@ engine itself only consumes the abstract (decomposition, inertia) pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import factor
 from .groups import (
@@ -69,7 +69,7 @@ def third_discriminant(d1: int, d2: int) -> int:
     return (d1 // g) * (d2 // g)
 
 
-def _validate_multiquadratic(d1: int, d2: int) -> int:
+def _validate_multiquadratic(d1: int, d2: int) -> None:
     for d in (d1, d2):
         if d in (0, 1) or not is_squarefree(d):
             raise ValueError(f"multiquadratic discriminants must be squarefree, not 0 or 1; got {d}")
@@ -78,7 +78,6 @@ def _validate_multiquadratic(d1: int, d2: int) -> int:
     d3 = third_discriminant(d1, d2)
     if d3 in (0, 1):
         raise ValueError(f"d1*d2 = {d1 * d2} is a square; the field is not biquadratic")
-    return d3
 
 
 def multiquadratic_local_class(
@@ -91,10 +90,15 @@ def multiquadratic_local_class(
     inertia is the meet of the fixers of subfields unramified at v, and the
     decomposition group is the meet of the fixers of subfields where v splits.
     """
-    d3 = _validate_multiquadratic(d1, d2)
-    G = group if group is not None else make_elem_abelian(2)
+    _validate_multiquadratic(d1, d2)
+    return _multiquadratic_class(d1, d2, v, group if group is not None else make_elem_abelian(2))
+
+
+def _multiquadratic_class(d1: int, d2: int, v: int, G: FiniteGroup) -> LocalClass:
+    """multiquadratic_local_class for discriminants already validated."""
     if G.family is None or G.family.name != "c2xc2":
         raise GroupError("multiquadratic local classes live in c2xc2")
+    d3 = third_discriminant(d1, d2)
     # element (i, j) = index 2i + j flips sqrt(d1) iff i = 1, sqrt(d2) iff j = 1
     fixers = {
         d1: Subgroup((0, 1)),  # fixes sqrt(d1)
@@ -121,9 +125,12 @@ def multiquadratic_local_class(
 # -- field specifications ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """How the top field F is described: multiquadratic, polynomial, or abstract."""
+class FieldSpec(NamedTuple):
+    """How the top field F is described: multiquadratic, polynomial, or abstract.
+
+    Build one with ``multiquadratic``, ``polynomial`` or ``abstract``, which
+    check the description once; code that receives a FieldSpec relies on that.
+    """
 
     kind: str  # "multiquadratic" | "polynomial" | "abstract"
     group: FiniteGroup

@@ -249,18 +249,34 @@ def test_polynomial_field_without_sympy_is_usage_error(capsys, monkeypatch):
     assert "'poly' extra" in err
 
 
-def test_sympy_stays_off_the_runtime_path():
+def _assert_not_imported(modules, *python_flags):
+    """None of ``modules`` is loaded by `import selgrowth.cli`, nor by a
+    certify call over Q(sqrt 3, sqrt 5), in a fresh interpreter."""
     code = (
         "import sys\n"
+        f"watched = {tuple(modules)!r}\n"
+        "def loaded(): return [m for m in watched if m in sys.modules]\n"
+        "if loaded(): raise SystemExit(f'loaded before selgrowth: {loaded()}')\n"
         "import selgrowth.cli\n"
-        "if 'sympy' in sys.modules: raise SystemExit('import selgrowth.cli imported sympy')\n"
+        "if loaded(): raise SystemExit(f'import selgrowth.cli imported {loaded()}')\n"
         "status = selgrowth.cli.main(['certify', '--curve', '1,0,0,-1,0', '--rank', '1',\n"
         "                             '--torsion', '2', '--field', 'mq:3,5', '-p', '2'])\n"
         "if status != 0: raise SystemExit(f'certify exited {status}')\n"
-        "if 'sympy' in sys.modules: raise SystemExit('certify imported sympy')\n"
+        "if loaded(): raise SystemExit(f'certify imported {loaded()}')\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, *python_flags, "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sympy_stays_off_the_runtime_path():
+    _assert_not_imported(["sympy"])
+
+
+def test_record_machinery_stays_off_the_runtime_path():
+    # records are NamedTuples and records.Record classes, so no dataclasses
+    # (which brings inspect, ast, dis and tokenize); fractions (with decimal)
+    # is loaded only to read sha_an from a data file. -S: no site hooks
+    _assert_not_imported(["dataclasses", "inspect", "fractions", "decimal"], "-S")

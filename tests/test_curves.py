@@ -1,4 +1,6 @@
+import copy
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -44,6 +46,22 @@ def test_invariants_j_zero_curve():
 def test_singular_model_rejected():
     with pytest.raises(SingularModelError):
         WeierstrassModel(0, 0, 0, 0, 0)
+
+
+def test_models_are_immutable_values():
+    m = WeierstrassModel(1, 0, 0, "-1", 0)
+    assert m.ainvs() == (1, 0, 0, -1, 0) and type(m.a4) is int
+    same = WeierstrassModel.from_ainvs([1, 0, 0, -1, 0])
+    assert m == same and hash(m) == hash(same)
+    assert m != WeierstrassModel(0, -1, 1, -10, -20) and m != (1, 0, 0, -1, 0)
+    for field in ("a1", "a6"):
+        with pytest.raises(AttributeError):
+            setattr(m, field, 2)
+        with pytest.raises(AttributeError):
+            delattr(m, field)
+    assert m.ainvs() == (1, 0, 0, -1, 0)
+    assert repr(m) == "WeierstrassModel(a1=1, a2=0, a3=0, a4=-1, a6=0)"
+    assert copy.deepcopy(m) == m == pickle.loads(pickle.dumps(m))
 
 
 @given(models)

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -153,6 +155,25 @@ def test_family_parse_round_trips():
     assert Family.parse("cpxcp:2") == Family.parse("C2XC2") == Family("c2xc2", 2)
     assert [Family.parse(s).case for s in ("c2xc2", "d:5", "cpxcp:3", "sd:7:3")] == list("abcc")
     assert make_cyclic(6).family is None and make_cyclic(6).kind is None
+
+
+def test_family_and_local_class_are_immutable_values():
+    fam = Family("d", 5)
+    assert fam == Family.parse("D:05") and hash(fam) == hash(Family.parse("D:05"))
+    assert fam != Family("d", 7) and fam != Family("cpxcp", 5) and fam != "d:5"
+    G = make_dihedral(5)
+    lc = LocalClass(G, G.full_subgroup, G.class_by_name("C5").representative)
+    assert lc == LocalClass(G, G.full_subgroup, Subgroup(range(5)))
+    assert hash(lc) == hash(LocalClass(G, G.full_subgroup, Subgroup(range(5))))
+    for record, field in ((fam, "p"), (fam, "name"), (lc, "inertia"), (G.full_subgroup, "elements")):
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) == before
+    assert repr(fam) == "Family(name='d', p=5, q=None)"
+    assert copy.deepcopy(fam) == fam == pickle.loads(pickle.dumps(fam))
 
 
 @pytest.mark.parametrize(
@@ -325,12 +346,17 @@ def test_double_coset_degree_sum(spec, data):
 def test_output_guards_raise_under_python_O():
     # H = {0, 1} is not a subgroup of D_6: the degree-sum check of
     # double_cosets and the divisibility check of fixed_points must fire
-    # even when asserts are compiled away
+    # even when asserts are compiled away, and so must the (D, I) check of
+    # LocalClass (the reflection subgroup {0, 3} is not normal, and D_6 over
+    # trivial inertia is not cyclic)
     code = (
-        "from selgrowth.groups import GroupError, Subgroup, double_cosets, fixed_points, make_dihedral\n"
+        "from selgrowth.groups import (GroupError, LocalClass, Subgroup, double_cosets, fixed_points,\n"
+        "                              make_dihedral)\n"
         "G = make_dihedral(3)\n"
         "H = Subgroup((0, 1))\n"
-        "for call in (lambda: double_cosets(G, H, G.trivial_subgroup), lambda: fixed_points(G, H, 1)):\n"
+        "for call in (lambda: double_cosets(G, H, G.trivial_subgroup), lambda: fixed_points(G, H, 1),\n"
+        "             lambda: LocalClass(G, G.full_subgroup, Subgroup((0, 3))),\n"
+        "             lambda: LocalClass(G, G.full_subgroup, G.trivial_subgroup)):\n"
         "    try:\n"
         "        call()\n"
         "    except GroupError:\n"

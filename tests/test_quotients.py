@@ -313,6 +313,21 @@ def test_certify_example2():
     assert by_v[13]["quotient"] == {}
 
 
+def test_multiquadratic_field_validated_once_per_certificate(monkeypatch):
+    # validating d1 and d2 factors them; FieldSpec.multiquadratic does it
+    # once, and the places of the certificate (5 and 13) do not repeat it
+    from selgrowth import splitting
+
+    calls = []
+    real = splitting._validate_multiquadratic
+    monkeypatch.setattr(splitting, "_validate_multiquadratic", lambda *a: calls.append(a) or real(*a))
+    assert [pr.v for pr in example2_certificate().places] == [5, 13]
+    assert calls == [(3, 5)]
+    with pytest.raises(ValueError):
+        splitting.multiquadratic_local_class(3, 3, 7)  # the public function still checks
+    assert calls == [(3, 5), (3, 3)]
+
+
 def test_certify_equation3_consistency_on_example2():
     # asserted Sha orders: trivial over Q and the quadratics, order 4 over F
     cert = example2_certificate()

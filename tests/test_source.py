@@ -6,15 +6,30 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "selgrowth"
 
 
+def _nodes():
+    """(module file name, node) for every AST node of the package."""
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            yield path.name, node
+
+
 def test_no_assert_statements():
     # python -O strips assert statements, so a check that guards an output
     # must raise an error instead
-    modules = sorted(SRC.glob("*.py"))
-    assert modules
+    found = [f"{name}:{node.lineno}" for name, node in _nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_dataclasses():
+    # importing dataclasses loads inspect, ast, dis and tokenize, and each
+    # @dataclass compiles its methods when the module is imported: a cost
+    # every CLI call would pay. Records are NamedTuples or records.Record classes
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if isinstance(node, ast.Assert)
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
     ]
     assert found == []

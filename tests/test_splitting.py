@@ -95,7 +95,7 @@ def test_mq_local_class_at_two():
 def test_mq_counting_invariant():
     for v in (2, 3, 5, 7, 11, 13, 97):
         lc = multiquadratic_local_class(3, 5, v)
-        assert lc.e * lc.f * lc.num_primes_in_field() == 4
+        assert lc.e * lc.f * (lc.group.order // len(lc.decomposition)) == 4  # e f g = [F:Q]
 
 
 def test_mq_rejects_square_product():
