@@ -36,7 +36,6 @@ from .groups import (
     SubgroupClass,
     double_cosets,
     fixed_points,
-    local_classes,
     make_cyclic,
     make_dihedral,
     make_elem_abelian,

@@ -403,10 +403,6 @@ class FiniteGroup:
         subs.sort(key=lambda s: (len(s), s))
         return [Subgroup(s) for s in subs]
 
-    def conjugate_subgroup(self, H: Subgroup, x: int) -> Subgroup:
-        row = self.conj[x]
-        return Subgroup(tuple(row[h] for h in H))
-
     def normalizer_size(self, H: Subgroup) -> int:
         hset = H.element_set
         return sum(1 for row in self.conj if all(row[h] in hset for h in H))
@@ -477,6 +473,49 @@ class FiniteGroup:
             ) from None
         return self.subgroup_classes[idx]
 
+    # -- local classes --------------------------------------------------------
+
+    @cached_property
+    def local_classes(self) -> tuple:
+        """Every (D, I) pair with I normal in D and D/I cyclic, as LocalClass.
+
+        D runs over the subgroup class representatives and I over every
+        subgroup of D, both in lattice order; up to simultaneous conjugacy
+        this is every pair. Made once per group, this is the only source of
+        local classes: every other path selects from it.
+        """
+        pairs = []
+        for dcls in self.subgroup_classes:
+            D = dcls.representative
+            for I in self.all_subgroups:
+                if len(I) > len(D):
+                    break
+                if not I.element_set <= D.element_set:
+                    continue
+                try:
+                    pairs.append(LocalClass(self, D, I))
+                except GroupError:
+                    continue
+        return tuple(pairs)
+
+    @cached_property
+    def _local_class_index(self) -> dict:
+        """Class names of (D, I) -> the first enumerated local class with them."""
+        # reversed, so that of two local classes with equal names the first is kept
+        return {lc.names(): lc for lc in reversed(self.local_classes)}
+
+    def local_class(self, D: SubgroupClass, I: SubgroupClass) -> LocalClass:
+        """The enumerated local class whose decomposition group lies in the
+        class D and whose inertia group lies in the class I."""
+        key = (self.class_names[D.class_id], self.class_names[I.class_id])
+        try:
+            return self._local_class_index[key]
+        except KeyError:
+            raise GroupError(
+                f"(D, I) = ({', '.join(key)}) is not a local class: "
+                "I must be normal in D, up to conjugacy, with D/I cyclic"
+            ) from None
+
     def __repr__(self):
         return f"FiniteGroup({self.family or f'order {self.order}'})"
 
@@ -497,9 +536,10 @@ class LocalClass(Record):
     """A nested pair: inertia inside decomposition, up to simultaneous conjugacy.
 
     Building one is the single place where a (D, I) pair is checked: I must
-    lie in D and be normal there, with D/I cyclic. Code that receives a
-    LocalClass relies on that and does not check again. Local classes are
-    immutable and compare and hash by (group, decomposition, inertia).
+    lie in D and be normal there, with D/I cyclic. The package builds them
+    only in ``FiniteGroup.local_classes``, once per group; code that receives
+    a LocalClass relies on the check and does not repeat it. Local classes
+    are immutable and compare and hash by (group, decomposition, inertia).
     """
 
     __slots__ = ("group", "decomposition", "inertia")
@@ -552,28 +592,6 @@ class LocalClass(Record):
             g.class_names[g.class_of_subgroup(self.decomposition).class_id],
             g.class_names[g.class_of_subgroup(self.inertia).class_id],
         )
-
-
-def local_classes(G: FiniteGroup) -> list:
-    """Every (D, I) pair with I normal in D and D/I cyclic, as LocalClass.
-
-    D runs over the subgroup class representatives and I over every subgroup
-    of D, both in lattice order; up to simultaneous conjugacy this is every
-    pair.
-    """
-    pairs = []
-    for dcls in G.subgroup_classes:
-        D = dcls.representative
-        for I in G.all_subgroups:
-            if len(I) > len(D):
-                break
-            if not I.element_set <= D.element_set:
-                continue
-            try:
-                pairs.append(LocalClass(G, D, I))
-            except GroupError:
-                continue
-    return pairs
 
 
 class DoubleCoset(NamedTuple):

@@ -34,7 +34,7 @@ from .curves import (
     hypothesis_counts,
 )
 from .factored import FactoredRational
-from .groups import Family, FiniteGroup, GroupError, double_cosets, local_classes
+from .groups import Family, FiniteGroup, GroupError, double_cosets
 from .splitting import (
     FieldSpec,
     LocalClass,
@@ -256,7 +256,7 @@ def oracle_table(G: FiniteGroup) -> dict:
     # (row, col, parity or None for a parity-free cell) -> [realizations, all equal]
     hits = {}
     nonsplit_trivial = True
-    for lc in local_classes(G):
+    for lc in G.local_classes:
         row = classify_row(lc)
         degrees = place_degrees(theta, lc)
         for red in (SPLIT_MULT, NONSPLIT_MULT):
@@ -450,18 +450,7 @@ def resolve_local_class(field: FieldSpec, v: int, overrides: dict | None) -> Loc
     if v in overrides:
         d_name, i_name = overrides[v]
         G = field.group
-        D = G.class_by_name(d_name).representative
-        I = G.class_by_name(i_name).representative
-        if not I.element_set <= D.element_set:
-            # look for a conjugate of I inside D
-            for x in range(G.order):
-                cand = G.conjugate_subgroup(I, x)
-                if cand.element_set <= D.element_set:
-                    I = cand
-                    break
-            else:
-                raise GroupError(f"inertia class {i_name} has no conjugate inside {d_name}")
-        return LocalClass(G, D, I)
+        return G.local_class(G.class_by_name(d_name), G.class_by_name(i_name))
     if field.kind == "multiquadratic":
         # FieldSpec.multiquadratic validated d1 and d2 once for every place
         return _multiquadratic_class(field.d1, field.d2, v, field.group)

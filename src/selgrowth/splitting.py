@@ -1,11 +1,15 @@
 """Splitting behaviour of rational primes in the Galois extensions we support.
 
-The committed computed path is multiquadratic fields Q(sqrt(d1), sqrt(d2)),
-where the decomposition and inertia groups inside C2 x C2 follow from the
-three quadratic subfields. For other fields a monic defining polynomial
-gives the Frobenius cycle type at unramified primes via distinct-degree
-factorization; ramified primes there, and all primes of Cp x Cp fields,
-must be supplied explicitly (the CLI --local-class override).
+Every local class is selected from the group's one enumeration of
+(decomposition, inertia) pairs, ``FiniteGroup.local_classes``; nothing here
+builds a pair of its own. For multiquadratic fields Q(sqrt(d1), sqrt(d2))
+the three quadratic residue symbols name the classes of D and I inside
+C2 x C2. For other fields a monic defining polynomial gives the Frobenius
+cycle type at unramified primes via distinct-degree factorization, and the
+pattern selects the one class with trivial inertia and |D| equal to the
+common factor degree. Ramified primes there, and patterns that several
+classes fit ({2,2} in C2 x C2, {p,...,p} in Cp x Cp), must be supplied
+explicitly (the CLI --local-class override).
 
 The defining-polynomial pathway is a convenience extrapolation: the quotient
 engine itself only consumes the abstract (decomposition, inertia) pair.
@@ -100,26 +104,20 @@ def _multiquadratic_class(d1: int, d2: int, v: int, G: FiniteGroup) -> LocalClas
         raise GroupError("multiquadratic local classes live in c2xc2")
     d3 = third_discriminant(d1, d2)
     # element (i, j) = index 2i + j flips sqrt(d1) iff i = 1, sqrt(d2) iff j = 1
-    fixers = {
-        d1: Subgroup((0, 1)),  # fixes sqrt(d1)
-        d2: Subgroup((0, 2)),  # fixes sqrt(d2)
-        d3: Subgroup((0, 3)),  # fixes sqrt(d1 d2)
-    }
+    fixers = {d1: {0, 1}, d2: {0, 2}, d3: {0, 3}}  # the fixer of each sqrt(d)
     # d1 and d2 passed validation, so d3 = d1 d2 / gcd(d1, d2)^2 is squarefree too
     symbols = {d: _symbol(d, v) for d in (d1, d2, d3)}
-    full = set(range(4))
-    inertia = set(full)
-    decomp = set(full)
+    inertia, decomp = set(range(4)), set(range(4))
     for d, sym in symbols.items():
         if sym != RAMIFIED:
-            inertia &= fixers[d].element_set
+            inertia &= fixers[d]
         if sym == SPLIT:
-            decomp &= fixers[d].element_set
+            decomp &= fixers[d]
     if v != 2 and any(s == RAMIFIED for s in symbols.values()):
         unram = [d for d, s in symbols.items() if s != RAMIFIED]
         if len(unram) != 1:
             raise GroupError(f"ramified odd v = {v} is unramified in {len(unram)} quadratic subfields, not 1")
-    return LocalClass(G, G.subgroup(decomp), G.subgroup(inertia))
+    return G.local_class(G.class_of_subgroup(Subgroup(decomp)), G.class_of_subgroup(Subgroup(inertia)))
 
 
 # -- field specifications ------------------------------------------------------
@@ -302,9 +300,11 @@ def frobenius_class(G: FiniteGroup, pattern) -> LocalClass:
     """Local class of an unramified prime from the factor degree pattern.
 
     The defining polynomial has degree |G|, so its roots form a torsor under
-    G and all factor degrees equal the order of Frobenius. Supported for the
-    dihedral and biquadratic families; C2 x C2 beyond the split case and all
-    Cp x Cp patterns are ambiguous and must be overridden.
+    G and all factor degrees equal the order d of Frobenius. The answer is
+    the enumerated local class with trivial inertia and |D| = d, when exactly
+    one exists. None (no cyclic subgroup of order d) raises ValueError; more
+    than one, as for {2,2} in c2xc2 and {p,...,p} in cpxcp, raises
+    AmbiguousSplittingError, and the class must be overridden.
     """
     pattern = tuple(sorted(pattern))
     if sum(pattern) != G.order:
@@ -312,27 +312,15 @@ def frobenius_class(G: FiniteGroup, pattern) -> LocalClass:
     if len(set(pattern)) != 1:
         raise ValueError(f"pattern {pattern} is not a Galois cycle type for this group")
     d = pattern[0]
-    name = None if G.family is None else G.family.name
-    if name == "c2xc2":
-        if d == 1:
-            return LocalClass(G, G.trivial_subgroup, G.trivial_subgroup)
+    found = [lc for lc in G.local_classes if lc.e == 1 and len(lc.decomposition) == d]
+    if not found:
+        raise ValueError(f"no cyclic subgroup of order {d} in {G.family or 'this group'}")
+    if len(found) > 1:
         raise AmbiguousSplittingError(
-            "pattern {2,2} cannot tell the three order-2 classes apart; "
-            "pass --local-class explicitly"
+            f"pattern {{{','.join(map(str, pattern))}}} cannot tell the {len(found)} "
+            f"order-{d} classes apart; pass --local-class explicitly"
         )
-    if name == "d":
-        if d == 1:
-            return LocalClass(G, G.trivial_subgroup, G.trivial_subgroup)
-        for cls in G.subgroup_classes:
-            if cls.order == d and G.is_cyclic_subgroup(cls.representative):
-                return LocalClass(G, cls.representative, G.trivial_subgroup)
-        raise ValueError(f"no cyclic subgroup of order {d} in {G.family}")
-    if name == "cpxcp":
-        raise AmbiguousSplittingError(
-            "degree patterns cannot distinguish the order-p subgroups of cpxcp; "
-            "pass --local-class explicitly"
-        )
-    raise GroupError(f"frobenius_class supports d:<p> and c2xc2, not {G.family or 'generic groups'}")
+    return found[0]
 
 
 def biquadratic_defining_polynomial(d1: int, d2: int) -> tuple:

@@ -194,6 +194,22 @@ def test_local_class_overrides_that_would_be_dropped_are_refused(capsys):
         assert prime in err
 
 
+def test_invalid_local_class_pairs_are_usage_errors(capsys):
+    # 65a1 is bad at 5 and 13; the override at 13 is valid throughout
+    base = ("certify", "--curve", "1,0,0,-1,0", "--rank", "1", "--group", "d:5", "-p", "5",
+            "--local-class", "13:D=G,I=G", "--local-class")
+    for d_name, i_name, named in (
+        ("C4", "1", ("'C4'",)),  # no such class in d:5
+        ("C2", "C5", ("(C2, C5)",)),  # I outside D
+        ("G", "C2", ("(G, C2)",)),  # I not normal in D
+        ("G", "1", ("(G, 1)",)),  # D/I not cyclic
+    ):
+        code, out, err = run(capsys, *base, f"5:D={d_name},I={i_name}")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and all(words in err for words in named)
+
+
 def _selgrowth(*argv, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "selgrowth", *argv], env=dict(os.environ, PYTHONPATH=str(SRC)),

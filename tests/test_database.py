@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from selgrowth.database import (
     natural_label_key,
     scan,
 )
+from selgrowth.curves import make_profile
 from selgrowth.groups import Family
 
 EXPECTED_LIST = ["91b1", "91b2", "91b3", "123a1", "123a2", "141a1", "142a1", "155a1"]
@@ -75,6 +77,20 @@ def test_natural_label_order():
 
 
 # -- scan --------------------------------------------------------------------------
+
+
+def test_label_conductor_is_the_bad_prime_product_exactly_when_semistable(fixture_records):
+    # a semistable curve has conductor rad(delta_min); any additive prime
+    # enters the conductor squared or more
+    additive = []
+    for rec in fixture_records:
+        profile = make_profile(rec.model(), rank=rec.rank, torsion_order=rec.torsion, label=rec.label)
+        radical = math.prod(rd.v for rd in profile.bad_places)
+        conductor = natural_label_key(rec.label)[0]
+        assert (conductor == radical) == profile.is_semistable(), rec.label
+        if not profile.is_semistable():
+            additive.append(rec.label)
+    assert additive == ["27a1"]
 
 
 def test_scan_reproduces_expected_list(fixture_records):

@@ -7,14 +7,15 @@ must equal what plain set arithmetic on the multiplication table gives. The
 oracle below reads only ``G.table`` and ``G.identity``.
 """
 
+import itertools
 import random
 
 import pytest
 
 from selgrowth.groups import (
+    GroupError,
     direct_product,
     double_cosets,
-    local_classes,
     make_cyclic,
     make_dihedral,
     parse_group_spec,
@@ -166,7 +167,7 @@ def test_group_layer_matches_brute_force(name):
 
     reps = [frozenset(c.representative) for c in G.subgroup_classes]
     pairs = {(D, I) for D in reps for I in subs if oracle.is_local_pair(D, I)}
-    found = local_classes(G)
+    found = G.local_classes
     assert {(frozenset(lc.decomposition), frozenset(lc.inertia)) for lc in found} == pairs
     assert len(found) == len(pairs)
 
@@ -183,3 +184,20 @@ def test_group_layer_matches_brute_force(name):
             got = [(r.representative, r.size, r.degree) for r in double_cosets(G, H, D)]
             want = oracle.double_cosets(frozenset(H), frozenset(D), frozenset([G.identity]))
             assert got == [w[:3] for w in want]
+
+
+@pytest.mark.parametrize("spec", family_specs(60))
+def test_local_class_lookup_is_a_bijection_onto_the_enumeration(spec):
+    # every pair of class names either names no local class or names exactly
+    # the enumerated class it selects, and every enumerated class is reached
+    G = parse_group_spec(spec)
+    reached = []
+    for d_name, i_name in itertools.product(G.class_names, repeat=2):
+        try:
+            lc = G.local_class(G.class_by_name(d_name), G.class_by_name(i_name))
+        except GroupError as exc:
+            assert f"({d_name}, {i_name})" in str(exc)
+            continue
+        assert lc in G.local_classes and lc.names() == (d_name, i_name)
+        reached.append(lc)
+    assert len(set(reached)) == len(reached) == len(G.local_classes)

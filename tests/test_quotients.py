@@ -15,7 +15,7 @@ from selgrowth.curves import (
 )
 from selgrowth.cli import main
 from selgrowth.factored import FactoredRational
-from selgrowth.groups import Family, FiniteGroup, local_classes, parse_group_spec
+from selgrowth.groups import Family, FiniteGroup, Subgroup, parse_group_spec
 from selgrowth.quotients import (
     COL_NONSPLIT_SPLITS,
     COL_NONSPLIT_STAYS,
@@ -70,7 +70,7 @@ def test_m_dependence_cancels_at_fixed_parity():
     for spec in SMALL_FAMILY_SPECS:
         G = parse_group_spec(spec)
         theta = canonical_relation(G)
-        for lc in local_classes(G):
+        for lc in G.local_classes:
             for kind in (SPLIT_MULT, NONSPLIT_MULT):
                 for m in (1, 2):
                     a = local_theta_quotient(theta, lc, ReductionData(0, kind, m, 1))
@@ -85,7 +85,7 @@ def test_place_degrees_computed_once_per_group(monkeypatch):
     real = quotients.double_cosets
     monkeypatch.setattr(quotients, "double_cosets", lambda *a: calls.append(a) or real(*a))
     first = oracle_table(G)
-    pairs = len(canonical_relation(G).coeffs) * len(local_classes(G))
+    pairs = len(canonical_relation(G).coeffs) * len(G.local_classes)
     assert len(calls) == len(G.place_degree_memo) == pairs
     assert oracle_table(G) == first and len(calls) == pairs
 
@@ -117,7 +117,7 @@ def test_tampered_table_cell_fails(monkeypatch, capsys):
 def test_dash_cells_unreachable(spec):
     G = parse_group_spec(spec)
     reachable = set()
-    for lc in local_classes(G):
+    for lc in G.local_classes:
         row = classify_row(lc)
         for kind in (SPLIT_MULT, NONSPLIT_MULT):
             reachable.add((row, classify_column(kind, lc)))
@@ -195,10 +195,11 @@ def test_split_completely_gives_one():
 def test_quotient_invariant_under_conjugation(spec, data):
     G = parse_group_spec(spec)
     theta = canonical_relation(G)
-    lc = data.draw(st.sampled_from(local_classes(G)))
+    lc = data.draw(st.sampled_from(G.local_classes))
     x = data.draw(st.integers(0, G.order - 1))
+    row = G.conj[x]
     conj = LocalClass(
-        G, G.conjugate_subgroup(lc.decomposition, x), G.conjugate_subgroup(lc.inertia, x)
+        G, Subgroup(row[h] for h in lc.decomposition), Subgroup(row[h] for h in lc.inertia)
     )
     kind = data.draw(st.sampled_from([SPLIT_MULT, NONSPLIT_MULT]))
     a = local_theta_quotient(theta, lc, ReductionData(0, kind, 1, 1))
@@ -326,6 +327,25 @@ def test_multiquadratic_field_validated_once_per_certificate(monkeypatch):
     with pytest.raises(ValueError):
         splitting.multiquadratic_local_class(3, 3, 7)  # the public function still checks
     assert calls == [(3, 5), (3, 3)]
+
+
+def test_repeated_certificates_build_no_local_class(monkeypatch):
+    # every place selects from the group's one enumeration of (D, I) pairs,
+    # so once that exists a certificate checks no pair again
+    from selgrowth import groups
+
+    calls = []
+    real = groups.LocalClass.__post_init__
+    monkeypatch.setattr(groups.LocalClass, "__post_init__", lambda lc: calls.append(lc) or real(lc))
+    prof = make_profile(WeierstrassModel(1, 0, 0, -1, 0), rank=1, torsion_order=2, label="65a1")
+    abstract = FieldSpec.abstract(parse_group_spec("d:5"))
+    overrides = {5: ("G", "C5"), 13: ("C2", "1")}
+    for make in (lambda: certify(prof, abstract, 5, overrides),
+                 lambda: certify(prof, FieldSpec.multiquadratic(3, 5), 2)):
+        first = make().as_json()
+        calls.clear()
+        assert make().as_json() == first
+        assert calls == []
 
 
 def test_certify_equation3_consistency_on_example2():

@@ -33,3 +33,16 @@ def test_no_dataclasses():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
     ]
     assert found == []
+
+
+def test_local_classes_come_only_from_the_group_enumeration():
+    # FiniteGroup.local_classes builds every (D, I) pair once per group, and
+    # everything else selects from it instead of building and checking its own
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if name != "groups.py"
+        and isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "LocalClass"
+    ]
+    assert found == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selgrowth.groups import GroupError, make_dihedral, make_elem_abelian
+from selgrowth.groups import GroupError, make_dihedral, make_elem_abelian, parse_group_spec
 from selgrowth.splitting import (
     AmbiguousSplittingError,
     FieldSpec,
@@ -200,6 +200,44 @@ def test_frobenius_ambiguous_cases():
 def test_frobenius_rejects_non_galois_pattern():
     with pytest.raises(ValueError):
         frobenius_class(make_dihedral(3), (1, 2, 3))
+
+
+# every family group of order at most 60
+SMALL_FAMILY_SPECS = ["c2xc2", "d:3", "d:5", "d:7", "d:11", "d:13", "d:17", "d:19", "d:23",
+                      "d:29", "cpxcp:3", "cpxcp:5", "cpxcp:7", "sd:7:3", "sd:13:3", "sd:19:3",
+                      "sd:11:5"]
+
+
+@pytest.mark.parametrize("spec", SMALL_FAMILY_SPECS)
+def test_frobenius_class_for_every_divisor(spec):
+    # oracle: the conjugacy classes of cyclic subgroups of order d, from
+    # element orders; the pattern fixes the class exactly when there is one
+    G = parse_group_spec(spec)
+    resolved = []
+    for d in (d for d in range(1, G.order + 1) if G.order % d == 0):
+        cyclic = {
+            G.class_of_subgroup(G.subgroup_closure((g,))).class_id
+            for g in range(G.order)
+            if G.element_order(g) == d
+        }
+        pattern = (d,) * (G.order // d)
+        if not cyclic:
+            with pytest.raises(ValueError) as info:
+                frobenius_class(G, pattern)
+            assert not isinstance(info.value, AmbiguousSplittingError)
+        elif len(cyclic) > 1:
+            assert (G.family.name, d) in (("c2xc2", 2), ("cpxcp", G.family.p))
+            with pytest.raises(AmbiguousSplittingError):
+                frobenius_class(G, pattern)
+        else:
+            lc = frobenius_class(G, pattern)
+            assert lc in G.local_classes and lc.e == 1 and len(lc.decomposition) == d
+            assert G.class_of_subgroup(lc.decomposition).class_id in cyclic
+            resolved.append(d)
+    if G.family.name == "sd":
+        assert resolved == [1, G.family.q, G.family.p]
+    if G.family.name == "cpxcp":
+        assert resolved == [1]
 
 
 # -- field specs -----------------------------------------------------------------------
