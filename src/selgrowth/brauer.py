@@ -97,6 +97,8 @@ def canonical_relation(G: FiniteGroup) -> BrauerRelation:
     family = G.family
     if family is None:
         raise GroupError("canonical relations exist only for the named families")
+    if G.canonical_relation_memo is not None:
+        return G.canonical_relation_memo
     p, q = family.p, family.q
     if family.name == "d":
         rule = {1: 1, 2: -2, p: -1, 2 * p: 2}
@@ -105,7 +107,8 @@ def canonical_relation(G: FiniteGroup) -> BrauerRelation:
     else:
         rule = {1: 1, p: -1, p * p: p}
     coeffs = {cls.class_id: rule[cls.order] for cls in G.subgroup_classes if cls.order in rule}
-    return BrauerRelation.from_dict(G, coeffs)
+    G.canonical_relation_memo = BrauerRelation.from_dict(G, coeffs)
+    return G.canonical_relation_memo
 
 
 def norm_constant(theta: BrauerRelation) -> FactoredRational:

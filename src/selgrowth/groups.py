@@ -9,8 +9,11 @@ supports (group order at most 200).
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from functools import cached_property
+from itertools import chain
+from math import gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .arith import is_prime
@@ -25,6 +28,11 @@ GROUP_CACHE_SIZE = 4
 
 class GroupError(ValueError):
     pass
+
+
+def _take(row: tuple, indices) -> tuple:
+    """The tuple of row[i] for i in indices, read in one C call."""
+    return itemgetter(*indices)(row) if len(indices) > 1 else tuple(row[i] for i in indices)
 
 
 class Family(Record):
@@ -174,10 +182,12 @@ class FiniteGroup:
         self.identity = int(identity)
         self.family = family
         self._inv = self._inverse_table()
-        # (class id of H, D elements, I elements) -> multiset of the (e, f)
-        # of the places of F^H; filled by quotients.place_degrees and dropped
-        # with the group
+        # kept with the group and dropped with it: the family's relation, set by
+        # brauer.canonical_relation, and (class id of H, D elements, I elements)
+        # -> multiset of the (e, f) of the places of F^H, by quotients.place_degrees
+        self.canonical_relation_memo = None
         self.place_degree_memo = {}
+        self._coset_memo = {}  # D elements -> _left_cosets(D)
         if validate:
             self.validate(generators)
 
@@ -190,40 +200,36 @@ class FiniteGroup:
         return self._inv[a]
 
     def _inverse_table(self):
-        e = self.identity
-        inv = [None] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.table[a][b] == e and self.table[b][a] == e:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
-                raise GroupError(f"element {a} has no two-sided inverse")
+        e, table = self.identity, self.table
+        inv = []
+        for a, row in enumerate(table):
+            try:  # the first b with ab = e that is also a left inverse
+                b = row.index(e)
+                while table[b][a] != e:
+                    b = row.index(e, b + 1)
+            except ValueError:
+                raise GroupError(f"element {a} has no two-sided inverse") from None
+            inv.append(b)
         return tuple(inv)
 
     def validate(self, generators=None):
         """Group-axiom check: exhaustive O(n^3), or Light's test when a
         generating set is supplied (associativity on generator triples
         propagates to all triples)."""
-        e = self.identity
-        for a in range(self.order):
-            if self.table[e][a] != a or self.table[a][e] != a:
-                raise GroupError("identity is not two-sided")
-        if generators is not None:
-            if len(self.subgroup_closure(generators)) != self.order:
-                raise GroupError("claimed generators do not generate the group")
-            firsts = generators
-        else:
-            firsts = range(self.order)
-        for a in firsts:
-            row_a = self.table[a]
-            for b in range(self.order):
-                ab = row_a[b]
-                row_b = self.table[b]
-                row_ab = self.table[ab]
-                for c in range(self.order):
-                    if row_ab[c] != row_a[row_b[c]]:
-                        raise GroupError(f"associativity fails at ({a},{b},{c})")
+        e, table = self.identity, self.table
+        elements = tuple(range(self.order))
+        if table[e] != elements or tuple(row[e] for row in table) != elements:
+            raise GroupError("identity is not two-sided")
+        if generators is not None and len(self.subgroup_closure(generators)) != self.order:
+            raise GroupError("claimed generators do not generate the group")
+        # (ab)c = a(bc) for every c at once: row ab against row b read through row a
+        for a in elements if generators is None else generators:
+            row_a = table[a]
+            for b, row_b in enumerate(table):
+                row_ab = table[row_a[b]]
+                if row_ab != _take(row_a, row_b):
+                    c = next(c for c in elements if row_ab[c] != row_a[row_b[c]])
+                    raise GroupError(f"associativity fails at ({a},{b},{c})")
         return self
 
     @property
@@ -233,30 +239,43 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
+        return self.table == tuple(zip(*self.table))
 
-    def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != self.identity:
-            x = self.mul(x, g)
-            k += 1
-        return k
+    @cached_property
+    def _cyclic_subgroups(self) -> dict:
+        """Least generator g -> powers (e, g, g^2, ...) of each cyclic subgroup,
+        walked once: the generators g^k, gcd(k, ord g) = 1, are then skipped."""
+        e, table = self.identity, self.table
+        out = {}
+        generated = set()
+        for g in range(self.order):
+            if g in generated:
+                continue
+            powers = [e]
+            x = g
+            while x != e:
+                powers.append(x)
+                x = table[x][g]
+            m = len(powers)
+            generated.update(x for k, x in enumerate(powers) if gcd(k, m) == 1)
+            out[g] = powers
+        return out
+
+    @cached_property
+    def element_orders(self) -> tuple:
+        """The order of each element: g^k has order m / gcd(k, m) in a cyclic group of order m."""
+        orders = [0] * self.order
+        for powers in self._cyclic_subgroups.values():
+            m = len(powers)
+            for k, x in enumerate(powers):
+                orders[x] = m // gcd(k, m)
+        return tuple(orders)
 
     @cached_property
     def conj(self) -> tuple:
         """Conjugation table: conj[x][g] = x^-1 g x, one row per element x."""
-        table = self.table
-        return tuple(
-            tuple(table[r][x] for r in table[self._inv[x]]) for x in range(self.order)
-        )
-
-    def conjugate(self, g: int, x: int) -> int:
-        """x^-1 g x"""
-        return self.conj[x][g]
+        columns = tuple(zip(*self.table))  # columns[x][r] = r x
+        return tuple(_take(columns[x], self.table[self._inv[x]]) for x in range(self.order))
 
     @cached_property
     def _generators(self) -> tuple:
@@ -291,14 +310,11 @@ class FiniteGroup:
 
     def subgroup_closure(self, gens) -> tuple:
         """Elements of the subgroup generated by ``gens`` (BFS on the Cayley graph)."""
-        e = self.identity
-        seen = {e}
-        queue = [e]
         gens = tuple(gens)
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = self.table[x][g]
+        seen = {self.identity}
+        queue = [self.identity]
+        for x in queue:  # grows while it is read
+            for y in _take(self.table[x], gens):
                 if y not in seen:
                     seen.add(y)
                     queue.append(y)
@@ -320,14 +336,6 @@ class FiniteGroup:
             raise GroupError("subgroup size does not divide group order")
         return s
 
-    @cached_property
-    def trivial_subgroup(self) -> Subgroup:
-        return Subgroup((self.identity,))
-
-    @cached_property
-    def full_subgroup(self) -> Subgroup:
-        return Subgroup(tuple(range(self.order)))
-
     def _join(self, elements: tuple, gens: tuple, g: int) -> tuple:
         """Sorted elements of <H, g>, where H = ``elements`` is generated by ``gens``.
 
@@ -339,16 +347,29 @@ class FiniteGroup:
         gens = gens + (g,)
         seen = set(elements)
         reps = [self.identity]
-        i = 0
-        while i < len(reps):
-            row = table[reps[i]]
-            i += 1
+        for r in reps:  # grows while it is read
+            row = table[r]
             for s in gens:
                 y = row[s]
                 if y not in seen:
                     seen.update([r[y] for r in rows])
                     reps.append(y)
         return tuple(sorted(seen))
+
+    def _left_cosets(self, D: Subgroup) -> tuple:
+        """(ids, reps): ids[x] is the least element of the left coset xD, and
+        reps lists those least elements in order; kept per D."""
+        cosets = self._coset_memo.get(D.elements)
+        if cosets is None:
+            ids = [-1] * self.order
+            reps = []
+            for x, row in enumerate(self.table):
+                if ids[x] < 0:
+                    reps.append(x)
+                    for y in _take(row, D.elements):
+                        ids[y] = x
+            cosets = self._coset_memo[D.elements] = (ids, reps)
+        return cosets
 
     def _conjugates(self, elements: tuple) -> set:
         """The conjugacy orbit of a subgroup, as sorted element tuples."""
@@ -373,21 +394,28 @@ class FiniteGroup:
         cyclic subgroups inside it, so joining one member of each orbit found
         so far with each cyclic subgroup reaches a conjugate of every subgroup.
         """
-        e = self.identity
-        cyclic_gens = {}  # nontrivial cyclic subgroup -> a generator
-        for g in range(self.order):
-            if g != e:
-                cyclic_gens.setdefault(self.subgroup_closure((g,)), g)
+        e, n = self.identity, self.order
+        whole = tuple(range(n))
+        divisors = [d for d in range(1, n) if n % d == 0]  # orders of proper subgroups
         known = {(e,)}
         orbits = [{(e,)}]
         work = [((e,), ())]  # (a member of a new orbit, its generators)
         while work:
             elements, gens = work.pop()
             members = set(elements)
-            for g in cyclic_gens.values():
+            for g, powers in self._cyclic_subgroups.items():
                 if g in members:
                     continue
-                joined = self._join(elements, gens, g)
+                # H = elements meets <g> in <g^k>, k the least power in H, so
+                # |<H, g>| is at least |H<g>| = |H| k, a multiple of |H| and m,
+                # and divides n; when no proper divisor qualifies, <H, g> = G
+                m = len(powers)
+                k = next(k for k in range(1, m + 1) if powers[k % m] in members)
+                least, step = len(elements) * k, lcm(len(elements), m)
+                if all(d < least or d % step for d in divisors):
+                    joined = whole
+                else:
+                    joined = self._join(elements, gens, g)
                 if joined in known:
                     continue
                 orbit = self._conjugates(joined)
@@ -402,10 +430,6 @@ class FiniteGroup:
         subs = [s for orbit in self._subgroup_orbits for s in orbit]
         subs.sort(key=lambda s: (len(s), s))
         return [Subgroup(s) for s in subs]
-
-    def normalizer_size(self, H: Subgroup) -> int:
-        hset = H.element_set
-        return sum(1 for row in self.conj if all(row[h] in hset for h in H))
 
     @cached_property
     def subgroup_classes(self):
@@ -434,7 +458,7 @@ class FiniteGroup:
             raise GroupError(f"not a subgroup of this group: {H}") from None
 
     def is_cyclic_subgroup(self, H: Subgroup) -> bool:
-        return any(len(self.subgroup_closure((g,))) == len(H) for g in H)
+        return any(self.element_orders[g] == len(H) for g in H)
 
     @cached_property
     def class_names(self):
@@ -442,26 +466,13 @@ class FiniteGroup:
         bases = []
         for cls in self.subgroup_classes:
             k = cls.order
-            if k == 1:
-                bases.append("1")
-            elif k == self.order:
-                bases.append("G")
-            elif self.is_cyclic_subgroup(cls.representative):
-                bases.append(f"C{k}")
-            else:
-                bases.append(f"U{k}")
-        counts = {}
-        for b in bases:
-            counts[b] = counts.get(b, 0) + 1
-        seen = {}
+            kind = "C" if self.is_cyclic_subgroup(cls.representative) else "U"
+            bases.append("1" if k == 1 else "G" if k == self.order else f"{kind}{k}")
+        counts, seen = Counter(bases), Counter()
         names = []
         for b in bases:
-            if counts[b] == 1:
-                names.append(b)
-            else:
-                i = seen.get(b, 0)
-                seen[b] = i + 1
-                names.append(b + "abcdefghijklmnopqrstuvwxyz"[i])
+            names.append(b if counts[b] == 1 else b + "abcdefghijklmnopqrstuvwxyz"[seen[b]])
+            seen[b] += 1
         return names
 
     def class_by_name(self, name: str) -> SubgroupClass:
@@ -490,6 +501,9 @@ class FiniteGroup:
             for I in self.all_subgroups:
                 if len(I) > len(D):
                     break
+                # I normal in D puts D inside N(I), of order |G| / (class size of I)
+                if (self.order // self._class_of[I.elements].class_size) % len(D):
+                    continue
                 if not I.element_set <= D.element_set:
                     continue
                 try:
@@ -556,20 +570,17 @@ class LocalClass(Record):
         if not iset <= D.element_set:
             raise GroupError("inertia subgroup is not contained in the decomposition group")
         table = G.table
-        cosets = []  # one element d of each coset dI in D
-        covered = set()
-        for d in D:
-            if d not in covered:
-                cosets.append(d)
-                row = table[d]
-                covered.update([row[a] for a in I])
+        ids = G._left_cosets(I)[0]
+        cosets = [d for d in D if ids[d] == d]  # the least element of each coset dI in D
         # I is normalized by itself, so one element per coset decides normality
         for d in cosets:
-            row = G.conj[d]
-            if any(row[a] not in iset for a in I):
+            if not iset.issuperset(_take(G.conj[d], I.elements)):
                 raise GroupError("inertia subgroup is not normal in the decomposition group")
         q = len(D) // len(I)
+        orders = G.element_orders
         for d in cosets:
+            if orders[d] % q:
+                continue  # the order of dI in D/I divides that of d
             k, x = 1, d
             while x not in iset:
                 x = table[x][d]
@@ -614,29 +625,27 @@ def double_cosets(G: FiniteGroup, H: Subgroup, D):
         if D.group is not G and D.group.table != G.table:
             raise GroupError("local class and subgroup live in different groups")
         D, I = D.decomposition, D.inertia
-    table, conj, inv = G.table, G.conj, G._inv
+    conj, inv = G.conj, G._inv
     hset = H.element_set
-    h_rows = [table[h] for h in H.elements]
+    h_rows = [G.table[h] for h in H.elements]
     d_elems = D.elements
     i_elems = I.elements if I is not None else None
-    seen = set()
+    coset, reps = G._left_cosets(D)
+    seen = set()  # ids of the left cosets yD covered so far
     records = []
-    for x in range(G.order):
+    # the least element of HxD is the least element of one of its left cosets
+    for x in reps:
         if x in seen:
             continue
-        # HxD is the union of the left cosets (hx)D; add each one once
-        size = 0
-        for h_row in h_rows:
-            y = h_row[x]
-            if y not in seen:
-                y_row = table[y]
-                seen.update([y_row[d] for d in d_elems])
-                size += len(d_elems)
+        # HxD is the union of the left cosets (hx)D; count each new one once
+        fresh = {coset[h_row[x]] for h_row in h_rows} - seen
+        seen |= fresh
+        size = len(fresh) * len(d_elems)
         row = conj[inv[x]]  # d lies in x^-1 H x iff x d x^-1 = row[d] lies in H
-        meet_d = len(hset.intersection([row[d] for d in d_elems]))
+        meet_d = len(hset.intersection(_take(row, d_elems)))
         degree = len(d_elems) // meet_d
         if i_elems is not None:
-            meet_i = len(hset.intersection([row[a] for a in i_elems]))
+            meet_i = len(hset.intersection(_take(row, i_elems)))
             e = len(i_elems) // meet_i
             f = degree // e
             if e * f != degree:
@@ -703,44 +712,36 @@ def _family_group(family: Family) -> FiniteGroup:
 
     def build():
         p, q, n = family.p, family.q, family.order
+        cyc = list(range(p)) * 2  # cyc[a:a + p] is a + 0, a + 1, ... mod p
         if family.name == "d":
-
-            def mul(a, b):
-                ra, sa = a % p, a // p
-                rb, sb = b % p, b // p
-                # s^sa r^ra * s^sb r^rb; reflections act by inversion on rotations
-                if sb == 0:
-                    return sa * p + (ra + rb) % p
-                return (1 - sa) * p + (rb - ra) % p
-
+            # r^a at a and s r^a at p + a, so r^a b = r^(a+b), r^a s r^b = s r^(b-a),
+            # s r^a r^b = s r^(a+b) and s r^a s r^b = r^(b-a)
+            ref = [p + x for x in cyc]
+            table = [cyc[a:a + p] + ref[p - a:2 * p - a] for a in range(p)]
+            table += [ref[a:a + p] + cyc[p - a:2 * p - a] for a in range(p)]
             gens = [1, p]  # the rotation r and a reflection s
         elif family.name == "sd":
+            # (a, b) at a q + b, with (a, b)(c, d) = (a + c u^b, b + d)
             u = _least_unit_of_order(p, q)
-
-            def mul(x, y):
-                a, b = divmod(x, q)
-                c, d = divmod(y, q)
-                return ((a + c * pow(u, b, p)) % p) * q + (b + d) % q
-
+            w = [pow(u, b, p) for b in range(q)]
+            # blocks[b][k]: the q entries k q + (b + d mod q), d = 0..q-1
+            blocks = [[[k * q + (b + d) % q for d in range(q)] for k in range(p)] for b in range(q)]
+            table = [list(chain.from_iterable(blocks[b][(a + c * w[b]) % p] for c in range(p)))
+                     for a in range(p) for b in range(q)]
             gens = [q, 1]  # (1, 0) at index q and (0, 1) at index 1
         else:
-            # C_p x C_p, elements encoded base p
-            def mul(a, b):
-                return ((a // p + b // p) % p) * p + (a % p + b % p) % p
-
+            # C_p x C_p, (x, y) at x p + y: row (x, y) is row (0, y) turned by x p
+            rows0 = [[k * p + v for k in range(p) for v in cyc[y:y + p]] * 2 for y in range(p)]
+            table = [rows0[y][x * p:x * p + n] for x in range(p) for y in range(p)]
             gens = [1, p]
-        table = [[mul(a, b) for b in range(n)] for a in range(n)]
         return FiniteGroup(table, family=family, validate=True, generators=gens)
 
     return _cached_group(str(family), build)
 
 
 def _least_unit_of_order(p: int, q: int) -> int:
-    for u in range(2, p):
-        if pow(u, q, p) == 1 and u != 1:
-            # order divides q prime, and u != 1, so the order is exactly q
-            return u
-    raise GroupError(f"no unit of order {q} mod {p}")
+    # one exists, as Family checks that q divides p - 1; q is prime, so u^q = 1 gives order q
+    return next(u for u in range(2, p) if pow(u, q, p) == 1)
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:
@@ -757,13 +758,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     if n > MAX_ORDER:
         raise GroupError(f"order {n} exceeds the cap {MAX_ORDER}")
     m = H.order
-    table = [
-        [
-            G.table[x // m][y // m] * m + H.table[x % m][y % m]
-            for y in range(n)
-        ]
-        for x in range(n)
-    ]
+    table = [[g * m + h for g in G.table[x // m] for h in H.table[x % m]] for x in range(n)]
     return FiniteGroup(table, identity=G.identity * m + H.identity)
 
 
@@ -775,8 +770,5 @@ def relabeled(G: FiniteGroup, perm) -> FiniteGroup:
     inv = [0] * G.order
     for i, v in enumerate(perm):
         inv[v] = i
-    table = [
-        [perm[G.table[inv[a]][inv[b]]] for b in range(G.order)]
-        for a in range(G.order)
-    ]
+    table = [[perm[G.table[inv[a]][inv[b]]] for b in range(G.order)] for a in range(G.order)]
     return FiniteGroup(table, identity=perm[G.identity])

@@ -20,6 +20,7 @@ from selgrowth.brauer import (
     verify_relation,
 )
 from selgrowth.groups import (
+    FiniteGroup,
     GroupError,
     direct_product,
     make_cyclic,
@@ -83,6 +84,16 @@ def test_canonical_dihedral_verifies(p):
 def test_canonical_families_verify(spec):
     theta = canonical_relation(parse_group_spec(spec))
     assert verify_relation(theta)
+
+
+def test_canonical_relation_is_kept_with_its_group():
+    G = parse_group_spec("d:5")
+    theta = canonical_relation(G)
+    assert canonical_relation(G) is theta
+    # a second group with the same table computes its own, equal relation
+    twin = FiniteGroup(G.table, family=G.family)
+    again = canonical_relation(twin)
+    assert again is not theta and again.group is twin and again.coeffs == theta.coeffs
 
 
 def test_canonical_rejects_cyclic():

@@ -5,6 +5,13 @@ group, the subgroup lattice, its conjugacy classes, the class of each
 subgroup, the (D, I) pairs and the double cosets with their (degree, e, f)
 must equal what plain set arithmetic on the multiplication table gives. The
 oracle below reads only ``G.table`` and ``G.identity``.
+
+The shortcuts of the group layer are checked against the plain computations
+they replace, on every family group of order at most 200 and three direct
+products: the family tables against the product rule entry by entry, the
+(D, I) enumeration against every pair the LocalClass check accepts, Light's
+test against the triple loop on a corrupted table, and the subgroup orbits
+against joins of cyclic subgroups with no order argument.
 """
 
 import itertools
@@ -13,11 +20,14 @@ import random
 import pytest
 
 from selgrowth.groups import (
+    FiniteGroup,
     GroupError,
+    LocalClass,
     direct_product,
     double_cosets,
     make_cyclic,
     make_dihedral,
+    make_semidirect,
     parse_group_spec,
     relabeled,
 )
@@ -201,3 +211,186 @@ def test_local_class_lookup_is_a_bijection_onto_the_enumeration(spec):
         assert lc in G.local_classes and lc.names() == (d_name, i_name)
         reached.append(lc)
     assert len(set(reached)) == len(reached) == len(G.local_classes)
+
+
+# -- shortcuts against the plain computations they replace ----------------------
+
+
+def product_rule(spec):
+    """The multiplication table of a family, one product at a time."""
+    name, *params = spec.split(":")
+    if name == "c2xc2":
+        name, params = "cpxcp", [2]
+    p = int(params[0])
+    if name == "d":
+        # rotations r^a at a, reflections s r^a at p + a, and s r s = r^-1
+        def mul(x, y):
+            (sx, ax), (sy, ay) = divmod(x, p), divmod(y, p)
+            return (sx + sy) % 2 * p + ((ay - ax) if sy else (ax + ay)) % p
+
+        n = 2 * p
+    elif name == "sd":
+        q = int(params[1])
+        u = min(u for u in range(2, p) if pow(u, q, p) == 1)
+
+        def mul(x, y):
+            (a, b), (c, d) = divmod(x, q), divmod(y, q)
+            return (a + c * u ** b) % p * q + (b + d) % q
+
+        n = p * q
+    else:
+        def mul(x, y):
+            return (x // p + y // p) % p * p + (x + y) % p
+
+        n = p * p
+    return tuple(tuple(mul(x, y) for y in range(n)) for x in range(n))
+
+
+def family_generators(spec):
+    """The generating set each family constructor hands to Light's test."""
+    name, *params = spec.split(":")
+    return [int(params[1]), 1] if name == "sd" else [1, 2 if name == "c2xc2" else int(params[0])]
+
+
+SHORTCUT_NAMES = family_specs(200) + ["d:3 x c:2", "c2xc2 x c:4", "sd:7:3 x c:3"]
+
+
+def shortcut_group(name):
+    if " x " not in name:
+        return parse_group_spec(name)
+    left, right = name.split(" x ")
+    return direct_product(parse_group_spec(left), make_cyclic(int(right.split(":")[1])))
+
+
+def test_shortcut_groups_are_the_39_families_and_three_products():
+    assert len(family_specs(200)) == 39
+    assert [shortcut_group(name).order for name in SHORTCUT_NAMES[-3:]] == [12, 16, 63]
+
+
+@pytest.mark.parametrize("spec", family_specs(200))
+def test_family_table_is_the_product_rule(spec):
+    assert parse_group_spec(spec).table == product_rule(spec)
+
+
+def test_semidirect_product_rule_uses_a_nontrivial_twist():
+    # a twist u = 1 would make the rule abelian and the table check vacuous
+    assert not make_semidirect(7, 3).is_abelian
+    assert product_rule("sd:7:3")[3][1] != product_rule("sd:7:3")[1][3]
+
+
+@pytest.mark.parametrize("name", SHORTCUT_NAMES)
+def test_local_classes_equal_the_unfiltered_enumeration(name):
+    # every I inside D that the LocalClass check accepts, with no normalizer
+    # or element-order pre-filter, in the same order
+    G = shortcut_group(name)
+    unfiltered = []
+    for dcls in G.subgroup_classes:
+        D = dcls.representative
+        for I in G.all_subgroups:
+            if len(I) <= len(D) and I.element_set <= D.element_set:
+                try:
+                    unfiltered.append(LocalClass(G, D, I))
+                except GroupError:
+                    pass
+    assert G.local_classes == tuple(unfiltered)
+    oracle = Oracle(G)
+    pairs = {
+        (frozenset(dcls.representative), frozenset(I))
+        for dcls in G.subgroup_classes
+        for I in G.all_subgroups
+        if oracle.is_local_pair(frozenset(dcls.representative), frozenset(I))
+    }
+    assert {(frozenset(lc.decomposition), frozenset(lc.inertia)) for lc in unfiltered} == pairs
+
+
+def first_associativity_failure(table, firsts):
+    n = len(table)
+    for a in firsts:
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    return None
+
+
+@pytest.mark.parametrize("spec", family_specs(200))
+def test_corrupted_family_table_fails_at_the_first_bad_triple(spec):
+    table = [list(row) for row in product_rule(spec)]
+    n = len(table)
+    gens = family_generators(spec)
+    rng = random.Random(spec)
+    for _ in range(3):
+        # an entry off the identity row and column that neither holds nor
+        # becomes the identity, so every element keeps its two-sided inverse
+        while True:
+            x, y, v = rng.randrange(1, n), rng.randrange(1, n), rng.randrange(1, n)
+            if table[x][y] not in (0, v):
+                break
+        bad = [row[:] for row in table]
+        bad[x][y] = v
+        triple = first_associativity_failure(bad, gens)
+        assert triple is not None
+        with pytest.raises(GroupError) as info:
+            FiniteGroup(bad, validate=True, generators=gens)
+        assert str(info.value) == "associativity fails at ({},{},{})".format(*triple)
+
+
+def brute_force_subgroups(G):
+    """Every subgroup, by joining each one found with each cyclic subgroup
+    (breadth-first closure, no order argument), until nothing new appears."""
+    t, e = G.table, G.identity
+
+    def closure(gens):
+        out, frontier = {e}, [e]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                if t[x][g] not in out:
+                    out.add(t[x][g])
+                    frontier.append(t[x][g])
+        return frozenset(out)
+
+    cyclic = {}
+    for g in range(G.order):
+        cyclic.setdefault(closure((g,)), g)
+    found = {S: (g,) for S, g in cyclic.items()}
+    work = list(found)
+    while work:
+        S = work.pop()
+        for C, g in cyclic.items():
+            if not C <= S:
+                J = closure(found[S] + (g,))
+                if J not in found:
+                    found[J] = found[S] + (g,)
+                    work.append(J)
+    return set(found)
+
+
+@pytest.mark.parametrize("name", SHORTCUT_NAMES)
+def test_subgroup_orbits_equal_brute_force(name):
+    G = shortcut_group(name)
+    oracle = Oracle(G)
+    subs = brute_force_subgroups(G)
+    orbits = []
+    while subs:
+        orbit = oracle.orbit(next(iter(subs)))
+        subs -= orbit
+        orbits.append({tuple(sorted(S)) for S in orbit})
+    orbits.sort(key=lambda orbit: min((len(s), s) for s in orbit))
+    assert G._subgroup_orbits == orbits
+
+
+@pytest.mark.parametrize("name", SHORTCUT_NAMES)
+def test_element_orders_and_cyclic_subgroups_by_powers(name):
+    G = shortcut_group(name)
+    t, e = G.table, G.identity
+    orders = []
+    for g in range(G.order):
+        k, x = 1, g
+        while x != e:
+            k, x = k + 1, t[x][g]
+        orders.append(k)
+    assert G.element_orders == tuple(orders)
+    for cls in G.subgroup_classes:
+        H = cls.representative
+        assert G.is_cyclic_subgroup(H) == any(orders[h] == len(H) for h in H)

@@ -162,10 +162,11 @@ def test_family_and_local_class_are_immutable_values():
     assert fam == Family.parse("D:05") and hash(fam) == hash(Family.parse("D:05"))
     assert fam != Family("d", 7) and fam != Family("cpxcp", 5) and fam != "d:5"
     G = make_dihedral(5)
-    lc = LocalClass(G, G.full_subgroup, G.class_by_name("C5").representative)
-    assert lc == LocalClass(G, G.full_subgroup, Subgroup(range(5)))
-    assert hash(lc) == hash(LocalClass(G, G.full_subgroup, Subgroup(range(5))))
-    for record, field in ((fam, "p"), (fam, "name"), (lc, "inertia"), (G.full_subgroup, "elements")):
+    whole = Subgroup(range(G.order))
+    lc = LocalClass(G, whole, G.class_by_name("C5").representative)
+    assert lc == LocalClass(G, whole, Subgroup(range(5)))
+    assert hash(lc) == hash(LocalClass(G, whole, Subgroup(range(5))))
+    for record, field in ((fam, "p"), (fam, "name"), (lc, "inertia"), (whole, "elements")):
         before = getattr(record, field)
         with pytest.raises(AttributeError):
             setattr(record, field, None)
@@ -236,7 +237,9 @@ def test_class_size_times_normalizer_is_group_order():
     for spec in ("d:5", "sd:7:3", "c2xc2"):
         G = build(spec)
         for cls in G.subgroup_classes:
-            assert cls.class_size * G.normalizer_size(cls.representative) == G.order
+            H = cls.representative
+            normalizer = [x for x, row in enumerate(G.conj) if all(row[h] in H for h in H)]
+            assert cls.class_size * len(normalizer) == G.order
 
 
 def test_class_representative_is_lex_smallest():
@@ -269,7 +272,7 @@ def test_fixed_points_examples():
     assert fixed_points(K, C2a, 1) == 2  # g inside its own C2
     G = make_dihedral(3)
     C2 = next(c.representative for c in G.subgroup_classes if c.order == 2)
-    g3 = next(g for g in range(G.order) if G.element_order(g) == 3)
+    g3 = next(g for g in range(G.order) if G.element_orders[g] == 3)
     assert fixed_points(G, C2, g3) == 0
 
 
@@ -310,7 +313,7 @@ def test_burnside_transitivity(spec, data):
 def test_double_cosets_trivial_H():
     G = make_dihedral(3)
     D = next(c.representative for c in G.subgroup_classes if c.order == 2)
-    recs = double_cosets(G, G.trivial_subgroup, D)
+    recs = double_cosets(G, Subgroup((G.identity,)), D)
     assert len(recs) == G.order // len(D)
     assert all(r.degree == len(D) for r in recs)
 
@@ -318,7 +321,7 @@ def test_double_cosets_trivial_H():
 def test_double_cosets_klein_four_abelian():
     K = make_elem_abelian(2)
     C2 = Subgroup((0, 1))
-    recs = double_cosets(K, C2, LocalClass(K, C2, K.trivial_subgroup))
+    recs = double_cosets(K, C2, LocalClass(K, C2, Subgroup((K.identity,))))
     assert len(recs) == 2
     assert all(r.degree == 1 and r.e_index == 1 and r.f_index == 1 for r in recs)
 
@@ -327,7 +330,7 @@ def test_double_cosets_dihedral_full_group():
     p = 5
     G = make_dihedral(p)
     C2 = next(c.representative for c in G.subgroup_classes if c.order == 2)
-    recs = double_cosets(G, C2, LocalClass(G, G.full_subgroup, G.full_subgroup))
+    recs = double_cosets(G, C2, LocalClass(G, Subgroup(range(G.order)), Subgroup(range(G.order))))
     assert len(recs) == 1
     assert recs[0].degree == p and recs[0].e_index == p and recs[0].f_index == 1
 
@@ -353,10 +356,10 @@ def test_output_guards_raise_under_python_O():
         "from selgrowth.groups import (GroupError, LocalClass, Subgroup, double_cosets, fixed_points,\n"
         "                              make_dihedral)\n"
         "G = make_dihedral(3)\n"
-        "H = Subgroup((0, 1))\n"
-        "for call in (lambda: double_cosets(G, H, G.trivial_subgroup), lambda: fixed_points(G, H, 1),\n"
-        "             lambda: LocalClass(G, G.full_subgroup, Subgroup((0, 3))),\n"
-        "             lambda: LocalClass(G, G.full_subgroup, G.trivial_subgroup)):\n"
+        "H, one, whole = Subgroup((0, 1)), Subgroup((0,)), Subgroup(range(6))\n"
+        "for call in (lambda: double_cosets(G, H, one), lambda: fixed_points(G, H, 1),\n"
+        "             lambda: LocalClass(G, whole, Subgroup((0, 3))),\n"
+        "             lambda: LocalClass(G, whole, one)):\n"
         "    try:\n"
         "        call()\n"
         "    except GroupError:\n"
@@ -374,11 +377,12 @@ def test_output_guards_raise_under_python_O():
 def test_double_cosets_rejects_bad_inertia():
     G = make_dihedral(3)
     C2 = next(c.representative for c in G.subgroup_classes if c.order == 2)
+    one, whole = Subgroup((G.identity,)), Subgroup(range(G.order))
     with pytest.raises(GroupError):
-        double_cosets(G, G.trivial_subgroup, LocalClass(G, G.full_subgroup, C2))  # C2 not normal in G
+        double_cosets(G, one, LocalClass(G, whole, C2))  # C2 not normal in G
     with pytest.raises(GroupError):
         # D/I = full dihedral over trivial inertia is not cyclic
-        double_cosets(G, G.trivial_subgroup, LocalClass(G, G.full_subgroup, G.trivial_subgroup))
+        double_cosets(G, one, LocalClass(G, whole, one))
 
 
 # -- products and relabelings ------------------------------------------------------

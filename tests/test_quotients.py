@@ -147,36 +147,36 @@ def test_spec_quotient_examples():
     # the worked examples: ord_p values for specific (family, D, I, reduction)
     G = parse_group_spec("d:5")
     theta = canonical_relation(G)
-    lc = LocalClass(G, G.full_subgroup, G.full_subgroup)
+    lc = LocalClass(G, Subgroup(range(G.order)), Subgroup(range(G.order)))
     rep = local_theta_quotient(theta, lc, ReductionData(0, SPLIT_MULT, 3, 1))
     assert rep.quotient.ord(5) == -1
 
     K = parse_group_spec("c2xc2")
     tK = canonical_relation(K)
-    lcK = LocalClass(K, K.full_subgroup, K.full_subgroup)
+    lcK = LocalClass(K, Subgroup(range(K.order)), Subgroup(range(K.order)))
     rep = local_theta_quotient(tK, lcK, ReductionData(0, NONSPLIT_MULT, 1, 1))
     assert rep.quotient.ord(2) == -2
-    lcK2 = LocalClass(K, K.full_subgroup, K.class_by_name("C2a").representative)
+    lcK2 = LocalClass(K, Subgroup(range(K.order)), K.class_by_name("C2a").representative)
     rep = local_theta_quotient(tK, lcK2, ReductionData(0, NONSPLIT_MULT, 2, 1))
     assert rep.quotient.ord(2) == 1
 
     for spec, expected in (("cpxcp:5", -4), ("sd:7:3", -2)):
         G = parse_group_spec(spec)
-        lc = LocalClass(G, G.full_subgroup, G.full_subgroup)
+        lc = LocalClass(G, Subgroup(range(G.order)), Subgroup(range(G.order)))
         rep = local_theta_quotient(canonical_relation(G), lc, ReductionData(0, SPLIT_MULT, 1, 1))
         assert rep.quotient.ord(G.family.p) == expected
 
 
 def test_good_reduction_contributes_one():
     G = parse_group_spec("d:5")
-    lc = LocalClass(G, G.full_subgroup, G.full_subgroup)
+    lc = LocalClass(G, Subgroup(range(G.order)), Subgroup(range(G.order)))
     rep = local_theta_quotient(canonical_relation(G), lc, ReductionData(3, "good", 0, 1))
     assert rep.quotient.is_one()
 
 
 def test_additive_reduction_refused():
     G = parse_group_spec("c2xc2")
-    lc = LocalClass(G, G.full_subgroup, G.full_subgroup)
+    lc = LocalClass(G, Subgroup(range(G.order)), Subgroup(range(G.order)))
     with pytest.raises(NonSemistableError):
         local_theta_quotient(canonical_relation(G), lc, ReductionData(3, "additive", 2, None))
 
@@ -184,7 +184,7 @@ def test_additive_reduction_refused():
 def test_split_completely_gives_one():
     for spec in FAMILY_SPECS:
         G = parse_group_spec(spec)
-        lc = LocalClass(G, G.trivial_subgroup, G.trivial_subgroup)
+        lc = LocalClass(G, Subgroup((G.identity,)), Subgroup((G.identity,)))
         for kind in (SPLIT_MULT, NONSPLIT_MULT):
             rep = local_theta_quotient(canonical_relation(G), lc, ReductionData(0, kind, 1, 1))
             assert rep.quotient.is_one()
@@ -251,7 +251,7 @@ def test_biquadratic_contributions_match_quadratic_symbols(ds, v, kind, m):
 def test_report_internal_consistency():
     G = parse_group_spec("c2xc2")
     theta = canonical_relation(G)
-    lc = LocalClass(G, G.full_subgroup, G.class_by_name("C2b").representative)
+    lc = LocalClass(G, Subgroup(range(G.order)), G.class_by_name("C2b").representative)
     rep = local_theta_quotient(theta, lc, ReductionData(5, NONSPLIT_MULT, 1, 1))
     # quotient equals the product of contributions raised to the coefficients
     acc = FactoredRational.one()

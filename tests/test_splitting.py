@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selgrowth.groups import GroupError, make_dihedral, make_elem_abelian, parse_group_spec
+from selgrowth.groups import (
+    GroupError, Subgroup, make_dihedral, make_elem_abelian, parse_group_spec,
+)
 from selgrowth.splitting import (
     AmbiguousSplittingError,
     FieldSpec,
@@ -216,9 +218,9 @@ def test_frobenius_class_for_every_divisor(spec):
     resolved = []
     for d in (d for d in range(1, G.order + 1) if G.order % d == 0):
         cyclic = {
-            G.class_of_subgroup(G.subgroup_closure((g,))).class_id
-            for g in range(G.order)
-            if G.element_order(g) == d
+            G.class_of_subgroup(C).class_id
+            for C in (G.subgroup_closure((g,)) for g in range(G.order))
+            if len(C) == d
         }
         pattern = (d,) * (G.order // d)
         if not cyclic:
@@ -258,7 +260,7 @@ def test_local_class_validation():
     G = make_dihedral(3)
     C2 = next(c.representative for c in G.subgroup_classes if c.order == 2)
     with pytest.raises(GroupError):
-        LocalClass(G, G.full_subgroup, C2)  # C2 not normal in G
+        LocalClass(G, Subgroup(range(G.order)), C2)  # C2 not normal in G
 
 
 def test_output_guards_raise_under_python_O():
