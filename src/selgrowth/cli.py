@@ -73,12 +73,10 @@ def _parse_local_classes(items) -> dict:
             v = int(head)
         except ValueError:
             raise UsageError(f"--local-class must start with the prime: {item!r}")
-        names = {}
-        for piece in body.split(","):
-            key, _, val = piece.partition("=")
-            names[key.strip().upper()] = val.strip()
-        if "D" not in names or "I" not in names:
-            raise UsageError(f"--local-class needs D=... and I=...: {item!r}")
+        pieces = [piece.partition("=") for piece in body.split(",")]
+        names = {key.strip().upper(): val.strip() for key, _, val in pieces}
+        if len(pieces) != 2 or sorted(names) != ["D", "I"]:
+            raise UsageError(f"--local-class needs D=... and I=..., each once and nothing else: {item!r}")
         if v in overrides:
             raise UsageError(f"--local-class names the prime {v} twice")
         overrides[v] = (names["D"], names["I"])
@@ -88,6 +86,8 @@ def _parse_local_classes(items) -> dict:
 def _field_from_args(args) -> FieldSpec:
     text = (args.field or "").strip()
     if text.startswith("mq:"):
+        if args.group:
+            raise UsageError("--group does not apply to --field mq:..., whose group is c2xc2")
         parts = text[3:].split(",")
         if len(parts) != 2:
             raise UsageError(f"--field mq needs two discriminants, got {text!r}")
@@ -164,7 +164,10 @@ def _tables_pretty(out) -> str:
 
 def _curve_from_args(args) -> tuple:
     """(model as given, profile) from --label or from --curve, --rank and --torsion."""
-    if getattr(args, "label", None):
+    if args.label:
+        given = [f"--{name}" for name in ("curve", "rank", "torsion") if getattr(args, name) is not None]
+        if given:
+            raise UsageError(f"--label reads the curve, rank and torsion from the data file: drop {', '.join(given)}")
         # sha_an = 1 in the data file concerns Sha over Q only; the stronger
         # all-proper-subfields assumption stays an explicit --sha-trivial flag
         rec = _record_by_label(args)
@@ -173,9 +176,10 @@ def _curve_from_args(args) -> tuple:
         if not args.curve:
             raise UsageError("pass --curve a1,a2,a3,a4,a6 or --label")
         model = _parse_curve(args.curve)
-        if args.rank is None:
+        if args.rank is None and args.command == "certify":
             raise UsageError("--rank is required with --curve (ranks are ingested, not computed)")
-        rank, torsion, label = args.rank, args.torsion, None
+        rank = 0 if args.rank is None else args.rank  # analyze only: certify needs --rank
+        torsion, label = 1 if args.torsion is None else args.torsion, None
     profile = make_profile(
         model, rank=rank, torsion_order=torsion,
         sha_p_trivial=getattr(args, "sha_trivial", None) or [], label=label,
@@ -266,8 +270,8 @@ def build_parser() -> _Parser:
     p_an.add_argument("--curve", help="a1,a2,a3,a4,a6")
     p_an.add_argument("--label", help="look the curve up in the data file")
     p_an.add_argument("--data", help="curve CSV (default: SGL_DATA)")
-    p_an.add_argument("--rank", type=int, default=0)
-    p_an.add_argument("--torsion", type=int, default=1)
+    p_an.add_argument("--rank", type=int)
+    p_an.add_argument("--torsion", type=int)
     add_common(p_an)
 
     p_cert = sub.add_parser("certify", help="emit a growth certificate")
@@ -275,7 +279,7 @@ def build_parser() -> _Parser:
     p_cert.add_argument("--label", help="look the curve up in the data file")
     p_cert.add_argument("--data", help="curve CSV (default: SGL_DATA)")
     p_cert.add_argument("--rank", type=int)
-    p_cert.add_argument("--torsion", type=int, default=1)
+    p_cert.add_argument("--torsion", type=int)
     p_cert.add_argument("--sha-trivial", dest="sha_trivial", type=lambda s: [int(x) for x in s.split(",")],
                         help="primes p with Sha[p^inf] assumed trivial in all proper subfields")
     p_cert.add_argument("--field", help="mq:d1,d2 | poly:c_k,...,c_0 (degree-descending)")

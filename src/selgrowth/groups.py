@@ -196,9 +196,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self._inv[a]
-
     def _inverse_table(self):
         e, table = self.identity, self.table
         inv = []
@@ -320,22 +317,6 @@ class FiniteGroup:
                     queue.append(y)
         return tuple(sorted(seen))
 
-    def subgroup(self, elements) -> Subgroup:
-        """Wrap an element collection as a Subgroup after checking closure."""
-        s = Subgroup(tuple(elements))
-        es = s.element_set
-        if self.identity not in es:
-            raise GroupError("subgroup must contain the identity")
-        for a in s:
-            if self.inv(a) not in es:
-                raise GroupError("subgroup not closed under inversion")
-            for b in s:
-                if self.table[a][b] not in es:
-                    raise GroupError("subgroup not closed under multiplication")
-        if self.order % len(s) != 0:
-            raise GroupError("subgroup size does not divide group order")
-        return s
-
     def _join(self, elements: tuple, gens: tuple, g: int) -> tuple:
         """Sorted elements of <H, g>, where H = ``elements`` is generated by ``gens``.
 
@@ -449,9 +430,12 @@ class FiniteGroup:
         }
 
     def class_of_subgroup(self, H) -> SubgroupClass:
-        """The conjugacy class containing H (H given as Subgroup or iterable)."""
+        """The conjugacy class containing H (H given as Subgroup or iterable).
+
+        ``_class_of`` holds every subgroup, so the lookup is the subgroup check.
+        """
         if not isinstance(H, Subgroup):
-            H = self.subgroup(H)
+            H = Subgroup(H)
         try:
             return self._class_of[H.elements]
         except KeyError:

@@ -7,6 +7,7 @@ the stated wall-clock budgets are asserted too.
 
 import random
 import time
+from fractions import Fraction
 
 from selgrowth.brauer import (
     canonical_relation,
@@ -34,9 +35,25 @@ from selgrowth.groups import (
     parse_group_spec,
     relabeled,
 )
-from selgrowth.intlinalg import matmul, smith_normal_form
+from selgrowth.intlinalg import hermite_normal_form_rows, integer_kernel_basis
 from selgrowth.quotients import certify, oracle_table
 from selgrowth.splitting import FieldSpec
+
+
+def _rational_rank(A) -> int:
+    """Rank over Q by Gaussian elimination on Fractions."""
+    rows = [[Fraction(x) for x in row] for row in A]
+    rank = 0
+    for col in range(len(A[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 class Budget:
@@ -181,12 +198,15 @@ def test_criterion_7_invariant_suite():
             assert norm_constant(induced).ord(p) == norm_constant(theta).ord(p)
             assert norm_constant(inflated).ord(p) == norm_constant(theta).ord(p)
 
-        # Smith normal form re-multiplication identity on random matrices
+        # integer kernels of random matrices: A x = 0 on every basis row, as
+        # many rows as n - rank over Q, and the basis is its own Hermite form
         for _ in range(60):
             m, n = rng.randint(1, 6), rng.randint(1, 6)
             A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-            U, D, V = smith_normal_form(A)
-            assert matmul(matmul(U, A), V) == D
+            basis = integer_kernel_basis(A)
+            assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in A for vec in basis)
+            assert len(basis) == n - _rational_rank(A)
+            assert hermite_normal_form_rows(basis) == basis
 
         # double-coset local degree sums
         for spec in ("c2xc2", "d:5", "cpxcp:3", "sd:7:3"):

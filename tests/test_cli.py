@@ -194,6 +194,40 @@ def test_local_class_overrides_that_would_be_dropped_are_refused(capsys):
         assert prime in err
 
 
+def assert_one_usage_error(result, *named):
+    code, out, err = result
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert all(words in err for words in named)
+
+
+def test_local_class_with_unknown_or_repeated_keys_is_refused(capsys):
+    base = ("certify", "--curve", "1,0,0,-1,0", "--rank", "1", "--group", "d:5", "-p", "5",
+            "--local-class", "13:D=G,I=G", "--local-class")
+    for item in ("5:D=G,I=C2a,X=1", "5:D=G,I=C2a,I=C2b", "5:D=G,D=G,I=C2a", "5:D=G,I=C2a,", "5:D=G"):
+        assert_one_usage_error(run(capsys, *base, item), repr(item))
+
+
+def test_arguments_that_would_be_ignored_are_refused(capsys, data_path):
+    curve = ("--curve", "1,0,0,-1,0", "--rank", "1")
+    assert_one_usage_error(
+        run(capsys, "certify", *curve, "--field", "mq:3,5", "--group", "d:5", "-p", "2"), "--group",
+    )
+    label = ("--label", "65a1", "--data", str(data_path))
+    certify = ("--field", "mq:3,5", "-p", "2")
+    for extra, named in (
+        (("--curve", "1,0,0,-1,0"), "--curve"),
+        (("--rank", "1"), "--rank"),
+        (("--torsion", "2"), "--torsion"),
+        (curve, "--curve, --rank"),
+    ):
+        assert_one_usage_error(run(capsys, "certify", *label, *extra, *certify), "--label", named)
+        assert_one_usage_error(run(capsys, "analyze", *label, *extra), "--label", named)
+    # without the extra arguments both calls succeed
+    assert run(capsys, "certify", *label, *certify)[0] == 0
+    assert run(capsys, "analyze", *label)[0] == 0
+
+
 def test_invalid_local_class_pairs_are_usage_errors(capsys):
     # 65a1 is bad at 5 and 13; the override at 13 is valid throughout
     base = ("certify", "--curve", "1,0,0,-1,0", "--rank", "1", "--group", "d:5", "-p", "5",

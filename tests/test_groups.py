@@ -233,6 +233,22 @@ def test_class_sizes_count_all_subgroups():
         assert sum(c.class_size for c in G.subgroup_classes) == len(G.all_subgroups)
 
 
+def test_class_of_subgroup_refuses_non_subgroups():
+    for spec in ("c2xc2", "d:3", "sd:7:3"):
+        G = build(spec)
+        e = G.identity
+        prime = min(len(s) for s in G.all_subgroups if len(s) > 1)
+        H, K = [s for s in G.all_subgroups if len(s) == prime][:2]
+        assert G.class_of_subgroup(list(reversed(H.elements))) == G.class_of_subgroup(H)
+        for bad in (
+            [h for h in H if h != e],  # no identity
+            sorted(set(H) | set(K)),  # not closed: two distinct subgroups of prime order
+            list(H) + [H.elements[-1]],  # a repeated element
+        ):
+            with pytest.raises(GroupError, match="not a subgroup"):
+                G.class_of_subgroup(bad)
+
+
 def test_class_size_times_normalizer_is_group_order():
     for spec in ("d:5", "sd:7:3", "c2xc2"):
         G = build(spec)

@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib.util
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "selgrowth"
@@ -46,3 +47,22 @@ def test_local_classes_come_only_from_the_group_enumeration():
         and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "LocalClass"
     ]
     assert found == []
+
+
+def test_bench_trace_targets_exist():
+    # the traced benchmark run wraps these by name; a deleted or renamed one
+    # would only show there. bench/tracing.py is loaded by path, unchanged
+    path = SRC.parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for mod_name, attr, *_ in tracing.TARGETS:
+        holder = importlib.import_module(f"selgrowth.{mod_name}")
+        for part in attr.split("."):
+            holder = getattr(holder, part, None)
+        if holder is None:
+            missing.append(f"{mod_name}.{attr}")
+    assert missing == []
+    # bench/test_checkers.py checks split reduction against it
+    assert callable(getattr(importlib.import_module("selgrowth"), "ap_oracle", None))
