@@ -175,6 +175,8 @@ def _curve_from_args(args) -> tuple:
     else:
         if not args.curve:
             raise UsageError("pass --curve a1,a2,a3,a4,a6 or --label")
+        if args.data is not None:
+            raise UsageError("--curve takes the curve from the command line: drop --data or pass --label")
         model = _parse_curve(args.curve)
         if args.rank is None and args.command == "certify":
             raise UsageError("--rank is required with --curve (ranks are ingested, not computed)")

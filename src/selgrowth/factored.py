@@ -32,12 +32,19 @@ class FactoredRational:
         self._factors = clean
 
     @classmethod
-    def one(cls) -> "FactoredRational":
-        return cls()
-
-    @classmethod
     def from_int(cls, n: int) -> "FactoredRational":
         return cls(factor(n))
+
+    @classmethod
+    def product(cls, terms) -> "FactoredRational":
+        """prod r^k over the pairs (r, k) of ``terms``, by summing exponents."""
+        exponents = {}
+        for r, k in terms:
+            for p, e in r._factors.items():
+                exponents[p] = exponents.get(p, 0) + e * k
+        out = cls.__new__(cls)
+        out._factors = {p: e for p, e in exponents.items() if e}
+        return out
 
     def ord(self, p: int) -> int:
         """Exponent of the prime p (0 if absent)."""

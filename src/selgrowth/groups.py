@@ -170,15 +170,17 @@ class FiniteGroup:
     """
 
     def __init__(self, table, identity=0, family=None, validate=False, generators=None):
-        self.table = tuple(tuple(map(int, row)) for row in table)
-        n = self.order = len(self.table)
+        table = self.table = tuple(map(tuple, table))
+        n = self.order = len(table)
         if n == 0:
             raise GroupError("empty multiplication table")
         if n > MAX_ORDER:
             raise GroupError(f"group order {n} exceeds the cap {MAX_ORDER}")
-        for row in self.table:
-            if len(row) != n or min(row) < 0 or max(row) >= n:
-                raise GroupError("multiplication table is not square over 0..n-1")
+        # whole-table checks, with no Python call per entry; bool is refused too
+        if not {int}.issuperset(map(type, chain.from_iterable(table))):
+            raise GroupError("multiplication table entries must be int")
+        if set(map(len, table)) != {n} or not frozenset(range(n)).issuperset(chain.from_iterable(table)):
+            raise GroupError("multiplication table is not square over 0..n-1")
         self.identity = int(identity)
         self.family = family
         self._inv = self._inverse_table()
@@ -641,6 +643,35 @@ def double_cosets(G: FiniteGroup, H: Subgroup, D):
     if total_degree != G.order // len(H):
         raise GroupError(f"local degrees sum to {total_degree}, not [G:H] = {G.order // len(H)}")
     return records
+
+
+def place_counts(G: FiniteGroup, cid: int, lc: LocalClass) -> tuple:
+    """``(((e, f), count), ...)`` over the double cosets H\\G/D, sorted by (e, f),
+    for H the subgroup class ``cid`` and (D, I) = ``lc``.
+
+    Counted over the conjugates K of H, not listed: HxD has |H||D| / |D meet K|
+    elements, K = x^-1 H x, and x -> K is |N(H)|-to-1, so each K adds
+    |D meet K| |N(H)| / (|H||D|) places with e = |I| / |I meet K| and
+    f = |D| / (|D meet K| e). The same (e, f) as ``double_cosets(G, H, lc)``.
+    """
+    orbit = G._subgroup_orbits[cid]
+    D, I = lc.decomposition.element_set, lc.inertia.element_set
+    weights = Counter()  # (e, f) -> sum of |D meet K|
+    for K in orbit:
+        meet = D.intersection(K)
+        e, degree = len(I) // len(I.intersection(meet)), len(D) // len(meet)
+        if degree % e:
+            raise GroupError(f"ramification index {e} does not divide the local degree {degree}")
+        weights[e, degree // e] += len(meet)
+    # each weight times |N(H)| / (|H||D|), where |N(H)| = |G| / (number of conjugates)
+    norm_h, scale = G.order // len(orbit), G.subgroup_classes[cid].order * len(D)
+    counts = []
+    for ef, weight in sorted(weights.items()):
+        count, rest = divmod(weight * norm_h, scale)
+        if rest:
+            raise GroupError(f"{weight * norm_h}/{scale} places with (e, f) = {ef}, not an integer")
+        counts.append((ef, count))
+    return tuple(counts)
 
 
 # -- constructors ------------------------------------------------------------

@@ -10,7 +10,8 @@ exactly when f is even and otherwise keeps the parity-of-e*m Tamagawa
 number 1 or 2.
 
 The (e, f) of the places depend on v only through (D, I), so
-`place_degrees` computes them once per (H, D, I) and keeps them on the group;
+`place_degrees` counts them once per (H, D, I), from the conjugates of H
+(`groups.place_counts`), and keeps them on the group;
 `local_theta_quotient` evaluates them for one reduction type and m.
 
 The hardcoded quotient tables for the four group families are never read by
@@ -20,7 +21,6 @@ against them cell by cell, for `selgrowth tables` and the tests alike.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 from .brauer import BrauerRelation, canonical_relation, norm_constant
@@ -34,7 +34,7 @@ from .curves import (
     hypothesis_counts,
 )
 from .factored import FactoredRational
-from .groups import Family, FiniteGroup, GroupError, double_cosets
+from .groups import Family, FiniteGroup, GroupError, place_counts
 from .splitting import (
     FieldSpec,
     LocalClass,
@@ -178,8 +178,9 @@ def place_degrees(theta: BrauerRelation, lc: LocalClass) -> tuple:
     """The (e, f) of the places of F^H above v, for each H in theta.
 
     One multiset ``(((e, f), count), ...)`` per entry of ``theta.coeffs``.
-    The places of F^H are the double cosets H\\G/D, so each (H, D, I) is
-    computed once and kept on the group.
+    The places of F^H are the double cosets H\\G/D; ``place_counts`` counts
+    them by (e, f) over the conjugates of H without listing them, once per
+    (H, D, I), and the counts are kept on the group.
     """
     G = theta.group
     if lc.group is not G and lc.group.table != G.table:
@@ -190,17 +191,18 @@ def place_degrees(theta: BrauerRelation, lc: LocalClass) -> tuple:
     for cid, _ in theta.coeffs:
         key = (cid, D, I)
         if key not in memo:
-            H = G.subgroup_classes[cid].representative
-            counts = Counter((dc.e_index, dc.f_index) for dc in double_cosets(G, H, lc))
-            memo[key] = tuple(sorted(counts.items()))
+            memo[key] = place_counts(G, cid, lc)
         out.append(memo[key])
     return tuple(out)
 
 
 def _evaluate(theta: BrauerRelation, degrees: tuple, kind: str, m: int) -> tuple:
-    """(contributions, quotient) of a place with these place degrees and reduction."""
-    contributions = []
-    quotient = FactoredRational.one()
+    """(contributions, quotient) of a place with these place degrees and reduction.
+
+    The quotient sums n_H times the exponents of each contribution, so each
+    place builds one FactoredRational for it.
+    """
+    contributions, powers = [], []
     factored = {}  # product of Tamagawa numbers -> its factorization
     for (cid, n), places in zip(theta.coeffs, degrees):
         product = 1
@@ -210,8 +212,8 @@ def _evaluate(theta: BrauerRelation, degrees: tuple, kind: str, m: int) -> tuple
             factored[product] = FactoredRational.from_int(product)
         contrib = factored[product]
         contributions.append((cid, contrib))
-        quotient = quotient * contrib ** n
-    return tuple(contributions), quotient
+        powers.append((contrib, n))
+    return tuple(contributions), FactoredRational.product(powers)
 
 
 def local_theta_quotient(

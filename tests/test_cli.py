@@ -228,6 +228,17 @@ def test_arguments_that_would_be_ignored_are_refused(capsys, data_path):
     assert run(capsys, "analyze", *label)[0] == 0
 
 
+def test_data_with_curve_is_refused(capsys, tmp_path, data_path):
+    # the curve comes from --curve, so a --data file would be dropped unread
+    curve = ("--curve", "1,0,0,-1,0", "--rank", "1")
+    certify = ("--field", "mq:3,5", "-p", "2")
+    for data in (str(tmp_path / "nonexistent.csv"), str(data_path)):
+        assert_one_usage_error(run(capsys, "certify", *curve, "--data", data, *certify), "--curve", "--data")
+        assert_one_usage_error(run(capsys, "analyze", *curve, "--data", data), "--curve", "--data")
+    assert run(capsys, "certify", *curve, *certify)[0] == 0
+    assert run(capsys, "analyze", *curve)[0] == 0
+
+
 def test_invalid_local_class_pairs_are_usage_errors(capsys):
     # 65a1 is bad at 5 and 13; the override at 13 is valid throughout
     base = ("certify", "--curve", "1,0,0,-1,0", "--rank", "1", "--group", "d:5", "-p", "5",

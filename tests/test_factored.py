@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -33,7 +34,7 @@ def test_mul_pow_ord():
 def test_no_zero_exponents_stored():
     q = FactoredRational.from_int(6) / FactoredRational.from_int(6)
     assert q.factors() == {}
-    assert q == FactoredRational.one()
+    assert q == FactoredRational()
 
 
 def test_json_round_trip():
@@ -48,3 +49,13 @@ def test_mul_matches_fraction_arithmetic(a, b):
     fa, fb = FactoredRational.from_int(a), FactoredRational.from_int(b)
     assert (fa * fb).value() == Fraction(a) * Fraction(b)
     assert (fa / fb).value() == Fraction(a, b)
+
+
+@given(st.lists(st.tuples(st.integers(1, 10 ** 4), st.integers(-3, 3)), max_size=6))
+def test_product_matches_repeated_mul_and_pow(terms):
+    factored = [(FactoredRational.from_int(a), k) for a, k in terms]
+    expected = FactoredRational()
+    for r, k in factored:
+        expected = expected * r ** k
+    got = FactoredRational.product(factored)
+    assert got == expected and got.value() == prod((Fraction(a) ** k for a, k in terms), start=Fraction(1))

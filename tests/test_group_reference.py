@@ -10,12 +10,14 @@ The shortcuts of the group layer are checked against the plain computations
 they replace, on every family group of order at most 200 and three direct
 products: the family tables against the product rule entry by entry, the
 (D, I) enumeration against every pair the LocalClass check accepts, Light's
-test against the triple loop on a corrupted table, and the subgroup orbits
-against joins of cyclic subgroups with no order argument.
+test against the triple loop on a corrupted table, the subgroup orbits
+against joins of cyclic subgroups with no order argument, and the place
+counts of ``place_counts`` against the listed double cosets.
 """
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -29,6 +31,7 @@ from selgrowth.groups import (
     make_dihedral,
     make_semidirect,
     parse_group_spec,
+    place_counts,
     relabeled,
 )
 
@@ -333,6 +336,19 @@ def test_corrupted_family_table_fails_at_the_first_bad_triple(spec):
         with pytest.raises(GroupError) as info:
             FiniteGroup(bad, validate=True, generators=gens)
         assert str(info.value) == "associativity fails at ({},{},{})".format(*triple)
+
+
+@pytest.mark.parametrize(
+    "name", family_specs(200) + [f"c:{n}" for n in range(1, 25)] + list(other_groups())
+)
+def test_place_counts_match_the_listed_double_cosets(name):
+    # the Mackey count over the conjugates of H against the double cosets
+    # H\G/D themselves, for every subgroup class H and every local class
+    G = make_cyclic(int(name[2:])) if name.startswith("c:") else group_of(name)
+    for cls in G.subgroup_classes:
+        for lc in G.local_classes:
+            listed = Counter((r.e_index, r.f_index) for r in double_cosets(G, cls.representative, lc))
+            assert place_counts(G, cls.class_id, lc) == tuple(sorted(listed.items())), (cls, lc)
 
 
 def brute_force_subgroups(G):

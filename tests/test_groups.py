@@ -14,6 +14,7 @@ from selgrowth.groups import (
     GROUP_CACHE_SIZE,
     MAX_ORDER,
     Family,
+    FiniteGroup,
     GroupError,
     LocalClass,
     Subgroup,
@@ -24,6 +25,7 @@ from selgrowth.groups import (
     make_elem_abelian,
     make_semidirect,
     parse_group_spec,
+    place_counts,
     direct_product,
     relabeled,
 )
@@ -111,6 +113,30 @@ def test_parse_group_spec_errors():
 def test_order_cap():
     with pytest.raises(GroupError):
         make_cyclic(201)
+
+
+C3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "row1, reason",
+    [
+        ([1, 2], "not square"),  # ragged
+        ([1, 2, 0, 1], "not square"),
+        ([1, 2, -3], "not square"),  # negative
+        ([1, 2, 3], "not square"),  # entry >= n
+        ([1, 2.0, 0], "must be int"),
+        ([1, 2, 0.0], "must be int"),
+        ([1.5, 2, 0], "must be int"),
+        ([1, "2", 0], "must be int"),
+        ([True, 2, 0], "must be int"),
+        ([1, 2, False], "must be int"),
+    ],
+)
+def test_malformed_tables_are_refused(row1, reason):
+    assert FiniteGroup(C3).table == tuple(map(tuple, C3))
+    with pytest.raises(GroupError, match=reason):
+        FiniteGroup([C3[0], row1, C3[2]])
 
 
 def test_equivalent_specs_share_one_group():
@@ -399,6 +425,20 @@ def test_double_cosets_rejects_bad_inertia():
     with pytest.raises(GroupError):
         # D/I = full dihedral over trivial inertia is not cyclic
         double_cosets(G, one, LocalClass(G, whole, one))
+
+
+def test_place_counts_refuse_a_count_that_is_not_an_integer():
+    # a private copy of d:5 whose orbit of C2 subgroups lost one member:
+    # against D = C2 the places of (e, f) = (1, 2) come to 6/4
+    G = FiniteGroup(make_dihedral(5).table)
+    c2 = G.class_by_name("C2")
+    lc = G.local_class(c2, G.class_by_name("1"))
+    assert place_counts(G, c2.class_id, lc) == (((1, 1), 1), ((1, 2), 2))
+    orbit = sorted(G._subgroup_orbits[c2.class_id])
+    G._subgroup_orbits[c2.class_id] = set(orbit) - {orbit[-1]}
+    assert orbit[-1] != lc.decomposition.elements
+    with pytest.raises(GroupError, match="not an integer"):
+        place_counts(G, c2.class_id, lc)
 
 
 # -- products and relabelings ------------------------------------------------------

@@ -82,8 +82,8 @@ def test_place_degrees_computed_once_per_group(monkeypatch):
     # a fresh copy of d:5 starts with an empty memo
     G = FiniteGroup(parse_group_spec("d:5").table, family=Family.parse("d:5"))
     calls = []
-    real = quotients.double_cosets
-    monkeypatch.setattr(quotients, "double_cosets", lambda *a: calls.append(a) or real(*a))
+    real = quotients.place_counts
+    monkeypatch.setattr(quotients, "place_counts", lambda *a: calls.append(a) or real(*a))
     first = oracle_table(G)
     pairs = len(canonical_relation(G).coeffs) * len(G.local_classes)
     assert len(calls) == len(G.place_degree_memo) == pairs
@@ -254,7 +254,7 @@ def test_report_internal_consistency():
     lc = LocalClass(G, Subgroup(range(G.order)), G.class_by_name("C2b").representative)
     rep = local_theta_quotient(theta, lc, ReductionData(5, NONSPLIT_MULT, 1, 1))
     # quotient equals the product of contributions raised to the coefficients
-    acc = FactoredRational.one()
+    acc = FactoredRational()
     coeffs = theta.coeff_map()
     for cid, contrib in rep.contributions:
         acc = acc * contrib ** coeffs[cid]
