@@ -11,8 +11,6 @@ Tate-Shafarevich/Selmer growth, checking the theorem hypotheses on the way.
 from .brauer import (
     BrauerRelation,
     canonical_relation,
-    induce,
-    inflate,
     norm_constant,
     relation_lattice,
     verify_relation,

@@ -1,4 +1,4 @@
-"""Brauer relations: verification, canonical families, lattices, transport.
+"""Brauer relations: verification, canonical families and relation lattices.
 
 A relation is an integer combination of conjugacy classes of subgroups whose
 virtual permutation representation vanishes; equivalently, the permutation
@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .factored import FactoredRational
 from .groups import FiniteGroup, GroupError, fixed_points
-from .intlinalg import integer_kernel_basis, solve_integer_combination
+from .intlinalg import integer_kernel_basis
 
 
 class BrauerRelation(NamedTuple):
@@ -35,9 +35,6 @@ class BrauerRelation(NamedTuple):
                 clean.append((cid, n))
         return BrauerRelation(group, tuple(sorted(clean)))
 
-    def coeff_map(self) -> dict:
-        return dict(self.coeffs)
-
     def coeff_vector(self) -> list:
         vec = [0] * len(self.group.subgroup_classes)
         for cid, n in self.coeffs:
@@ -52,9 +49,6 @@ class BrauerRelation(NamedTuple):
         """Sum of n_H * [G:H], the dimension of the virtual representation."""
         G = self.group
         return sum(n * (G.order // G.subgroup_classes[cid].order) for cid, n in self.coeffs)
-
-    def coefficient_sum(self) -> int:
-        return sum(n for _, n in self.coeffs)
 
 
 def mark_matrix(G: FiniteGroup):
@@ -134,72 +128,3 @@ def relation_lattice(G: FiniteGroup):
         BrauerRelation.from_dict(G, {i: v for i, v in enumerate(row) if v})
         for row in basis
     ]
-
-
-def express_in_lattice(theta: BrauerRelation, basis) -> list | None:
-    """Integer coordinates of theta in a lattice basis, or None."""
-    rows = [b.coeff_vector() for b in basis]
-    return solve_integer_combination(rows, theta.coeff_vector())
-
-
-# -- transport ---------------------------------------------------------------
-
-
-def check_homomorphism(src: FiniteGroup, dst: FiniteGroup, mapping) -> None:
-    mapping = list(mapping)
-    if len(mapping) != src.order:
-        raise GroupError("mapping must assign an image to every element")
-    if any(not 0 <= x < dst.order for x in mapping):
-        raise GroupError("mapping image out of range")
-    if mapping[src.identity] != dst.identity:
-        raise GroupError("mapping does not preserve the identity")
-    for a in range(src.order):
-        for b in range(src.order):
-            if mapping[src.table[a][b]] != dst.table[mapping[a]][mapping[b]]:
-                raise GroupError(f"not a homomorphism at ({a},{b})")
-
-
-def induce(theta: BrauerRelation, big: FiniteGroup, embedding) -> BrauerRelation:
-    """Transport a relation along an injective homomorphism into ``big``.
-
-    Each subgroup H is replaced by its image; coefficients on classes that
-    merge inside the larger group are added.
-    """
-    G = theta.group
-    embedding = list(embedding)
-    check_homomorphism(G, big, embedding)
-    if len(set(embedding)) != G.order:
-        raise GroupError("embedding must be injective")
-    coeffs = {}
-    for cid, n in theta.coeffs:
-        H = G.subgroup_classes[cid].representative
-        image = big.class_of_subgroup([embedding[h] for h in H])
-        coeffs[image.class_id] = coeffs.get(image.class_id, 0) + n
-    return BrauerRelation.from_dict(big, coeffs)
-
-
-def inflate(theta: BrauerRelation, gamma: FiniteGroup, projection) -> BrauerRelation:
-    """Transport a relation along a surjection gamma -> theta.group.
-
-    H goes to its full preimage NH; |NH| = |N||H|, so the norm constant's
-    valuations are unchanged because the coefficients sum to zero.
-    """
-    G = theta.group
-    projection = list(projection)
-    check_homomorphism(gamma, G, projection)
-    if len(set(projection)) != G.order:
-        raise GroupError("projection must be surjective")
-    kernel_size = gamma.order // G.order
-    coeffs = {}
-    for cid, n in theta.coeffs:
-        H = G.subgroup_classes[cid].representative
-        hset = H.element_set
-        preimage = [x for x in range(gamma.order) if projection[x] in hset]
-        if len(preimage) != kernel_size * len(H):
-            raise GroupError(
-                f"preimage of a subgroup of order {len(H)} has {len(preimage)} elements, "
-                f"not {kernel_size * len(H)}"
-            )
-        cls = gamma.class_of_subgroup(preimage)
-        coeffs[cls.class_id] = coeffs.get(cls.class_id, 0) + n
-    return BrauerRelation.from_dict(gamma, coeffs)

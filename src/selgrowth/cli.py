@@ -4,8 +4,8 @@ Output is deterministic JSON on stdout (or --format pretty for humans).
 Exit codes: 0 success, 1 usage error or stdout closed before the output was
 written, 2 computation refused (for example a non-semistable curve, a prime
 whose local class cannot be determined, or a discriminant that cannot be
-factored within the work budget) or, for tables, a table cell the
-double-coset oracle does not reproduce.
+factored within the work budget) or, for tables, a table cell that the
+count of places does not reproduce.
 """
 
 from __future__ import annotations

@@ -53,9 +53,6 @@ class FactoredRational:
     def factors(self) -> dict:
         return dict(self._factors)
 
-    def is_one(self) -> bool:
-        return not self._factors
-
     def value(self) -> Fraction:
         from fractions import Fraction  # imported here: it loads decimal, which no CLI call needs
 
@@ -98,7 +95,3 @@ class FactoredRational:
     def as_json(self) -> dict:
         """JSON form: string prime keys, integer exponents, sorted by prime."""
         return {str(p): self._factors[p] for p in sorted(self._factors)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FactoredRational":
-        return cls({int(p): int(e) for p, e in obj.items()})

@@ -193,11 +193,6 @@ class FiniteGroup:
         if validate:
             self.validate(generators)
 
-    # -- basic operations ---------------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def _inverse_table(self):
         e, table = self.identity, self.table
         inv = []
@@ -762,28 +757,3 @@ def _least_unit_of_order(p: int, q: int) -> int:
 def parse_group_spec(spec: str) -> FiniteGroup:
     """The group of a CLI group spec: c2xc2, d:<p>, cpxcp:<p>, sd:<p>:<q>."""
     return _family_group(Family.parse(spec))
-
-
-# -- generic constructions used for transport of relations -------------------
-
-
-def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    """Direct product with element (a, b) encoded as a*|H| + b."""
-    n = G.order * H.order
-    if n > MAX_ORDER:
-        raise GroupError(f"order {n} exceeds the cap {MAX_ORDER}")
-    m = H.order
-    table = [[g * m + h for g in G.table[x // m] for h in H.table[x % m]] for x in range(n)]
-    return FiniteGroup(table, identity=G.identity * m + H.identity)
-
-
-def relabeled(G: FiniteGroup, perm) -> FiniteGroup:
-    """The isomorphic group with elements renamed by the permutation ``perm``."""
-    perm = list(perm)
-    if sorted(perm) != list(range(G.order)):
-        raise GroupError("relabeling must be a permutation of the elements")
-    inv = [0] * G.order
-    for i, v in enumerate(perm):
-        inv[v] = i
-    table = [[perm[G.table[inv[a]][inv[b]]] for b in range(G.order)] for a in range(G.order)]
-    return FiniteGroup(table, identity=perm[G.identity])

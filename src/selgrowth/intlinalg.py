@@ -1,9 +1,8 @@
-"""Exact integer linear algebra: Hermite normal form, integer kernels and
-lattice membership.
+"""Exact integer linear algebra: Hermite normal form and integer kernels.
 
 Everything works on lists of lists of Python ints, so there is no overflow
 and no floating point. Matrices here are tiny (tens of rows), so one
-classical elimination, the row-style Hermite normal form, serves all three
+classical elimination, the row-style Hermite normal form, serves both
 (Cohen, A Course in Computational Algebraic Number Theory, section 2.4).
 """
 
@@ -64,25 +63,3 @@ def integer_kernel_basis(A):
     n = len(A[0]) if m else 0
     rows = [[A[i][j] for i in range(m)] + [int(i == j) for i in range(n)] for j in range(n)]
     return [r[m:] for r in hermite_normal_form_rows(rows) if not any(r[:m])]
-
-
-def solve_integer_combination(basis_rows, target):
-    """Solve sum_i x_i * basis_rows[i] = target over the integers.
-
-    The rows must be in echelon form (each row's first nonzero entry strictly
-    right of the previous row's), as Hermite normal form rows are; otherwise
-    ValueError. Each coordinate is read at its row's pivot. Returns the
-    coefficient list, or None if no integral solution exists.
-    """
-    if any(len(r) != len(target) for r in basis_rows):
-        raise ValueError("basis rows and target differ in length")
-    pivots = [next((k for k, x in enumerate(r) if x), None) for r in basis_rows]
-    if None in pivots or any(a >= b for a, b in zip(pivots, pivots[1:])):
-        raise ValueError("basis rows are not in echelon form")
-    rest = list(target)
-    coords = []
-    for row, pc in zip(basis_rows, pivots):
-        coords.append(rest[pc] // row[pc])
-        rest = [t - coords[-1] * b for t, b in zip(rest, row)]
-    # later rows are zero at this pivot, so a remainder there stays in rest
-    return None if any(rest) else coords

@@ -1,21 +1,22 @@
 """Per-place Tamagawa quotients, the quotient tables, and growth certificates.
 
-The source of truth is the double-coset oracle: for a subgroup class H with
-coefficient n_H, the primes of the fixed field F^H above v correspond to the
-double cosets H\\G/D, each with a ramification index e and residue degree f
-read off from the inertia/decomposition pair. Semistable local behaviour is
-then mechanical: split multiplicative reduction stays split and the minimal
-discriminant valuation becomes e*m; non-split reduction becomes split
-exactly when f is even and otherwise keeps the parity-of-e*m Tamagawa
-number 1 or 2.
+The source of truth is the Mackey count of places: for a subgroup class H
+with coefficient n_H, the primes of the fixed field F^H above v correspond to
+the double cosets H\\G/D, each with a ramification index e and residue
+degree f read off from the inertia/decomposition pair. Semistable local
+behaviour is then mechanical: split multiplicative reduction stays split
+and the minimal discriminant valuation becomes e*m; non-split reduction
+becomes split exactly when f is even and otherwise keeps the parity-of-e*m
+Tamagawa number 1 or 2.
 
 The (e, f) of the places depend on v only through (D, I), so
 `place_degrees` counts them once per (H, D, I), from the conjugates of H
-(`groups.place_counts`), and keeps them on the group;
-`local_theta_quotient` evaluates them for one reduction type and m.
+(`groups.place_counts`, which does not list the double cosets; the tests
+check it against `groups.double_cosets`, which does), and keeps them on the
+group; `local_theta_quotient` evaluates them for one reduction type and m.
 
 The hardcoded quotient tables for the four group families are never read by
-certify, which always runs the oracle; `oracle_table` checks the oracle
+certify, which always counts the places; `oracle_table` checks the counts
 against them cell by cell, for `selgrowth tables` and the tests alike.
 """
 

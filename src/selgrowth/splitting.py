@@ -5,7 +5,7 @@ Every local class is selected from the group's one enumeration of
 builds a pair of its own. For multiquadratic fields Q(sqrt(d1), sqrt(d2))
 the three quadratic residue symbols name the classes of D and I inside
 C2 x C2. For other fields a monic defining polynomial gives the Frobenius
-cycle type at unramified primes via distinct-degree factorization, and the
+cycle type at unramified primes via sympy's factorization over F_v, and the
 pattern selects the one class with trivial inertia and |D| equal to the
 common factor degree. Ramified primes there, and patterns that several
 classes fit ({2,2} in C2 x C2, {p,...,p} in Cp x Cp), must be supplied
@@ -150,15 +150,7 @@ class FieldSpec(NamedTuple):
             raise ValueError(
                 f"polynomial degree {len(coeffs) - 1} does not match the group order {group.order}"
             )
-        try:
-            from sympy import Poly, Symbol
-        except ImportError:
-            raise ValueError(
-                "polynomial fields need sympy to test irreducibility; "
-                "install the 'poly' extra: pip install 'selgrowth[poly]'"
-            ) from None
-
-        x = Symbol("x")
+        Poly, x = _sympy_poly()
         if not Poly(list(coeffs), x).is_irreducible:
             raise ValueError("defining polynomial is reducible over Q")
         return FieldSpec(kind="polynomial", group=group, poly=coeffs)
@@ -177,120 +169,37 @@ class FieldSpec(NamedTuple):
 
 # -- degree patterns over F_v ---------------------------------------------------
 
-# dense polynomials over F_v as coefficient lists, lowest degree first
 
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _polmulmod(a, b, f, v):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % v
-    return _polrem(out, f, v)
-
-
-def _polrem(a, f, v):
-    a = list(a)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], -1, v)
-    while len(a) - 1 >= df and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        q = a[-1] * inv_lead % v
-        shift = len(a) - 1 - df
-        for i, fi in enumerate(f):
-            a[shift + i] = (a[shift + i] - q * fi) % v
-        a.pop()
-    return _trim(a)
-
-
-def _polgcd(a, b, v):
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _polrem(a, b, v)
-    if a:
-        inv_lead = pow(a[-1], -1, v)
-        a = [c * inv_lead % v for c in a]
-    return a
-
-
-def _poldiv(a, b, v):
-    """Exact quotient a / b over F_v (assumes b | a)."""
-    a = _trim(list(a))
-    b = _trim(list(b))
-    q = [0] * (len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], -1, v)
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv_lead % v
-        d = len(a) - len(b)
-        q[d] = c
-        for i, bi in enumerate(b):
-            a[d + i] = (a[d + i] - c * bi) % v
-        _trim(a)
-    return q
-
-
-def _frobenius_power(h, f, v):
-    """h(x)^v mod f over F_v by square and multiply."""
-    result = [1]
-    base = h
-    e = v
-    while e:
-        if e & 1:
-            result = _polmulmod(result, base, f, v)
-        base = _polmulmod(base, base, f, v)
-        e >>= 1
-    return result
+def _sympy_poly():
+    """sympy's Poly and a variable x: polynomial fields need the 'poly' extra."""
+    try:
+        from sympy import Poly, Symbol
+    except ImportError:
+        raise ValueError(
+            "polynomial fields need sympy to test irreducibility; "
+            "install the 'poly' extra: pip install 'selgrowth[poly]'"
+        ) from None
+    return Poly, Symbol("x")
 
 
 def factor_degree_pattern(coeffs, v: int) -> tuple:
     """Degrees of the irreducible factors of a monic poly mod v (sorted).
 
-    Distinct-degree factorization: x^(v^k) - x catches the degree-k part.
-    Rejects primes where the reduction is not squarefree (v | disc).
+    Rejects primes where the reduction has a repeated factor (v | disc), read
+    from the multiplicities of sympy's factorization over F_v: ``Poly.is_sqf``
+    is not used, as sympy 1.14 calls x^2 - 12x + 86 mod 2, which is x^2,
+    squarefree.
     """
     coeffs = [int(c) for c in coeffs]
     if coeffs[0] != 1:
         raise ValueError("polynomial must be monic")
-    f = _trim([c % v for c in reversed(coeffs)])
-    if len(f) - 1 != len(coeffs) - 1:
-        raise RamifiedPrimeError(f"leading coefficient vanishes mod {v}")
-    deriv = _trim([(i * f[i]) % v for i in range(1, len(f))])
-    if len(_polgcd(f, deriv, v)) > 1:
+    Poly, x = _sympy_poly()
+    _, factors = Poly(coeffs, x, modulus=v).factor_list()
+    if any(k > 1 for _, k in factors):
         raise RamifiedPrimeError(
             f"{v} divides the polynomial discriminant; supply --local-class explicitly"
         )
-    degrees = []
-    work = list(f)
-    h = [0, 1]  # x
-    k = 0
-    while len(work) > 1:
-        k += 1
-        if 2 * k > len(work) - 1:
-            degrees.extend([len(work) - 1])
-            break
-        h = _frobenius_power(h, work, v)
-        hx = list(h)
-        # h - x
-        while len(hx) < 2:
-            hx.append(0)
-        hx[1] = (hx[1] - 1) % v
-        g = _polgcd(work, _trim(hx), v)
-        if len(g) > 1:
-            deg = len(g) - 1
-            if deg % k:
-                raise ValueError(f"the degree-{k} part mod {v} has degree {deg}, not a multiple of {k}")
-            degrees.extend([k] * (deg // k))
-            work = _poldiv(work, g, v)
-            h = _polrem(h, work, v)
-    out = tuple(sorted(degrees))
+    out = tuple(sorted(f.degree() for f, _ in factors))
     if sum(out) != len(coeffs) - 1:
         raise ValueError(f"factor degrees {out} mod {v} do not sum to the degree {len(coeffs) - 1}")
     return out
@@ -322,8 +231,3 @@ def frobenius_class(G: FiniteGroup, pattern) -> LocalClass:
         )
     return found[0]
 
-
-def biquadratic_defining_polynomial(d1: int, d2: int) -> tuple:
-    """Minimal polynomial of sqrt(d1) + sqrt(d2), degree-descending coefficients."""
-    _validate_multiquadratic(d1, d2)
-    return (1, 0, -2 * (d1 + d2), 0, (d1 - d2) ** 2)

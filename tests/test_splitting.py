@@ -1,9 +1,10 @@
+import itertools
 import pathlib
 import subprocess
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selgrowth.groups import (
@@ -14,7 +15,6 @@ from selgrowth.splitting import (
     FieldSpec,
     LocalClass,
     RamifiedPrimeError,
-    biquadratic_defining_polynomial,
     factor_degree_pattern,
     frobenius_class,
     multiquadratic_local_class,
@@ -22,7 +22,47 @@ from selgrowth.splitting import (
     third_discriminant,
 )
 
+from oracle import biquadratic_polynomial
+
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def _divide(f, g, v):
+    """Quotient and remainder of f by a monic g over F_v, coefficients degree-descending."""
+    f = list(f)
+    q = []
+    for i in range(len(f) - len(g) + 1):
+        q.append(f[i])
+        for j, b in enumerate(g):
+            f[i + j] = (f[i + j] - q[-1] * b) % v
+    return q, f[len(q):]
+
+
+def trial_division_pattern(coeffs, v):
+    """Oracle: factor degrees of a monic polynomial mod v, or None if a factor repeats.
+
+    Each monic g of degree d = 1, 2, ... is divided out while it divides; d
+    stops at half the degree that is left, and what remains is irreducible.
+    """
+    f = [c % v for c in coeffs]
+    degrees = []
+    d = 1
+    while 2 * d <= len(f) - 1:
+        for tail in itertools.product(range(v), repeat=d):
+            g = (1, *tail)
+            times = 0
+            while len(f) > d:
+                q, r = _divide(f, g, v)
+                if any(r):
+                    break
+                f, times = q, times + 1
+            if times > 1:
+                return None
+            degrees += [d] * times
+        d += 1
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return tuple(sorted(degrees))
 
 
 def brute_force_symbol(d, v):
@@ -141,25 +181,28 @@ def test_pattern_rejects_ramified():
         factor_degree_pattern((1, 0, -10, 0, 1), 2)
 
 
-@given(
-    st.lists(st.integers(-9, 9), min_size=2, max_size=8),
-    st.sampled_from(SMALL_PRIMES),
-)
-@settings(max_examples=200, deadline=None)
-def test_pattern_matches_sympy_factorization(tail, v):
-    """Oracle: sympy's factorization over GF(v) gives the same degree multiset."""
-    import sympy
+def test_trial_division_oracle_examples():
+    assert trial_division_pattern((1, 0, 1), 5) == (1, 1)
+    assert trial_division_pattern((1, 0, 1), 7) == (2,)
+    assert trial_division_pattern((1, 0, 0, 0, 0, 0, 1), 2) is None  # (x^3 + 1)^2
+    assert trial_division_pattern((1, 0, 0, 0, 1), 3) == (2, 2)  # (x^2 + x + 2)(x^2 + 2x + 2)
+    assert trial_division_pattern((1, 0, 0, 0, 0, 1, 1), 2) == (6,)  # x^6 + x + 1, irreducible
 
+
+@given(
+    st.lists(st.integers(-99, 99), min_size=1, max_size=6),
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+)
+@example([-12, 86], 2)  # x^2 mod 2, which sympy 1.14's Poly.is_sqf calls squarefree
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_pattern_matches_trial_division(tail, v):
     coeffs = (1, *tail)
-    try:
-        pattern = factor_degree_pattern(coeffs, v)
-    except RamifiedPrimeError:
-        assume(False)
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(coeffs), x, modulus=v, symmetric=False)
-    _, factors = poly.factor_list()
-    expected = sorted(f.degree() for f, mult in factors for _ in range(mult))
-    assert list(pattern) == expected
+    expected = trial_division_pattern(coeffs, v)
+    if expected is None:
+        with pytest.raises(RamifiedPrimeError):
+            factor_degree_pattern(coeffs, v)
+    else:
+        assert factor_degree_pattern(coeffs, v) == expected
 
 
 @given(
@@ -169,7 +212,7 @@ def test_pattern_matches_sympy_factorization(tail, v):
 @settings(max_examples=200, deadline=None)
 def test_mq_consistent_with_degree_pattern(ds, v):
     d1, d2 = ds
-    poly = biquadratic_defining_polynomial(d1, d2)
+    poly = biquadratic_polynomial(d1, d2)
     try:
         pattern = factor_degree_pattern(poly, v)
     except RamifiedPrimeError:
@@ -268,19 +311,17 @@ def test_output_guards_raise_under_python_O():
     # factor_degree_pattern, made to fire; they must raise even when asserts
     # are compiled away
     code = (
+        "import sympy\n"
         "from selgrowth import splitting\n"
         "from selgrowth.groups import GroupError\n"
         "def all_subfields_ramified():\n"
         "    splitting._symbol = lambda d, v: splitting.RAMIFIED\n"
         "    splitting.multiquadratic_local_class(3, 5, 7)\n"
-        "def degree_part_not_a_multiple():\n"
-        "    splitting._poldiv = lambda a, b, v: list(a)  # factors found are never removed\n"
-        "    splitting.factor_degree_pattern((1, 1, 0, 1, 2, 0), 3)  # x (x^2 + 1) (x^2 + x + 2)\n"
         "def degrees_do_not_sum():\n"
-        "    splitting._poldiv = lambda a, b, v: list(a)\n"
+        "    factor_list = sympy.Poly.factor_list  # patched to lose the first factor\n"
+        "    sympy.Poly.factor_list = lambda f: (lambda c, fs: (c, fs[1:]))(*factor_list(f))\n"
         "    splitting.factor_degree_pattern((1, 0, 1, 0), 3)  # x (x^2 + 1)\n"
         "checks = ((all_subfields_ramified, GroupError, 'quadratic subfields'),\n"
-        "          (degree_part_not_a_multiple, ValueError, 'not a multiple'),\n"
         "          (degrees_do_not_sum, ValueError, 'do not sum'))\n"
         "for call, error, words in checks:\n"
         "    try:\n"
