@@ -1,18 +1,24 @@
 """Exact primality testing and integer factorization, in pure Python.
 
-``is_prime`` is Miller-Rabin with the first 13 prime bases 2, ..., 41, which
-is deterministic below psi_13 = 3317044064679887385961981 (about 3.3e24;
-the first 12 bases are deterministic only below 3.18e23). Above psi_13 it is
+``is_prime`` is Miller-Rabin with the first k = 7, 9, 12 or 13 prime bases
+below psi_k, the least strong pseudoprime to those bases, so it is exact below
+psi_13 = 3317044064679887385961981 (about 3.3e24). Above psi_13 it is
 BPSW (R. Baillie and S. S. Wagstaff Jr., "Lucas pseudoprimes", Math. Comp. 35,
 1980): Miller-Rabin to base 2 plus a strong Lucas test with Selfridge's
 parameters, the test sympy's ``isprime`` uses; no BPSW pseudoprime is known.
 
-``factor`` is trial division up to 1000, then Pollard's rho in Brent's form
-with batched gcds (R. P. Brent, "An improved Monte Carlo factorization
-algorithm", BIT 20, 1980) on what is left. Rho needs about sqrt(q) steps to
-find a prime factor q, so a number with two large prime factors could take
-hours; ``factor`` spends at most RHO_BUDGET steps on one number and then
-raises ``FactorizationBudgetError``.
+``factor`` is trial division up to 1000. A composite cofactor then meets a
+short run of Pollard's rho in Brent's form with batched gcds (R. P. Brent, "An
+improved Monte Carlo factorization algorithm", BIT 20, 1980), which finds
+factors below about 10^6; then Lenstra's elliptic curve method (H. W. Lenstra
+Jr., "Factoring integers with elliptic curves", Ann. Math. 126, 1987) on
+Montgomery curves with Suyama's sigma = 6, 7, ... and a baby-step giant-step
+stage 2 (P. L. Montgomery, "Speeding the Pollard and elliptic curve methods of
+factorization", Math. Comp. 48, 1987); then Pollard-Brent with c = 1, 2, ...
+A number with two large prime factors could take hours, so ``factor`` spends
+at most RHO_BUDGET steps on one number and then raises
+``FactorizationBudgetError``. A step is one rho iteration, one doubling or
+addition on a curve, or one stage-2 product.
 """
 
 from __future__ import annotations
@@ -35,12 +41,22 @@ def _sieve(n: int) -> list:
 _SMALL_PRIMES = _sieve(TRIAL_LIMIT)
 _MR_BASES = _SMALL_PRIMES[:13]
 PSI_13 = 3317044064679887385961981
+# psi_k, below which the first k prime bases decide primality
+_MR_RANGES = ((341550071728321, 7), (3825123056546413051, 9), (318665857834031151167461, 12), (PSI_13, 13))
 
-# Pollard-Brent steps allowed per factor() call: over 100 times the largest
-# count that factoring any certify_mq benchmark discriminant or any row of
-# data/curves.csv takes (203,390 steps, for 3001807103 * 52549330733).
+# Pollard-Brent and ECM steps allowed per factor() call: over 700 times the
+# largest count that factoring any certify_mq benchmark discriminant or any
+# row of data/curves.csv takes (29,364 steps, for 3 * 7614985397 * 11147729759;
+# Pollard-Brent alone took up to 203,390)
 RHO_BUDGET = 21_000_000
 _BATCH = 128
+_BRENT_FIRST = 2048  # Pollard-Brent steps before ECM
+_ECM_CURVES = 200  # Suyama curves sigma = 6, 7, ... before Pollard-Brent again
+_ECM_B1, _ECM_B2, _ECM_D = 150, 3750, 210  # stage-1 and stage-2 bounds, giant step
+_ECM_K = math.lcm(*range(1, _ECM_B1 + 1))  # the product of the largest prime powers up to B1
+# steps of one curve: ladders over K (423) and D (15), 53 baby and 19 giant
+# steps, 18 * 24 products
+_ECM_STEPS = 942
 
 
 class FactorizationBudgetError(ArithmeticError):
@@ -112,8 +128,9 @@ def _is_prime_no_small_factor(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < PSI_13:
-        return all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES)
+    for psi, k in _MR_RANGES:
+        if n < psi:
+            return all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES[:k])
     return _strong_probable_prime(n, 2, d, s) and _strong_lucas_probable_prime(n)
 
 
@@ -172,6 +189,54 @@ def _brent(n: int, c: int, steps: int) -> tuple:
     return g, used
 
 
+def _xadd(P: tuple, Q: tuple, D: tuple, n: int) -> tuple:
+    """P + Q on a Montgomery curve in x-only coordinates (X:Z), given D = P - Q."""
+    (a, b), (c, d) = P, Q
+    u, v = (a - b) * (c + d), (a + b) * (c - d)
+    return D[1] * (u + v) ** 2 % n, D[0] * (u - v) ** 2 % n
+
+
+def _xdbl(P: tuple, a24: int, n: int) -> tuple:
+    """2P on the Montgomery curve By^2 = x^3 + Ax^2 + x with a24 = (A + 2) / 4."""
+    X, Z = P
+    s, d = (X + Z) ** 2 % n, (X - Z) ** 2 % n
+    return s * d % n, (s - d) * (d + a24 * (s - d)) % n
+
+
+def _ecm_curve(n: int, sigma: int) -> int:
+    """gcd(n, .) after both stages of ECM on Suyama's curve sigma >= 6: a factor of n, 1 or n."""
+    u, v = sigma * sigma - 5, 4 * sigma
+    den = 16 * u ** 3 * v % n
+    if (g := math.gcd(den, n)) != 1:
+        return g
+    a24 = (v - u) ** 3 * (3 * u + v) * pow(den, -1, n) % n
+    P = u ** 3, v ** 3
+    for m in _ECM_K, _ECM_D:  # Montgomery's ladder: Q = KP (stage 1), then G = DQ
+        R, S = P, _xdbl(P, a24, n)
+        for bit in bin(m)[3:]:
+            if bit == "1":
+                R, S = _xadd(S, R, P, n), _xdbl(S, a24, n)
+            else:
+                R, S = _xdbl(R, a24, n), _xadd(S, R, P, n)
+        if (g := math.gcd(R[1], n)) != 1:  # stop before a later stage finds every factor
+            return g
+        Q, P = P, R
+    # stage 2: if Q has prime order l = mD +- j modulo a factor p of n, with
+    # j < D/2 prime to D, then x(mG) = x(jQ) mod p
+    baby, prev, cur, Q2 = [], Q, Q, _xdbl(Q, a24, n)
+    for j in range(1, _ECM_D // 2, 2):
+        if math.gcd(j, _ECM_D) == 1:
+            baby.append(cur)
+        prev, cur = cur, _xadd(cur, Q2, prev, n)
+    acc, cur, nxt = 1, P, _xdbl(P, a24, n)  # P is G now
+    for _ in range(_ECM_B2 // _ECM_D + 1):  # m = 1, ..., B2 // D + 1
+        X, Z = cur
+        for Xj, Zj in baby:
+            acc = acc * (X * Zj - Xj * Z) % n
+        cur, nxt = nxt, _xadd(nxt, P, cur, n)
+    return math.gcd(acc, n)
+
+
 def _split(n: int, out: dict, budget: int, k: int = 1) -> int:
     """Add the prime factors of n**k (none below TRIAL_LIMIT) to out; return the budget left."""
     if n == 1:
@@ -184,17 +249,22 @@ def _split(n: int, out: dict, budget: int, k: int = 1) -> int:
         r = _integer_root(n, e)
         if r ** e == n:
             return _split(r, out, budget, k * e)
+    g, used = _brent(n, 1, min(_BRENT_FIRST, budget))
+    budget -= used
+    sigma = 6
+    while not 1 < g < n and sigma < 6 + _ECM_CURVES and budget >= _ECM_STEPS:
+        g = _ecm_curve(n, sigma)
+        budget -= _ECM_STEPS
+        sigma += 1
     c = 1
-    while True:
+    while not 1 < g < n:
         g, used = _brent(n, c, budget)
         budget -= used
         if g == 1:
             raise FactorizationBudgetError(
-                f"factorization budget exhausted: {RHO_BUDGET} Pollard-Brent steps"
+                f"factorization budget exhausted: {RHO_BUDGET} Pollard-Brent and ECM steps"
                 f" did not split a {len(str(n))}-digit cofactor"
             )
-        if g != n:
-            break
         c += 1
     return _split(n // g, out, _split(g, out, budget, k), k)
 

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 import sympy
@@ -19,6 +20,9 @@ STRONG_PSEUDOPRIMES = [  # psi_1, psi_4, psi_9, psi_12, psi_13: composite
     3317044064679887385961981,
 ]
 CARMICHAEL = [561, 41041]
+# psi_k: the least strong pseudoprime to the first k prime bases, where
+# is_prime moves from k Miller-Rabin bases to more (or to BPSW)
+PSI = {7: 341550071728321, 9: 3825123056546413051, 12: 318665857834031151167461, 13: PSI_13}
 MERSENNE_PRIMES = [2 ** 61 - 1, 2 ** 89 - 1]
 
 
@@ -47,6 +51,22 @@ def test_psi_13_takes_the_bpsw_branch():
     # psi_13 fools all 13 Miller-Rabin bases; only the Lucas half rejects it
     assert all(arith._strong_probable_prime(PSI_13, a, d, s) for a in arith._MR_BASES)
     assert not arith._strong_lucas_probable_prime(PSI_13)
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_psi_k_fools_its_bases_and_is_composite(k):
+    n = PSI[k]
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    assert all(arith._strong_probable_prime(n, a, d, s) for a in arith._MR_BASES[:k])
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_is_prime_matches_sympy_around_psi_k(k):
+    window = range(PSI[k] - 3000, PSI[k] + 3000)
+    assert [n for n in window if is_prime(n)] == [n for n in window if sympy.isprime(n)]
 
 
 @pytest.mark.parametrize("n", MERSENNE_PRIMES)
@@ -126,3 +146,42 @@ def test_budget_refuses_two_large_prime_factors(monkeypatch):
     with pytest.raises(FactorizationBudgetError, match="23-digit cofactor"):
         factor(10000000019 * 1000000000039)
     assert factor(1009 * 1013) == {1009: 1, 1013: 1}
+
+
+# each stage alone: the first Pollard-Brent run skipped leaves the splitting
+# to ECM; no curves leave it to Pollard-Brent
+STAGES = {"ecm": {"_BRENT_FIRST": 0}, "pollard_brent": {"_ECM_CURVES": 0}, "all": {}}
+
+
+def _prime_of_digits(lo, hi):
+    """A prime of lo to hi digits, with the digit count uniform."""
+    return st.sampled_from(range(lo, hi + 1)).flatmap(lambda d: _prime_near(10 ** (d - 1), 10 ** d))
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_prime_of_digits(4, 10), st.integers(1, 3), _prime_of_digits(4, 10), st.integers(1, 1000))
+def test_each_stage_factors_like_sympy(stage, p, e, q, k):
+    n = p ** e * q * k
+    with mock.patch.dict(vars(arith), STAGES[stage]), mock.patch.object(arith, "_brent", wraps=arith._brent) as brent:
+        assert factor(n) == sympy.factorint(n)
+    if stage == "ecm":  # Pollard-Brent never took a step
+        assert all(call.args[2] == 0 for call in brent.call_args_list)
+
+
+@pytest.mark.parametrize("p, q", [(3001807103, 52549330733), (1705600913, 136033980959)])
+def test_ecm_splits_hard_benchmark_cofactors_within_twenty_curves(p, q):
+    # the two certify_mq cofactors that took Pollard-Brent the most steps
+    found = {arith._ecm_curve(p * q, sigma) for sigma in range(6, 26)}
+    assert found & {p, q} and found <= {1, p, q, p * q}
+
+
+def test_ecm_curve_costs_its_charged_steps():
+    # a curve that finds nothing runs every step: one per doubling or addition
+    # and one per stage-2 product
+    babies = sum(math.gcd(j, arith._ECM_D) == 1 for j in range(1, arith._ECM_D // 2, 2))
+    giants = arith._ECM_B2 // arith._ECM_D + 1
+    with mock.patch.object(arith, "_xadd", wraps=arith._xadd) as xadd, \
+            mock.patch.object(arith, "_xdbl", wraps=arith._xdbl) as xdbl:
+        assert arith._ecm_curve(1000000007 * 1000000009, 6) == 1
+    assert xadd.call_count + xdbl.call_count + babies * giants == arith._ECM_STEPS
