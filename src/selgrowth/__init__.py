@@ -6,58 +6,50 @@ abelian p of rank 2, or C_p : C_q), this package computes the Tamagawa and
 regulator quotients attached to the family's Brauer relation in exact
 factored form and emits a certificate predicting the p-adic valuation of
 Tate-Shafarevich/Selmer growth, checking the theorem hypotheses on the way.
+
+The public names below load lazily (PEP 562): ``import selgrowth`` loads no
+submodule, and the first use of a name imports the module that defines it,
+so ``python -m selgrowth`` compiles only the layers its subcommand runs.
 """
 
-from .brauer import (
-    BrauerRelation,
-    canonical_relation,
-    norm_constant,
-    relation_lattice,
-    verify_relation,
-)
-from .curves import (
-    CurveProfile,
-    ReductionData,
-    WeierstrassModel,
-    ap_oracle,
-    compute_invariants,
-    hypothesis_counts,
-    make_profile,
-    minimal_model,
-)
-from .database import CurveRecord, ScanFilters, ingest, scan
-from .factored import FactoredRational
-from .groups import (
-    Family,
-    FiniteGroup,
-    Subgroup,
-    SubgroupClass,
-    double_cosets,
-    fixed_points,
-    make_cyclic,
-    make_dihedral,
-    make_elem_abelian,
-    make_semidirect,
-    parse_group_spec,
-)
-from .quotients import (
-    GrowthCertificate,
-    PlaceQuotientReport,
-    certify,
-    hypothesis_check,
-    local_theta_quotient,
-    oracle_table,
-    place_degrees,
-    regulator_quotient,
-    table_lookup,
-)
-from .splitting import (
-    FieldSpec,
-    LocalClass,
-    factor_degree_pattern,
-    frobenius_class,
-    multiquadratic_local_class,
-    quadratic_symbol,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# home module -> the public names it defines
+_EXPORTS = {
+    "brauer": ("BrauerRelation", "canonical_relation", "norm_constant", "relation_lattice", "verify_relation"),
+    "curves": (
+        "CurveProfile", "ReductionData", "WeierstrassModel", "ap_oracle", "compute_invariants",
+        "make_profile", "minimal_model",
+    ),
+    "database": ("CurveRecord", "ScanFilters", "ingest", "scan"),
+    "factored": ("FactoredRational",),
+    "groups": (
+        "Family", "FiniteGroup", "LocalClass", "Subgroup", "SubgroupClass", "double_cosets",
+        "fixed_points", "make_cyclic", "make_dihedral", "make_elem_abelian", "make_semidirect",
+        "parse_group_spec",
+    ),
+    "quotients": (
+        "GrowthCertificate", "PlaceQuotientReport", "certify", "hypothesis_check",
+        "local_theta_quotient", "oracle_table", "place_degrees", "regulator_quotient", "table_lookup",
+    ),
+    "splitting": (
+        "FieldSpec", "factor_degree_pattern", "frobenius_class", "multiquadratic_local_class",
+        "quadratic_symbol",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

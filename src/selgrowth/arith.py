@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 
+from .records import Refused
+
 TRIAL_LIMIT = 1000
 
 
@@ -59,7 +61,7 @@ _ECM_K = math.lcm(*range(1, _ECM_B1 + 1))  # the product of the largest prime po
 _ECM_STEPS = 942
 
 
-class FactorizationBudgetError(ArithmeticError):
+class FactorizationBudgetError(ArithmeticError, Refused):
     """factor() gave up: the number has more than one large prime factor."""
 
 

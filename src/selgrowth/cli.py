@@ -16,25 +16,13 @@ import json
 import os
 import sys
 
-from .arith import FactorizationBudgetError
+# Only the group layer and quotients load with this module: relations, tables
+# and certify run them. A subcommand imports curves, splitting or database
+# where it first needs them, so a cold call compiles only the layers it runs.
 from .brauer import norm_constant, relation_lattice, verify_relation
-from .curves import (
-    CurveCheckError,
-    WeierstrassModel,
-    compute_invariants,
-    hypothesis_counts,
-    make_profile,
-)
-from .database import ScanFilters, ingest, scan
-from .groups import Family, GroupError, parse_group_spec
-from .quotients import (
-    ImpossibleCellError,
-    MissingLocalClassError,
-    NonSemistableError,
-    certify,
-    oracle_table,
-)
-from .splitting import AmbiguousSplittingError, FieldSpec
+from .groups import Family, parse_group_spec
+from .quotients import certify, oracle_table
+from .records import Refused
 
 
 class UsageError(ValueError):
@@ -52,7 +40,9 @@ def _emit(obj, pretty: bool) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _parse_curve(text: str) -> WeierstrassModel:
+def _parse_curve(text: str):
+    from .curves import WeierstrassModel
+
     parts = [p for p in text.replace(" ", ",").split(",") if p]
     if len(parts) != 5:
         raise UsageError(f"--curve needs five integers a1,a2,a3,a4,a6, got {text!r}")
@@ -83,7 +73,9 @@ def _parse_local_classes(items) -> dict:
     return overrides
 
 
-def _field_from_args(args) -> FieldSpec:
+def _field_from_args(args):
+    from .splitting import FieldSpec
+
     text = (args.field or "").strip()
     if text.startswith("mq:"):
         if args.group:
@@ -105,6 +97,8 @@ def _field_from_args(args) -> FieldSpec:
 
 
 def _ingest(path):
+    from .database import ingest
+
     try:
         return ingest(path)
     except OSError as exc:
@@ -164,6 +158,8 @@ def _tables_pretty(out) -> str:
 
 def _curve_from_args(args) -> tuple:
     """(model as given, profile) from --label or from --curve, --rank and --torsion."""
+    from .curves import make_profile
+
     if args.label:
         given = [f"--{name}" for name in ("curve", "rank", "torsion") if getattr(args, name) is not None]
         if given:
@@ -190,8 +186,10 @@ def _curve_from_args(args) -> tuple:
 
 
 def _cmd_analyze(args) -> dict:
+    from .curves import compute_invariants
+
     model, profile = _curve_from_args(args)
-    semistable, n_nonsplit, n_even = hypothesis_counts(profile)
+    semistable, n_nonsplit, n_even = profile.hypothesis_counts()
     return {
         "schema": 1,
         "label": profile.label,
@@ -218,6 +216,8 @@ def _cmd_certify(args) -> dict:
 
 
 def _cmd_scan(args) -> dict:
+    from .database import ScanFilters, scan
+
     path = args.data or os.environ.get("SGL_DATA")
     if not path:
         raise UsageError("scan needs --data or the SGL_DATA environment variable")
@@ -325,18 +325,12 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         out = _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (GroupError, ValueError) as exc:
-        if isinstance(exc, (NonSemistableError, MissingLocalClassError, AmbiguousSplittingError)):
-            print(f"refused: {exc}", file=sys.stderr)
-            return 2
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (ImpossibleCellError, FactorizationBudgetError, CurveCheckError) as exc:
+    except Refused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # UsageError, GroupError and the other input checks
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     try:
         if args.format == "pretty" and args.command == "tables":
             print(_tables_pretty(out))

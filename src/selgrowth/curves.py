@@ -14,14 +14,14 @@ import math
 from typing import NamedTuple
 
 from .arith import factor
-from .records import Record
+from .records import ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT, Record, Refused
 
 
 class SingularModelError(ValueError):
     pass
 
 
-class CurveCheckError(ArithmeticError):
+class CurveCheckError(ArithmeticError, Refused):
     """A guard of the curve arithmetic failed: a formulary identity or a stated precondition."""
 
 
@@ -180,11 +180,6 @@ def minimal_model(m: WeierstrassModel) -> WeierstrassModel:
 
 # -- reduction types ----------------------------------------------------------
 
-GOOD = "good"
-SPLIT_MULT = "split_mult"
-NONSPLIT_MULT = "nonsplit_mult"
-ADDITIVE = "additive"
-
 
 class ReductionData(NamedTuple):
     v: int
@@ -244,6 +239,12 @@ class CurveProfile(NamedTuple):
             if rd.v == v:
                 return rd
         return ReductionData(v, GOOD, 0, 1)
+
+    def hypothesis_counts(self) -> tuple:
+        """(is_semistable, #non-split places, #non-split places with even ord)."""
+        nonsplit = [rd for rd in self.bad_places if rd.kind == NONSPLIT_MULT]
+        n_even = sum(1 for rd in nonsplit if rd.m % 2 == 0)
+        return self.is_semistable(), len(nonsplit), n_even
 
 
 def make_profile(
@@ -307,11 +308,3 @@ def ap_oracle(model: WeierstrassModel, v: int) -> str:
         return "split"
     _check(smooth == v + 1, f"unexpected smooth point count {smooth} mod {v}")
     return "nonsplit"
-
-
-def hypothesis_counts(profile: CurveProfile) -> tuple:
-    """(is_semistable, #non-split places, #non-split places with even ord)."""
-    semistable = profile.is_semistable()
-    nonsplit = [rd for rd in profile.bad_places if rd.kind == NONSPLIT_MULT]
-    n_even = sum(1 for rd in nonsplit if rd.m % 2 == 0)
-    return semistable, len(nonsplit), n_even

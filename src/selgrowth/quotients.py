@@ -22,39 +22,25 @@ against them cell by cell, for `selgrowth tables` and the tests alike.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .brauer import BrauerRelation, canonical_relation, norm_constant
-from .curves import (
-    ADDITIVE,
-    GOOD,
-    NONSPLIT_MULT,
-    SPLIT_MULT,
-    CurveProfile,
-    ReductionData,
-    hypothesis_counts,
-)
 from .factored import FactoredRational
-from .groups import Family, FiniteGroup, GroupError, place_counts
-from .splitting import (
-    FieldSpec,
-    LocalClass,
-    RamifiedPrimeError,
-    _multiquadratic_class,
-    factor_degree_pattern,
-    frobenius_class,
-)
+from .groups import Family, FiniteGroup, GroupError, LocalClass, place_counts
+from .records import ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT, Refused
+
+if TYPE_CHECKING:
+    # types only: a certificate takes a profile and a field that the caller
+    # built, so loading this module loads neither curves nor splitting
+    from .curves import CurveProfile, ReductionData
+    from .splitting import FieldSpec
 
 
-class NonSemistableError(ValueError):
+class NonSemistableError(ValueError, Refused):
     """The quotient tables require semistable reduction."""
 
 
-class MissingLocalClassError(ValueError):
-    """No computed or supplied (decomposition, inertia) pair for a bad prime."""
-
-
-class ImpossibleCellError(LookupError):
+class ImpossibleCellError(LookupError, Refused):
     """A dash cell: no (D, I) pair realizes this splitting/reduction combination."""
 
 
@@ -344,7 +330,7 @@ class HypothesisReport(NamedTuple):
 def hypothesis_check(profile: CurveProfile, family: Family | None) -> HypothesisReport:
     """Evaluate the rank inequalities of the three theorem cases on a profile;
     the family's case decides ``hypotheses_pass`` (never passes without one)."""
-    semistable, n_nonsplit, n_even = hypothesis_counts(profile)
+    semistable, n_nonsplit, n_even = profile.hypothesis_counts()
     rank = profile.rank
     positive = rank >= 1
     case_a = semistable and positive and rank > n_even
@@ -448,28 +434,6 @@ class GrowthCertificate(NamedTuple):
         }
 
 
-def resolve_local_class(field: FieldSpec, v: int, overrides: dict | None) -> LocalClass:
-    overrides = overrides or {}
-    if v in overrides:
-        d_name, i_name = overrides[v]
-        G = field.group
-        return G.local_class(G.class_by_name(d_name), G.class_by_name(i_name))
-    if field.kind == "multiquadratic":
-        # FieldSpec.multiquadratic validated d1 and d2 once for every place
-        return _multiquadratic_class(field.d1, field.d2, v, field.group)
-    if field.kind == "polynomial":
-        try:
-            pattern = factor_degree_pattern(field.poly, v)
-        except RamifiedPrimeError as exc:
-            raise MissingLocalClassError(
-                f"prime {v} ramifies in the defining polynomial; {exc}"
-            ) from exc
-        return frobenius_class(field.group, pattern)
-    raise MissingLocalClassError(
-        f"no local class for prime {v}: abstract fields need --local-class overrides"
-    )
-
-
 def _conclusion_tier(hyp: HypothesisReport, profile: CurveProfile, p: int) -> str:
     if not hyp.hypotheses_pass:
         return TIER_NONE
@@ -503,10 +467,7 @@ def certify(
     if not profile.is_semistable():
         bad = [rd.v for rd in profile.bad_places if rd.kind == ADDITIVE]
         raise NonSemistableError(f"additive reduction at {bad}; certificate refused")
-    places = []
-    for rd in profile.bad_places:
-        lc = resolve_local_class(field, rd.v, overrides)
-        places.append(local_theta_quotient(theta, lc, rd))
+    places = [local_theta_quotient(theta, field.local_class(rd.v, overrides), rd) for rd in profile.bad_places]
     ord_tam = sum(pr.quotient.ord(p) for pr in places)
     norm = norm_constant(theta)
     ord_rhs = profile.rank * norm.ord(p)

@@ -1,11 +1,30 @@
-"""Immutable records that check their fields when they are built.
+"""Immutable records, the reduction kinds, and the refusal marker.
 
 Plain value records in this package are ``typing.NamedTuple`` classes. A
 NamedTuple cannot have its own constructor, so a record that checks its
 fields when built (``Family``, ``LocalClass``, ``WeierstrassModel``) derives
 from ``Record`` instead. Neither kind imports ``dataclasses``, whose import
 (with ``inspect``) and generated methods every CLI call would pay for.
+
+The module imports nothing, so any layer can import it without loading
+another: the four reduction kinds live here for ``quotients``, which reads
+them without loading ``curves``, and ``Refused`` marks the errors that the
+CLI reports as a refused computation (exit 2).
 """
+
+# reduction kinds of a curve at a prime (ReductionData.kind)
+GOOD = "good"
+SPLIT_MULT = "split_mult"
+NONSPLIT_MULT = "nonsplit_mult"
+ADDITIVE = "additive"
+
+
+class Refused(Exception):
+    """Marker base of the errors that refuse a computation on well-formed input.
+
+    Each such error keeps its own standard base (ValueError, LookupError or
+    ArithmeticError) and adds this one; ``cli.main`` exits 2 on it.
+    """
 
 
 class Record:

@@ -28,14 +28,19 @@ from .groups import (
     Subgroup,
     make_elem_abelian,
 )
+from .records import Refused
 
 SPLIT = "split"
 INERT = "inert"
 RAMIFIED = "ramified"
 
 
-class AmbiguousSplittingError(ValueError):
+class AmbiguousSplittingError(ValueError, Refused):
     """The degree pattern does not pin down the decomposition group."""
+
+
+class MissingLocalClassError(ValueError, Refused):
+    """No computed or supplied (decomposition, inertia) pair for a bad prime."""
 
 
 class RamifiedPrimeError(ValueError):
@@ -165,6 +170,33 @@ class FieldSpec(NamedTuple):
         if self.kind == "polynomial":
             return {"kind": self.kind, "coeffs": list(self.poly)}
         return {"kind": self.kind}
+
+    def local_class(self, v: int, overrides: dict | None) -> LocalClass:
+        """The local class of the prime v: overridden, or computed from the field.
+
+        overrides maps a prime to a (decomposition, inertia) pair of subgroup
+        class names and takes precedence. Otherwise a multiquadratic field
+        reads the quadratic symbols, a polynomial field the degree pattern
+        mod v, and an abstract field raises MissingLocalClassError.
+        """
+        G = self.group
+        if overrides and v in overrides:
+            d_name, i_name = overrides[v]
+            return G.local_class(G.class_by_name(d_name), G.class_by_name(i_name))
+        if self.kind == "multiquadratic":
+            # FieldSpec.multiquadratic validated d1 and d2 once for every place
+            return _multiquadratic_class(self.d1, self.d2, v, G)
+        if self.kind == "polynomial":
+            try:
+                pattern = factor_degree_pattern(self.poly, v)
+            except RamifiedPrimeError as exc:
+                raise MissingLocalClassError(
+                    f"prime {v} ramifies in the defining polynomial; {exc}"
+                ) from exc
+            return frobenius_class(G, pattern)
+        raise MissingLocalClassError(
+            f"no local class for prime {v}: abstract fields need --local-class overrides"
+        )
 
 
 # -- degree patterns over F_v ---------------------------------------------------

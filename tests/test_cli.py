@@ -4,7 +4,16 @@ import pathlib
 import subprocess
 import sys
 
-from selgrowth.cli import main
+import pytest
+
+from selgrowth import cli
+from selgrowth.arith import FactorizationBudgetError
+from selgrowth.cli import UsageError, main
+from selgrowth.curves import CurveCheckError
+from selgrowth.groups import GroupError
+from selgrowth.quotients import ImpossibleCellError, NonSemistableError
+from selgrowth.records import Refused
+from selgrowth.splitting import AmbiguousSplittingError, MissingLocalClassError
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -341,3 +350,76 @@ def test_record_machinery_stays_off_the_runtime_path():
     # (which brings inspect, ast, dis and tokenize); fractions (with decimal)
     # is loaded only to read sha_an from a data file. -S: no site hooks
     _assert_not_imported(["dataclasses", "inspect", "fractions", "decimal"], "-S")
+
+
+_CALL_IN_FRESH_INTERPRETER = (
+    "import json, runpy, sys\n"
+    "argv = json.loads(sys.argv[1])\n"
+    "code = None\n"
+    "if argv is None:\n"
+    "    import selgrowth\n"
+    "else:\n"
+    "    sys.argv = ['selgrowth', *argv]\n"
+    "    try:\n"
+    "        runpy.run_module('selgrowth', run_name='__main__')\n"
+    "    except SystemExit as exc:\n"
+    "        code = exc.code\n"
+    "loaded = sorted(m for m in sys.modules if m.startswith('selgrowth.'))\n"
+    "sys.stderr.write(json.dumps([code, loaded]) + '\\n')\n"
+)
+
+_CERTIFY_MQ = ["certify", "--curve", "1,0,0,-1,0", "--rank", "1", "--torsion", "2", "--field", "mq:3,5", "-p", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (None, None),  # import selgrowth: no submodule at all
+        (["tables", "c2xc2"], ["curves", "splitting", "database"]),
+        (["relations", "c2xc2"], ["curves", "splitting", "database"]),
+        (["analyze", "--curve", "1,0,0,-1,0", "--rank", "1"], ["splitting", "database"]),
+        (_CERTIFY_MQ, ["database"]),
+    ],
+    ids=["import", "tables", "relations", "analyze", "certify-mq"],
+)
+def test_cold_call_loads_only_the_layers_it_runs(argv, unloaded):
+    # each call as `python -m selgrowth` makes it, in a fresh interpreter:
+    # a layer that a subcommand never runs is never compiled either
+    proc = subprocess.run(
+        [sys.executable, "-c", _CALL_IN_FRESH_INTERPRETER, json.dumps(argv)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    if argv is None:
+        assert loaded == []
+    else:
+        assert code == 0, proc.stderr
+        assert "selgrowth.cli" in loaded
+        assert [m for m in loaded if m.split(".")[1] in unloaded] == []
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (NonSemistableError, 2, "refused: "),
+        (MissingLocalClassError, 2, "refused: "),
+        (AmbiguousSplittingError, 2, "refused: "),
+        (ImpossibleCellError, 2, "refused: "),
+        (FactorizationBudgetError, 2, "refused: "),
+        (CurveCheckError, 2, "refused: "),
+        (GroupError, 1, "usage error: "),
+        (UsageError, 1, "usage error: "),
+        (ValueError, 1, "usage error: "),
+    ],
+)
+def test_exit_code_of_each_error(capsys, monkeypatch, error, code, prefix):
+    # main maps a records.Refused to exit 2 and any other ValueError to exit 1
+    assert issubclass(error, Refused) == (code == 2)
+
+    def raise_it(args):
+        raise error("the reason")
+
+    monkeypatch.setitem(cli._COMMANDS, "relations", raise_it)
+    result = run(capsys, "relations", "c2xc2")
+    assert result == (code, "", f"{prefix}the reason\n")

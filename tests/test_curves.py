@@ -14,7 +14,6 @@ from selgrowth.curves import (
     WeierstrassModel,
     ap_oracle,
     compute_invariants,
-    hypothesis_counts,
     legendre,
     make_profile,
     minimal_model,
@@ -228,17 +227,17 @@ def test_legendre_matches_brute_force(p, a):
 
 def test_hypothesis_counts_65a1():
     prof = make_profile(WeierstrassModel(1, 0, 0, -1, 0), rank=1, torsion_order=2)
-    assert hypothesis_counts(prof) == (True, 2, 0)
+    assert prof.hypothesis_counts() == (True, 2, 0)
 
 
 def test_hypothesis_counts_91b1():
     prof = make_profile(WeierstrassModel(0, 1, 1, -7, 5), rank=1, torsion_order=3)
-    assert hypothesis_counts(prof) == (True, 0, 0)
+    assert prof.hypothesis_counts() == (True, 0, 0)
 
 
 def test_hypothesis_counts_additive():
     prof = make_profile(WeierstrassModel(0, 0, 1, 0, -7), rank=0, torsion_order=3)
-    assert hypothesis_counts(prof)[0] is False
+    assert prof.hypothesis_counts()[0] is False
 
 
 def test_guards_raise_under_python_O():

@@ -420,7 +420,7 @@ def test_certify_dihedral_polynomial_field():
 def test_certify_polynomial_field_ramified_prime_needs_override():
     # x^4 - 10x^2 + 1 cuts out Q(sqrt 2, sqrt 3); 15a1 is bad at 3, which
     # ramifies there, so the degree-pattern pathway must demand an override
-    from selgrowth.quotients import MissingLocalClassError
+    from selgrowth.splitting import MissingLocalClassError
 
     prof = make_profile(WeierstrassModel(1, 1, 1, -10, -10), rank=0, torsion_order=8)
     field = FieldSpec.polynomial((1, 0, -10, 0, 1), parse_group_spec("c2xc2"))

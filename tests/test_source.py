@@ -135,3 +135,41 @@ def test_every_function_is_called_from_the_package():
         if name not in kept and not (name.startswith("__") and name.endswith("__"))
     ]
     assert dead == []
+
+
+def _package_imports(nodes) -> list:
+    """(line, name) of each package module that these import statements load."""
+    out = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module.split(".")[0]] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("selgrowth."):
+            names = [node.module.split(".")[1]]
+        elif isinstance(node, ast.Import):
+            names = [a.name.split(".")[1] for a in node.names if a.name.startswith("selgrowth.")]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names]
+    return out
+
+
+def test_quotients_loads_neither_curves_nor_splitting():
+    # `relations` and `tables` load quotients but run no curve or field code;
+    # certify takes the profile and field that its caller built. Imports for
+    # annotations only, under `if TYPE_CHECKING:`, never run
+    tree = ast.parse((SRC / "quotients.py").read_text(encoding="utf-8"))
+    typing_only = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+        for inner in ast.walk(node)
+    }
+    found = _package_imports(node for node in ast.walk(tree) if id(node) not in typing_only)
+    assert [f"quotients.py:{line} {name}" for line, name in found if name in ("curves", "splitting")] == []
+
+
+def test_package_init_imports_no_submodule():
+    # `import selgrowth` (and so `python -m selgrowth`) loads no layer; a
+    # public name imports its home module on first use
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert _package_imports(tree.body) == []
