@@ -1,11 +1,18 @@
 """Exact primality testing and integer factorization, in pure Python.
 
-``is_prime`` is Miller-Rabin with the first k = 7, 9, 12 or 13 prime bases
-below psi_k, the least strong pseudoprime to those bases, so it is exact below
-psi_13 = 3317044064679887385961981 (about 3.3e24). Above psi_13 it is
-BPSW (R. Baillie and S. S. Wagstaff Jr., "Lucas pseudoprimes", Math. Comp. 35,
+``is_prime`` is exact below PSI_13 = 3317044064679887385961981 (about 3.3e24)
+and BPSW above, where no BPSW pseudoprime is known. Below 2^64 it is BPSW too
+(R. Baillie and S. S. Wagstaff Jr., "Lucas pseudoprimes", Math. Comp. 35,
 1980): Miller-Rabin to base 2 plus a strong Lucas test with Selfridge's
-parameters, the test sympy's ``isprime`` uses; no BPSW pseudoprime is known.
+parameters, the test sympy's ``isprime`` uses. There it is exact, as every
+base-2 strong pseudoprime below 2^64 is on Feitsma and Galway's list and none
+of them passes the Lucas test. From 2^64 up to PSI_13 it is Miller-Rabin with
+the first k = 12 or 13 prime bases below psi_k, the least strong pseudoprime to
+those bases.
+
+``jacobi`` is the Jacobi symbol by quadratic reciprocity, with no modular
+power; the Lucas test, the quadratic splitting symbols and the split
+multiplicative reduction test all read it.
 
 ``factor`` is trial division up to 1000. A composite cofactor then meets a
 short run of Pollard's rho in Brent's form with batched gcds (R. P. Brent, "An
@@ -43,8 +50,10 @@ def _sieve(n: int) -> list:
 _SMALL_PRIMES = _sieve(TRIAL_LIMIT)
 _MR_BASES = _SMALL_PRIMES[:13]
 PSI_13 = 3317044064679887385961981
-# psi_k, below which the first k prime bases decide primality
-_MR_RANGES = ((341550071728321, 7), (3825123056546413051, 9), (318665857834031151167461, 12), (PSI_13, 13))
+_BPSW_EXACT = 1 << 64  # no BPSW pseudoprime below it
+# psi_k, below which the first k prime bases decide primality; psi_7 and psi_9
+# lie below 2^64, where BPSW is exact and cheaper
+_MR_RANGES = ((318665857834031151167461, 12), (PSI_13, 13))
 
 # Pollard-Brent and ECM steps allowed per factor() call: over 700 times the
 # largest count that factoring any certify_mq benchmark discriminant or any
@@ -77,18 +86,18 @@ def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
     return False
 
 
-def _jacobi(a: int, n: int) -> int:
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0: the Legendre symbol when n is prime."""
     a %= n
     sign = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):  # (2/n) = -1
             sign = -sign
-        a %= n
+        if a & n & 2:  # a = n = 3 mod 4
+            sign = -sign
+        a, n = n % a, a
     return sign if n == 1 else 0
 
 
@@ -98,7 +107,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     if math.isqrt(n) ** 2 == n:
         return False  # no such D exists for a square
     D = 5
-    while (j := _jacobi(D, n)) != -1:
+    while (j := jacobi(D, n)) != -1:
         if j == 0 and abs(D) != n:
             return False  # D and n share a proper factor of n
         D = -D - 2 if D > 0 else -D + 2
@@ -130,9 +139,10 @@ def _is_prime_no_small_factor(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for psi, k in _MR_RANGES:
-        if n < psi:
-            return all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES[:k])
+    if n >= _BPSW_EXACT:
+        for psi, k in _MR_RANGES:
+            if n < psi:
+                return all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES[:k])
     return _strong_probable_prime(n, 2, d, s) and _strong_lucas_probable_prime(n)
 
 

@@ -186,8 +186,6 @@ def _curve_from_args(args) -> tuple:
 
 
 def _cmd_analyze(args) -> dict:
-    from .curves import compute_invariants
-
     model, profile = _curve_from_args(args)
     semistable, n_nonsplit, n_even = profile.hypothesis_counts()
     return {
@@ -196,7 +194,7 @@ def _cmd_analyze(args) -> dict:
         "model": list(model.ainvs()),
         "minimal_model": list(profile.model.ainvs()),
         "invariants": {"c4": profile.c4, "c6": profile.c6, "delta_min": profile.delta_min,
-                       "delta_input": compute_invariants(model).delta},
+                       "delta_input": model.invariants.delta},
         "bad_places": [
             {"v": rd.v, "kind": rd.kind, "m": rd.m, "tamagawa": rd.tamagawa}
             for rd in profile.bad_places

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import factor
+from .arith import factor, jacobi
 from .records import ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT, Record, Refused
 
 
@@ -34,19 +34,24 @@ def _check(ok: bool, what: str) -> None:
 class WeierstrassModel(Record):
     """The model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over the integers.
 
-    Building one converts the coefficients to int and refuses a singular
-    model. Models are immutable and compare and hash by their a-invariants.
+    Building one converts the coefficients to int, computes the invariants
+    once (kept as ``invariants``) and refuses a singular model. Models are
+    immutable and compare and hash by their a-invariants alone.
     """
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6")
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "invariants")
 
     def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int):
         self._set(int(a1), int(a2), int(a3), int(a4), int(a6))
-        if compute_invariants(self).delta == 0:
+        inv = compute_invariants(self)
+        if inv.delta == 0:
             raise SingularModelError(f"singular model {self.ainvs()}")
+        object.__setattr__(self, "invariants", inv)
 
     def ainvs(self) -> tuple:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
+
+    _values = ainvs  # the record's fields: invariants derive from them
 
     @staticmethod
     def from_ainvs(ainvs) -> "WeierstrassModel":
@@ -134,7 +139,7 @@ def minimal_model(m: WeierstrassModel) -> WeierstrassModel:
     a perfect 12th power, and the model is in the standard normalized form
     (a1, a3 in {0,1} and a2 in {-1,0,1}).
     """
-    inv = compute_invariants(m)
+    inv = m.invariants
     c4, c6 = inv.c4, inv.c6
     if c4 == 0:
         base = abs(c6)
@@ -174,7 +179,7 @@ def minimal_model(m: WeierstrassModel) -> WeierstrassModel:
     u12 = 1
     for p, d in exps.items():
         u12 *= p ** (12 * d)
-    _check(compute_invariants(mm).delta * u12 == inv.delta, "delta_min * u^12 != input delta")
+    _check(mm.invariants.delta * u12 == inv.delta, "delta_min * u^12 != input delta")
     return mm
 
 
@@ -191,20 +196,11 @@ class ReductionData(NamedTuple):
         return self.kind in (SPLIT_MULT, NONSPLIT_MULT)
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
 def _minus_c6_is_local_square(c6: int, v: int) -> bool:
     # split multiplicative reduction criterion; v never divides c6 here
     if v == 2:
         return (-c6) % 8 == 1
-    return legendre(-c6, v) == 1
+    return jacobi(-c6, v) == 1
 
 
 def reduction_at(c4: int, c6: int, delta_min: int, v: int) -> ReductionData:
@@ -258,7 +254,7 @@ def make_profile(
     if rank < 0 or torsion_order < 1:
         raise ValueError("rank must be >= 0 and torsion order >= 1")
     mm = minimal_model(model)
-    inv = compute_invariants(mm)
+    inv = mm.invariants
     bad = tuple(
         reduction_at(inv.c4, inv.c6, inv.delta, v)
         for v in factor(abs(inv.delta))
@@ -285,7 +281,7 @@ def ap_oracle(model: WeierstrassModel, v: int) -> str:
     """
     if v == 2 or v > 10 ** 4:
         raise ValueError(f"point-count oracle needs an odd prime <= 10^4, got {v}")
-    inv = compute_invariants(model)
+    inv = model.invariants
     rd = reduction_at(inv.c4, inv.c6, inv.delta, v)
     if not rd.is_multiplicative():
         raise ValueError(f"reduction at {v} is {rd.kind}, not multiplicative")
@@ -301,7 +297,7 @@ def ap_oracle(model: WeierstrassModel, v: int) -> str:
             if dg == 0:
                 nodes.append(x)
         else:
-            affine += 1 + legendre(g, v)
+            affine += 1 + jacobi(g, v)
     _check(len(nodes) == 1, f"expected a unique node mod {v}")
     smooth = affine - 1 + 1  # drop the node, add the point at infinity
     if smooth == v - 1:

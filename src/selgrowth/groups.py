@@ -185,10 +185,15 @@ class FiniteGroup:
         self.family = family
         self._inv = self._inverse_table()
         # kept with the group and dropped with it: the family's relation, set by
-        # brauer.canonical_relation, and (class id of H, D elements, I elements)
-        # -> multiset of the (e, f) of the places of F^H, by quotients.place_degrees
+        # brauer.canonical_relation; (class id of H, D elements, I elements)
+        # -> multiset of the (e, f) of the places of F^H, by quotients.place_degrees;
+        # (relation, local class, reduction kind, m) -> (contributions, quotient,
+        # table cell), by quotients.local_theta_quotient; and (quadratic symbols of
+        # d1, d2, d3, v == 2) -> local class, by splitting's multiquadratic fields
         self.canonical_relation_memo = None
         self.place_degree_memo = {}
+        self.place_quotient_memo = {}
+        self.symbol_class_memo = {}
         self._coset_memo = {}  # D elements -> _left_cosets(D)
         if validate:
             self.validate(generators)

@@ -13,7 +13,8 @@ The (e, f) of the places depend on v only through (D, I), so
 `place_degrees` counts them once per (H, D, I), from the conjugates of H
 (`groups.place_counts`, which does not list the double cosets; the tests
 check it against `groups.double_cosets`, which does), and keeps them on the
-group; `local_theta_quotient` evaluates them for one reduction type and m.
+group; `local_theta_quotient` evaluates them for one reduction type and m,
+and keeps that result on the group as well.
 
 The hardcoded quotient tables for the four group families are never read by
 certify, which always counts the places; `oracle_table` checks the counts
@@ -206,16 +207,27 @@ def _evaluate(theta: BrauerRelation, degrees: tuple, kind: str, m: int) -> tuple
 def local_theta_quotient(
     theta: BrauerRelation, lc: LocalClass, rd: ReductionData
 ) -> PlaceQuotientReport:
-    """The quotient prod_H (prod of Tamagawa numbers over places of F^H above v)^{n_H}."""
+    """The quotient prod_H (prod of Tamagawa numbers over places of F^H above v)^{n_H}.
+
+    Everything but v depends only on (theta, lc, kind, m), so the result is
+    kept on the group under that key: at most #local classes x 2 x #distinct m
+    entries per relation, dropped with the group.
+    """
     if rd.kind == ADDITIVE:
         raise NonSemistableError(
             f"additive reduction at {rd.v}; the quotient engine requires semistability"
         )
-    contributions, quotient = _evaluate(theta, place_degrees(theta, lc), rd.kind, rd.m)
-    cell = None
-    if theta.group.family is not None and rd.kind in (SPLIT_MULT, NONSPLIT_MULT):
-        parity = PARITY_EVEN if rd.m % 2 == 0 else PARITY_ODD
-        cell = f"{classify_row(lc)}|{classify_column(rd.kind, lc)}|{parity}"
+    memo = theta.group.place_quotient_memo
+    key = (theta, lc.group, lc.decomposition.elements, lc.inertia.elements, rd.kind, rd.m)
+    hit = memo.get(key)
+    if hit is None:
+        contributions, quotient = _evaluate(theta, place_degrees(theta, lc), rd.kind, rd.m)
+        cell = None
+        if theta.group.family is not None and rd.kind in (SPLIT_MULT, NONSPLIT_MULT):
+            parity = PARITY_EVEN if rd.m % 2 == 0 else PARITY_ODD
+            cell = f"{classify_row(lc)}|{classify_column(rd.kind, lc)}|{parity}"
+        hit = memo[key] = contributions, quotient, cell
+    contributions, quotient, cell = hit
     return PlaceQuotientReport(
         v=rd.v,
         reduction_kind=rd.kind,

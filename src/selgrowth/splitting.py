@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import factor
+from .arith import factor, jacobi
 from .groups import (
     FiniteGroup,
     GroupError,
@@ -69,7 +69,7 @@ def _symbol(d: int, v: int) -> str:
         return SPLIT if r == 1 else INERT
     if d % v == 0:
         return RAMIFIED
-    return SPLIT if pow(d % v, (v - 1) // 2, v) == 1 else INERT
+    return SPLIT if jacobi(d, v) == 1 else INERT
 
 
 def third_discriminant(d1: int, d2: int) -> int:
@@ -104,25 +104,36 @@ def multiquadratic_local_class(
 
 
 def _multiquadratic_class(d1: int, d2: int, v: int, G: FiniteGroup) -> LocalClass:
-    """multiquadratic_local_class for discriminants already validated."""
+    """multiquadratic_local_class for discriminants already validated.
+
+    The class depends on v only through the symbols of d1, d2, d3 and whether
+    v = 2, so it is kept on the group under that key; a refusal is not kept.
+    """
     if G.family is None or G.family.name != "c2xc2":
         raise GroupError("multiquadratic local classes live in c2xc2")
-    d3 = third_discriminant(d1, d2)
-    # element (i, j) = index 2i + j flips sqrt(d1) iff i = 1, sqrt(d2) iff j = 1
-    fixers = {d1: {0, 1}, d2: {0, 2}, d3: {0, 3}}  # the fixer of each sqrt(d)
     # d1 and d2 passed validation, so d3 = d1 d2 / gcd(d1, d2)^2 is squarefree too
-    symbols = {d: _symbol(d, v) for d in (d1, d2, d3)}
+    symbols = (_symbol(d1, v), _symbol(d2, v), _symbol(third_discriminant(d1, d2), v))
+    key = (symbols, v == 2)
+    lc = G.symbol_class_memo.get(key)
+    if lc is not None:
+        return lc
+    # element (i, j) = index 2i + j flips sqrt(d1) iff i = 1, sqrt(d2) iff j = 1;
+    # the fixers of sqrt(d1), sqrt(d2) and sqrt(d3), in that order
+    fixers = ({0, 1}, {0, 2}, {0, 3})
     inertia, decomp = set(range(4)), set(range(4))
-    for d, sym in symbols.items():
+    for fixer, sym in zip(fixers, symbols):
         if sym != RAMIFIED:
-            inertia &= fixers[d]
+            inertia &= fixer
         if sym == SPLIT:
-            decomp &= fixers[d]
-    if v != 2 and any(s == RAMIFIED for s in symbols.values()):
-        unram = [d for d, s in symbols.items() if s != RAMIFIED]
-        if len(unram) != 1:
-            raise GroupError(f"ramified odd v = {v} is unramified in {len(unram)} quadratic subfields, not 1")
-    return G.local_class(G.class_of_subgroup(Subgroup(decomp)), G.class_of_subgroup(Subgroup(inertia)))
+            decomp &= fixer
+    if v != 2 and RAMIFIED in symbols:
+        unram = sum(s != RAMIFIED for s in symbols)
+        if unram != 1:
+            raise GroupError(f"ramified odd v = {v} is unramified in {unram} quadratic subfields, not 1")
+    lc = G.symbol_class_memo[key] = G.local_class(
+        G.class_of_subgroup(Subgroup(decomp)), G.class_of_subgroup(Subgroup(inertia))
+    )
+    return lc
 
 
 # -- field specifications ------------------------------------------------------

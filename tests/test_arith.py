@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selgrowth import arith
-from selgrowth.arith import PSI_13, FactorizationBudgetError, factor, is_prime
+from selgrowth.arith import PSI_13, FactorizationBudgetError, factor, is_prime, jacobi
 
 # the differential tests below run the same examples on every run
 DIFFERENTIAL = settings(derandomize=True, max_examples=200, deadline=None)
@@ -20,9 +20,14 @@ STRONG_PSEUDOPRIMES = [  # psi_1, psi_4, psi_9, psi_12, psi_13: composite
     3317044064679887385961981,
 ]
 CARMICHAEL = [561, 41041]
-# psi_k: the least strong pseudoprime to the first k prime bases, where
-# is_prime moves from k Miller-Rabin bases to more (or to BPSW)
+# psi_k: the least strong pseudoprime to the first k prime bases; is_prime
+# moves from BPSW to 12 bases at 2^64, to 13 at psi_12 and to BPSW at psi_13
 PSI = {7: 341550071728321, 9: 3825123056546413051, 12: 318665857834031151167461, 13: PSI_13}
+# strong pseudoprimes to base 2: 2^q - 1 for a prime q, when composite, as
+# 2^q = 1 modulo it and q divides (2^q - 2) / 2; and 2^(2^r) + 1, when
+# composite, as 2^(2^r) = -1 modulo it
+BASE_2_STRONG_PSEUDOPRIMES = [2 ** q - 1 for q in (11, 23, 29, 37, 41, 43, 47, 53, 59, 67, 71)]
+BASE_2_STRONG_PSEUDOPRIMES += [2 ** 32 + 1, 2 ** 64 + 1]
 MERSENNE_PRIMES = [2 ** 61 - 1, 2 ** 89 - 1]
 
 
@@ -33,6 +38,10 @@ def _sieve(limit):
         if flags[p]:
             flags[p * p::p] = bytearray(len(range(p * p, limit, p)))
     return flags
+
+
+def _prime_near(lo, hi):
+    return st.integers(lo, hi).map(sympy.nextprime)
 
 
 # -- primality -----------------------------------------------------------------
@@ -69,6 +78,65 @@ def test_is_prime_matches_sympy_around_psi_k(k):
     assert [n for n in window if is_prime(n)] == [n for n in window if sympy.isprime(n)]
 
 
+def _odd_part(n):
+    """(d, s) with n - 1 = d * 2^s and d odd."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return d, s
+
+
+@pytest.mark.parametrize(
+    "n", sorted({psi for psi, _ in arith._MR_RANGES} | set(PSI.values()) | set(BASE_2_STRONG_PSEUDOPRIMES))
+)
+def test_base_2_strong_pseudoprimes_are_rejected(n):
+    assert arith._strong_probable_prime(n, 2, *_odd_part(n))
+    assert not sympy.isprime(n)
+    assert not is_prime(n)
+    if min(sympy.factorint(n)) > arith.TRIAL_LIMIT:  # is_prime reaches the strong tests
+        assert not arith._is_prime_no_small_factor(n)
+
+
+def test_bpsw_below_2_64_and_twelve_bases_above():
+    below, above = sympy.prevprime(2 ** 64), sympy.nextprime(2 ** 64)
+    for n, bases in ((below, 1), (above, 12)):
+        with mock.patch.object(arith, "_strong_probable_prime", wraps=arith._strong_probable_prime) as mr, \
+                mock.patch.object(arith, "_strong_lucas_probable_prime",
+                                  wraps=arith._strong_lucas_probable_prime) as lucas:
+            assert is_prime(n)
+        assert (mr.call_count, lucas.call_count) == (bases, int(bases == 1))
+    window = range(below, above + 1)
+    assert [n for n in window if is_prime(n)] == [below, above]
+
+
+def _bits_uniform(lo, hi):
+    """An integer in [2^lo, 2^hi), with its bit length uniform."""
+    return st.integers(lo, hi - 1).flatmap(lambda b: st.integers(2 ** b, 2 ** (b + 1) - 1))
+
+
+@DIFFERENTIAL
+@given(st.one_of(
+    _bits_uniform(20, 72),
+    _bits_uniform(20, 72).map(sympy.nextprime),
+    st.tuples(_bits_uniform(10, 36).map(sympy.nextprime), _bits_uniform(10, 36).map(sympy.nextprime)).map(math.prod),
+))
+def test_is_prime_matches_sympy_from_2_20_to_2_72(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_jacobi_matches_sympy_on_small_odd_moduli():
+    assert all(
+        jacobi(a, n) == sympy.jacobi_symbol(a, n) for n in range(1, 200, 2) for a in range(-n, 2 * n)
+    )
+
+
+@DIFFERENTIAL
+@given(_prime_near(3, 2 ** 70), st.integers(-2 ** 80, 2 ** 80))
+def test_jacobi_is_eulers_criterion_at_odd_primes(p, a):
+    euler = pow(a, (p - 1) // 2, p)
+    assert jacobi(a, p) == (0 if euler == 0 else 1 if euler == 1 else -1)
+
+
 @pytest.mark.parametrize("n", MERSENNE_PRIMES)
 def test_mersenne_primes(n):
     assert is_prime(n)
@@ -89,10 +157,6 @@ def test_strong_lucas_test_with_selfridge_parameters():
         5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
     ]
     assert [n for n in accepted if flags[n]] == [n for n in range(3, 60_000, 2) if flags[n]]
-
-
-def _prime_near(lo, hi):
-    return st.integers(lo, hi).map(sympy.nextprime)
 
 
 @DIFFERENTIAL

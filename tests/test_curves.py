@@ -9,12 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from selgrowth.arith import jacobi
 from selgrowth.curves import (
     SingularModelError,
     WeierstrassModel,
     ap_oracle,
     compute_invariants,
-    legendre,
     make_profile,
     minimal_model,
 )
@@ -94,6 +94,20 @@ def test_minimal_model_unscales():
     # a_i -> u^i a_i with u = 2 recovers the original model
     scaled = WeierstrassModel(2, 0, 0, -16, 0)
     assert minimal_model(scaled).ainvs() == (1, 0, 0, -1, 0)
+
+
+def test_make_profile_computes_the_minimal_models_invariants_once(monkeypatch):
+    # a model keeps the invariants it computed when built, and make_profile
+    # reads them from the input model and the minimal model it builds
+    from selgrowth import curves
+
+    real = curves.compute_invariants
+    for model in (WeierstrassModel(1, 0, 0, -1, 0), WeierstrassModel(2, 0, 0, -16, 0)):
+        calls = []
+        monkeypatch.setattr(curves, "compute_invariants", lambda m: calls.append(m) or real(m))
+        prof = make_profile(model, rank=0)
+        assert calls == [prof.model] and prof.model.ainvs() == (1, 0, 0, -1, 0)
+        assert prof.model.invariants == real(prof.model) and model.invariants == real(model)
 
 
 def test_minimal_model_tricky_3_torsion():
@@ -215,7 +229,7 @@ def test_reduction_kind_matches_point_counts_on_semistable_models(ainvs):
 @given(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]), st.integers(0, 10 ** 4))
 @settings(max_examples=150, deadline=None)
 def test_legendre_matches_brute_force(p, a):
-    sym = legendre(a, p)
+    sym = jacobi(a, p)
     if a % p == 0:
         assert sym == 0
     else:

@@ -1,15 +1,19 @@
 import json
+import math
+import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selgrowth import quotients
+from selgrowth import groups, quotients
 from selgrowth.brauer import canonical_relation, norm_constant
 from selgrowth.curves import (
     NONSPLIT_MULT,
     SPLIT_MULT,
     ReductionData,
+    SingularModelError,
     WeierstrassModel,
     make_profile,
 )
@@ -446,3 +450,49 @@ def test_certificate_round_trip_revalidates():
     overrides = {pl["v"]: (pl["D"], pl["I"]) for pl in parsed["places"]}
     recomputed = certify(prof, field, parsed["p"], overrides)
     assert json.dumps(recomputed.as_json(), sort_keys=True) == blob
+
+
+def _semistable_models(count, seed):
+    """Models with gcd(c4, delta) = 1, so minimal and semistable, drawn the same on every run."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ainvs = (1, rng.randint(-1, 1), rng.randint(0, 1), rng.randint(-10 ** 4, 10 ** 4), rng.randint(-10 ** 6, 10 ** 6))
+        try:
+            model = WeierstrassModel.from_ainvs(ainvs)
+        except SingularModelError:
+            continue
+        if math.gcd(model.invariants.c4, model.invariants.delta) == 1:
+            out.append(model)
+    return out
+
+
+def test_memos_keep_certificates_byte_identical(monkeypatch):
+    # places and multiquadratic local classes are kept on the group: every
+    # certificate from the warm groups equals, byte for byte, the one from
+    # groups built afresh, and the place memo stays within its bound
+    fields = [(3, 5), (-1, 2), (-3, 7), (6, 10), (5, 7)]
+    requests = []
+    for i, model in enumerate(_semistable_models(30, 17)):
+        prof = make_profile(model, rank=i % 4, sha_p_trivial=(2, 3, 5) if i % 2 else ())
+        requests.append((prof, lambda ds=fields[i % 5]: FieldSpec.multiquadratic(*ds), 2, None))
+        spec = ("d:5", "cpxcp:3")[i % 2]
+        names = [lc.names() for lc in parse_group_spec(spec).local_classes]
+        overrides = {rd.v: names[(i + j) % len(names)] for j, rd in enumerate(prof.bad_places)}
+        requests.append((prof, lambda spec=spec: FieldSpec.abstract(parse_group_spec(spec)), int(spec[-1]), overrides))
+
+    def run(prof, field, p, overrides):
+        return json.dumps(certify(prof, field(), p, overrides).as_json(), sort_keys=True)
+
+    warm = [run(*req) for req in requests]
+    assert [run(*req) for req in requests] == warm
+    ms = {rd.m for prof, *_ in requests for rd in prof.bad_places}
+    for spec in ("c2xc2", "d:5", "cpxcp:3"):
+        G = parse_group_spec(spec)
+        assert 0 < len(G.place_quotient_memo) <= len(G.local_classes) * 2 * len(ms)
+    assert 0 < len(parse_group_spec("c2xc2").symbol_class_memo) <= 3 ** 3 * 2
+    fresh = []
+    for req in requests:
+        monkeypatch.setattr(groups, "_recent_groups", OrderedDict())
+        fresh.append(run(*req))
+    assert fresh == warm

@@ -1,9 +1,12 @@
 import itertools
+import math
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +107,32 @@ def test_symbol_matches_brute_force(d, v):
     except ValueError:
         assume(False)
     assert sym == brute_force_symbol(d, v)
+
+
+def euler_symbol(d, v):
+    """Oracle for odd prime v: Euler's criterion, d^((v - 1) / 2) mod v."""
+    r = pow(d, (v - 1) // 2, v)
+    return "ramified" if r == 0 else "split" if r == 1 else "inert"
+
+
+def test_symbol_matches_euler_for_every_squarefree_d_up_to_10_4():
+    # the symbol is a Jacobi symbol, by reciprocity: each squarefree |d| <= 10^4
+    # meets four odd primes of up to 70 bits, drawn the same on every run,
+    # and each odd prime dividing d, where it ramifies
+    n = 10 ** 4
+    squarefree = bytearray([1]) * (n + 1)
+    for k in range(2, math.isqrt(n) + 1):
+        squarefree[k * k::k * k] = bytes(len(range(k * k, n + 1, k * k)))
+    rng = random.Random(17)
+    primes = sorted({sympy.nextprime(rng.getrandbits(bits) | 2) for bits in range(2, 71) for _ in range(3)})
+    checked = 0
+    for d in range(-n, n + 1):
+        if d in (0, 1) or not squarefree[abs(d)]:
+            continue
+        for v in rng.sample(primes, 4) + [q for q in sympy.primefactors(d) if q > 2]:
+            assert quadratic_symbol(d, v) == euler_symbol(d, v), (d, v)
+            checked += 1
+    assert checked > 6 * 10 ** 4
 
 
 # -- multiquadratic local classes ---------------------------------------------------
