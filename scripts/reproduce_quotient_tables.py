@@ -2,8 +2,9 @@
 """Print the local-quotient tables for all four group families.
 
 For every family this prints each table cell next to the value recomputed by
-the double-coset oracle over all realizable (decomposition, inertia) pairs,
-with a PASS/FAIL agreement column. Dash cells are checked to be unreachable.
+the oracle, the Mackey count of the places above v, over all realizable
+(decomposition, inertia) pairs, with a PASS/FAIL agreement column. Dash cells
+are checked to be unreachable.
 """
 
 import sys

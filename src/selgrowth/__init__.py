@@ -32,7 +32,7 @@ _EXPORTS = {
     ),
     "quotients": (
         "GrowthCertificate", "PlaceQuotientReport", "certify", "hypothesis_check",
-        "local_theta_quotient", "oracle_table", "place_degrees", "regulator_quotient", "table_lookup",
+        "local_theta_quotient", "oracle_table", "place_degrees", "quotient_table", "regulator_quotient",
     ),
     "splitting": (
         "FieldSpec", "factor_degree_pattern", "frobenius_class", "multiquadratic_local_class",

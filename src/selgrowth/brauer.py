@@ -107,14 +107,9 @@ def canonical_relation(G: FiniteGroup) -> BrauerRelation:
 
 def norm_constant(theta: BrauerRelation) -> FactoredRational:
     """prod |H|^{n_H} over the relation, as an exact factored rational."""
-    num = den = 1
-    for cid, n in theta.coeffs:
-        order = theta.group.subgroup_classes[cid].order
-        if n > 0:
-            num *= order ** n
-        else:
-            den *= order ** -n
-    return FactoredRational.from_int(num) / FactoredRational.from_int(den)
+    orders = [(theta.group.subgroup_classes[cid].order, n) for cid, n in theta.coeffs]
+    factored = {h: FactoredRational.from_int(h) for h in {h for h, _ in orders}}  # each |H| once
+    return FactoredRational.product((factored[h], n) for h, n in orders)
 
 
 def relation_lattice(G: FiniteGroup):

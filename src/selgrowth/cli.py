@@ -222,7 +222,6 @@ def _cmd_scan(args) -> dict:
     result = _ingest(path)
     filters = ScanFilters(
         min_rank=args.min_rank,
-        require_semistable=True,
         max_nonsplit=args.max_nonsplit,
         require_sha_an_one=not args.any_sha,
         torsion_order=1 if args.torsion_free else None,

@@ -119,7 +119,6 @@ def ingest(path) -> IngestResult:
 
 class ScanFilters(NamedTuple):
     min_rank: int = 1
-    require_semistable: bool = True
     max_nonsplit: int = 0
     require_sha_an_one: bool = True
     torsion_order: int | None = None  # exact match when set
@@ -145,7 +144,7 @@ def scan(records, family: Family | None = None,
     Without a family the scan demands the hypotheses of every theorem case,
     which for the default filters reduces to having no non-split places.
     With a family only its case's inequality is enforced on top of the
-    filters.
+    filters. Non-semistable curves never match; they are listed as skipped.
     """
     matches = []
     skipped = []
@@ -156,8 +155,7 @@ def scan(records, family: Family | None = None,
         report = hypothesis_check(profile, family)
         if not profile.is_semistable():
             skipped.append(rec.label)
-            if filters.require_semistable:
-                continue
+            continue
         if rec.rank < filters.min_rank:
             continue
         if report.n_nonsplit > filters.max_nonsplit:
@@ -167,7 +165,9 @@ def scan(records, family: Family | None = None,
         if filters.torsion_order is not None and rec.torsion != filters.torsion_order:
             continue
         if family is None:
-            if not (report.case_a and report.case_b and report.case_c):
+            # case b implies cases a and c: all three need semistability and
+            # positive rank, and n_nonsplit_even <= n_nonsplit
+            if not report.case_b:
                 continue
         elif not report.hypotheses_pass:
             continue

@@ -10,15 +10,15 @@ becomes split exactly when f is even and otherwise keeps the parity-of-e*m
 Tamagawa number 1 or 2.
 
 The (e, f) of the places depend on v only through (D, I), so
-`place_degrees` counts them once per (H, D, I), from the conjugates of H
-(`groups.place_counts`, which does not list the double cosets; the tests
-check it against `groups.double_cosets`, which does), and keeps them on the
-group; `local_theta_quotient` evaluates them for one reduction type and m,
-and keeps that result on the group as well.
+`place_degrees` counts them from the conjugates of H (`groups.place_counts`,
+which does not list the double cosets; the tests check it against
+`groups.double_cosets`, which does); `local_theta_quotient` keeps them on
+the group once per local class, beside each result for a reduction type and m.
 
-The hardcoded quotient tables for the four group families are never read by
-certify, which always counts the places; `oracle_table` checks the counts
-against them cell by cell, for `selgrowth tables` and the tests alike.
+`quotient_table` holds the hardcoded quotient table of each group family,
+keyed by `cell_key`'s (row, col, parity). Certify never reads it, since it
+always counts the places; `oracle_table` checks the counts against it cell
+by cell, for `selgrowth tables` and the tests alike.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ class NonSemistableError(ValueError, Refused):
     """The quotient tables require semistable reduction."""
 
 
-class ImpossibleCellError(LookupError, Refused):
-    """A dash cell: no (D, I) pair realizes this splitting/reduction combination."""
-
-
 # row descriptors: how v sits in F/K
 ROW_SPLITS = "splits"  # more than one prime of F above v (D != G)
 ROW_INERT_RAMIFIED = "inert_ramified"  # one prime, not totally ramified (D = G, I < G)
@@ -59,67 +55,54 @@ PARITY_EVEN = "even"
 PARITY_ODD = "odd"
 
 
-def classify_row(lc: LocalClass) -> str:
-    G = lc.group
-    if len(lc.decomposition) < G.order:
-        return ROW_SPLITS
-    if len(lc.inertia) == G.order:
-        return ROW_TOTALLY_RAMIFIED
-    return ROW_INERT_RAMIFIED
-
-
-def classify_column(kind: str, lc: LocalClass) -> str:
+def cell_key(lc: LocalClass, kind: str, m: int) -> tuple:
+    """The (row, col, parity of m) of a multiplicative place in the quotient tables."""
+    if len(lc.decomposition) < lc.group.order:
+        row = ROW_SPLITS
+    elif len(lc.inertia) == lc.group.order:
+        row = ROW_TOTALLY_RAMIFIED
+    else:
+        row = ROW_INERT_RAMIFIED
     if kind == SPLIT_MULT:
-        return COL_SPLIT
-    if kind == NONSPLIT_MULT:
+        col = COL_SPLIT
+    elif kind == NONSPLIT_MULT:
         # the places of F above v have residue degree f = [D:I]
-        return COL_NONSPLIT_SPLITS if lc.f % 2 == 0 else COL_NONSPLIT_STAYS
-    raise ValueError(f"only multiplicative reduction is tabulated, got {kind}")
+        col = COL_NONSPLIT_SPLITS if lc.f % 2 == 0 else COL_NONSPLIT_STAYS
+    else:
+        raise ValueError(f"only multiplicative reduction is tabulated, got {kind}")
+    return row, col, PARITY_EVEN if m % 2 == 0 else PARITY_ODD
 
 
-def _cells_for_family(family: Family) -> dict:
-    """Cell values as p-exponents; callables take the parity of ord_v(delta)."""
+def quotient_table(family: Family) -> dict:
+    """The family's quotient table: (row, col, parity) -> exponent of the family prime.
+
+    parity is None in a cell that ignores m = ord_v(delta). Dash cells and the
+    non-split columns of the odd-order tables (no p-part) have no key.
+    """
     if family.case == "c":
         # p-exponent 1 - p for Cp x Cp, 1 - q for Cp : Cq
         drop = 1 - (family.p if family.q is None else family.q)
         return {
-            (ROW_SPLITS, COL_SPLIT): 0,
-            (ROW_INERT_RAMIFIED, COL_SPLIT): drop,
-            (ROW_TOTALLY_RAMIFIED, COL_SPLIT): drop,
+            (ROW_SPLITS, COL_SPLIT, None): 0,
+            (ROW_INERT_RAMIFIED, COL_SPLIT, None): drop,
+            (ROW_TOTALLY_RAMIFIED, COL_SPLIT, None): drop,
         }
-    cells = {
-        (ROW_SPLITS, COL_SPLIT): 0,
-        (ROW_SPLITS, COL_NONSPLIT_STAYS): 0,
-        (ROW_SPLITS, COL_NONSPLIT_SPLITS): 0,
-        (ROW_INERT_RAMIFIED, COL_SPLIT): -1,
-        (ROW_TOTALLY_RAMIFIED, COL_SPLIT): -1,
+    table = {
+        (ROW_SPLITS, COL_SPLIT, None): 0,
+        (ROW_SPLITS, COL_NONSPLIT_STAYS, None): 0,
+        (ROW_SPLITS, COL_NONSPLIT_SPLITS, None): 0,
+        (ROW_INERT_RAMIFIED, COL_SPLIT, None): -1,
+        (ROW_TOTALLY_RAMIFIED, COL_SPLIT, None): -1,
     }
     if family.name == "c2xc2":
-        cells[(ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS)] = lambda par: 1 if par == PARITY_EVEN else -1
-        cells[(ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS)] = lambda par: 0 if par == PARITY_EVEN else -2
+        table[(ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS, PARITY_EVEN)] = 1
+        table[(ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS, PARITY_ODD)] = -1
+        table[(ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS, PARITY_EVEN)] = 0
+        table[(ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS, PARITY_ODD)] = -2
     else:
-        cells[(ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS)] = 1
-        cells[(ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS)] = 0
-    return cells
-
-
-def table_lookup(
-    family: Family, row: str, col: str, m_parity: str | None = None
-) -> FactoredRational:
-    """The tabulated value of the local quotient, as a power of the family prime.
-
-    Raises ImpossibleCellError on dash cells and on combinations the odd-order
-    tables do not carry (their non-split columns never touch the p-part).
-    """
-    cells = _cells_for_family(family)
-    if (row, col) not in cells:
-        raise ImpossibleCellError(f"no table cell for {family}: ({row}, {col})")
-    value = cells[(row, col)]
-    if callable(value):
-        if m_parity not in (PARITY_EVEN, PARITY_ODD):
-            raise ValueError(f"cell ({row}, {col}) needs the parity of ord_v(delta)")
-        value = value(m_parity)
-    return FactoredRational({family.p: value})
+        table[(ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS, None)] = 1
+        table[(ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS, None)] = 0
+    return table
 
 
 class PlaceQuotientReport(NamedTuple):
@@ -167,21 +150,12 @@ def place_degrees(theta: BrauerRelation, lc: LocalClass) -> tuple:
 
     One multiset ``(((e, f), count), ...)`` per entry of ``theta.coeffs``.
     The places of F^H are the double cosets H\\G/D; ``place_counts`` counts
-    them by (e, f) over the conjugates of H without listing them, once per
-    (H, D, I), and the counts are kept on the group.
+    them by (e, f) over the conjugates of H without listing them.
     """
     G = theta.group
     if lc.group is not G and lc.group.table != G.table:
         raise GroupError("local class and relation live in different groups")
-    memo = G.place_degree_memo
-    D, I = lc.decomposition.elements, lc.inertia.elements
-    out = []
-    for cid, _ in theta.coeffs:
-        key = (cid, D, I)
-        if key not in memo:
-            memo[key] = place_counts(G, cid, lc)
-        out.append(memo[key])
-    return tuple(out)
+    return tuple(place_counts(G, cid, lc) for cid, _ in theta.coeffs)
 
 
 def _evaluate(theta: BrauerRelation, degrees: tuple, kind: str, m: int) -> tuple:
@@ -209,24 +183,27 @@ def local_theta_quotient(
 ) -> PlaceQuotientReport:
     """The quotient prod_H (prod of Tamagawa numbers over places of F^H above v)^{n_H}.
 
-    Everything but v depends only on (theta, lc, kind, m), so the result is
-    kept on the group under that key: at most #local classes x 2 x #distinct m
-    entries per relation, dropped with the group.
+    Everything but v depends only on (theta, lc, kind, m), so it is kept on
+    the group: under (theta, lc), the place degrees, counted once, and each
+    result keyed by (kind, m). Both go when the group is dropped.
     """
     if rd.kind == ADDITIVE:
         raise NonSemistableError(
             f"additive reduction at {rd.v}; the quotient engine requires semistability"
         )
     memo = theta.group.place_quotient_memo
-    key = (theta, lc.group, lc.decomposition.elements, lc.inertia.elements, rd.kind, rd.m)
-    hit = memo.get(key)
+    key = (theta, lc.group, lc.decomposition.elements, lc.inertia.elements)
+    entry = memo.get(key)  # one hash: the key holds the element tuples of D and I
+    if entry is None:
+        entry = memo[key] = place_degrees(theta, lc), {}
+    degrees, results = entry
+    hit = results.get((rd.kind, rd.m))
     if hit is None:
-        contributions, quotient = _evaluate(theta, place_degrees(theta, lc), rd.kind, rd.m)
+        contributions, quotient = _evaluate(theta, degrees, rd.kind, rd.m)
         cell = None
         if theta.group.family is not None and rd.kind in (SPLIT_MULT, NONSPLIT_MULT):
-            parity = PARITY_EVEN if rd.m % 2 == 0 else PARITY_ODD
-            cell = f"{classify_row(lc)}|{classify_column(rd.kind, lc)}|{parity}"
-        hit = memo[key] = contributions, quotient, cell
+            cell = "|".join(cell_key(lc, rd.kind, rd.m))
+        hit = results[rd.kind, rd.m] = contributions, quotient, cell
     contributions, quotient, cell = hit
     return PlaceQuotientReport(
         v=rd.v,
@@ -252,42 +229,38 @@ def oracle_table(G: FiniteGroup) -> dict:
     theta = canonical_relation(G)
     family = G.family
     p = family.p
-    cells = _cells_for_family(family)
+    table = quotient_table(family)
     odd_order = G.order % 2 == 1
-    # (row, col, parity or None for a parity-free cell) -> [realizations, all equal]
+    # table key, or (row, col, parity) of a dash cell -> per realization, equal to the cell
     hits = {}
     nonsplit_trivial = True
     for lc in G.local_classes:
-        row = classify_row(lc)
         degrees = place_degrees(theta, lc)
-        for red in (SPLIT_MULT, NONSPLIT_MULT):
-            col = classify_column(red, lc)
-            value = cells.get((row, col))
-            for m, parity in ((1, PARITY_ODD), (2, PARITY_EVEN)):
-                _, quotient = _evaluate(theta, degrees, red, m)
-                if odd_order and red == NONSPLIT_MULT:
+        for kind in (SPLIT_MULT, NONSPLIT_MULT):
+            for m in (1, 2):
+                _, quotient = _evaluate(theta, degrees, kind, m)
+                if odd_order and kind == NONSPLIT_MULT:
                     nonsplit_trivial = nonsplit_trivial and quotient.ord(p) == 0
                     continue
-                key = (row, col, None if value is not None and not callable(value) else parity)
-                rec = hits.setdefault(key, [0, True])
-                rec[0] += 1
-                if value is not None:
-                    rec[1] = rec[1] and quotient == table_lookup(family, row, col, parity)
+                key = cell_key(lc, kind, m)
+                if key not in table and key[:2] + (None,) in table:
+                    key = key[:2] + (None,)
+                # the whole quotient, so that a stray prime fails the cell too
+                equal = key in table and quotient == FactoredRational({p: table[key]})
+                hits.setdefault(key, []).append(equal)
     out_cells = []
-    for (row, col), value in sorted(cells.items()):
-        for parity in (PARITY_EVEN, PARITY_ODD) if callable(value) else (None,):
-            count, equal = hits.get((row, col, parity), (0, True))
-            out_cells.append(
-                {
-                    "row": row,
-                    "col": col,
-                    "parity": parity,
-                    "value_ord_p": table_lookup(family, row, col, parity).ord(p),
-                    "realizations": count,
-                    "oracle": "PASS" if count and equal else "FAIL",
-                }
-            )
-    dash = sorted(key for key in hits if key[:2] not in cells)
+    # by (row, col), then even before odd; None and a parity never share a (row, col)
+    for row, col, parity in sorted(table, key=lambda k: (k[0], k[1], k[2] or "")):
+        checks = hits.get((row, col, parity), [])
+        out_cells.append({
+            "row": row,
+            "col": col,
+            "parity": parity,
+            "value_ord_p": table[(row, col, parity)],
+            "realizations": len(checks),
+            "oracle": "PASS" if checks and all(checks) else "FAIL",
+        })
+    dash = sorted(key for key in hits if key not in table)
     return {
         "schema": 1,
         "group": str(family),
@@ -316,7 +289,6 @@ class HypothesisReport(NamedTuple):
     rank: int
     n_nonsplit: int
     n_nonsplit_even: int
-    positive_rank: bool
     case_a: bool  # p = 2, C2 x C2: rank > #nonsplit places with even ord
     case_b: bool  # p odd, D_2p:   rank > #nonsplit places
     case_c: bool  # p odd, CpxCp or Cp:Cq: positive rank suffices
@@ -368,7 +340,6 @@ def hypothesis_check(profile: CurveProfile, family: Family | None) -> Hypothesis
         rank=rank,
         n_nonsplit=n_nonsplit,
         n_nonsplit_even=n_even,
-        positive_rank=positive,
         case_a=case_a,
         case_b=case_b,
         case_c=case_c,

@@ -24,6 +24,21 @@ def bench_module(name: str):
     return module
 
 
+def family_specs(max_order: int) -> list:
+    """Every family spec of group order at most max_order, in normalized form."""
+    odd_primes = [p for p in range(3, max_order) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+    specs = ["c2xc2"]
+    specs += [f"d:{p}" for p in odd_primes if 2 * p <= max_order]
+    specs += [f"cpxcp:{p}" for p in odd_primes if p * p <= max_order]
+    specs += [
+        f"sd:{p}:{q}"
+        for p in odd_primes
+        for q in odd_primes
+        if (p - 1) % q == 0 and p * q <= max_order
+    ]
+    return specs
+
+
 # -- groups and relations outside the families ----------------------------------
 
 

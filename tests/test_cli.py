@@ -11,7 +11,7 @@ from selgrowth.arith import FactorizationBudgetError
 from selgrowth.cli import UsageError, main
 from selgrowth.curves import CurveCheckError
 from selgrowth.groups import GroupError
-from selgrowth.quotients import ImpossibleCellError, NonSemistableError
+from selgrowth.quotients import NonSemistableError
 from selgrowth.records import Refused
 from selgrowth.splitting import AmbiguousSplittingError, MissingLocalClassError
 
@@ -405,7 +405,6 @@ def test_cold_call_loads_only_the_layers_it_runs(argv, unloaded):
         (NonSemistableError, 2, "refused: "),
         (MissingLocalClassError, 2, "refused: "),
         (AmbiguousSplittingError, 2, "refused: "),
-        (ImpossibleCellError, 2, "refused: "),
         (FactorizationBudgetError, 2, "refused: "),
         (CurveCheckError, 2, "refused: "),
         (GroupError, 1, "usage error: "),

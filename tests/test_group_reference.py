@@ -33,25 +33,7 @@ from selgrowth.groups import (
     place_counts,
 )
 
-from oracle import direct_product, relabeled
-
-
-def _is_prime(n):
-    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
-
-
-def family_specs(max_order):
-    specs = ["c2xc2"]
-    odd_primes = [p for p in range(3, max_order) if _is_prime(p)]
-    specs += [f"d:{p}" for p in odd_primes if 2 * p <= max_order]
-    specs += [f"cpxcp:{p}" for p in odd_primes if p * p <= max_order]
-    specs += [
-        f"sd:{p}:{q}"
-        for p in odd_primes
-        for q in odd_primes
-        if (p - 1) % q == 0 and p * q <= max_order
-    ]
-    return specs
+from oracle import direct_product, family_specs, relabeled
 
 
 def other_groups():

@@ -28,7 +28,7 @@ from selgrowth.groups import (
     place_counts,
 )
 
-from oracle import direct_product, relabeled
+from oracle import direct_product, family_specs, relabeled
 
 
 def brute_force_subgroups(G):
@@ -155,18 +155,7 @@ def test_bad_spec_raises_every_time():
                 parse_group_spec(spec)
 
 
-def _primes_below(n):
-    return [p for p in range(2, n) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
-
-
-# every family spec of order at most MAX_ORDER, in normalized form
-ODD = _primes_below(MAX_ORDER)[1:]
-ALL_FAMILY_SPECS = (
-    ["c2xc2"]
-    + [f"d:{p}" for p in ODD if 2 * p <= MAX_ORDER]
-    + [f"cpxcp:{p}" for p in ODD if p * p <= MAX_ORDER]
-    + [f"sd:{p}:{q}" for p in ODD for q in ODD if (p - 1) % q == 0 and p * q <= MAX_ORDER]
-)
+ALL_FAMILY_SPECS = family_specs(MAX_ORDER)
 
 
 def test_family_parse_round_trips():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from selgrowth import groups, quotients
 from selgrowth.brauer import canonical_relation, norm_constant
 from selgrowth.curves import (
+    ADDITIVE,
     NONSPLIT_MULT,
     SPLIT_MULT,
     ReductionData,
@@ -19,29 +20,28 @@ from selgrowth.curves import (
 )
 from selgrowth.cli import main
 from selgrowth.factored import FactoredRational
-from selgrowth.groups import Family, FiniteGroup, Subgroup, parse_group_spec
+from selgrowth.groups import MAX_ORDER, Family, FiniteGroup, Subgroup, parse_group_spec
 from selgrowth.quotients import (
     COL_NONSPLIT_SPLITS,
     COL_NONSPLIT_STAYS,
     COL_SPLIT,
-    ImpossibleCellError,
     NonSemistableError,
     PARITY_EVEN,
     PARITY_ODD,
     ROW_INERT_RAMIFIED,
     ROW_SPLITS,
     ROW_TOTALLY_RAMIFIED,
+    cell_key,
     certify,
-    classify_column,
-    classify_row,
     hypothesis_check,
-    _cells_for_family,
     local_theta_quotient,
     oracle_table,
+    quotient_table,
     regulator_quotient,
-    table_lookup,
 )
 from selgrowth.splitting import FieldSpec, LocalClass
+
+from oracle import family_specs
 
 
 FAMILY_SPECS = ["c2xc2", "d:3", "d:5", "d:7", "cpxcp:3", "cpxcp:5", "cpxcp:7",
@@ -56,7 +56,7 @@ def test_oracle_reproduces_every_table_cell(spec):
     G = parse_group_spec(spec)
     doc = oracle_table(G)
     # every cell of the family's table is listed, realized and reproduced exactly
-    assert {(c["row"], c["col"]) for c in doc["cells"]} == set(_cells_for_family(G.family))
+    assert {(c["row"], c["col"], c["parity"]) for c in doc["cells"]} == set(quotient_table(G.family))
     assert all(c["realizations"] > 0 and c["oracle"] == "PASS" for c in doc["cells"])
     assert doc["unreachable_observed"] == []
     assert doc["nonsplit_p_part_trivial"] is (True if G.order % 2 else None)
@@ -82,27 +82,48 @@ def test_m_dependence_cancels_at_fixed_parity():
                     assert a.quotient == b.quotient, (spec, lc, kind, m)
 
 
+def test_per_place_lemma_on_every_family_group():
+    # the paper's local lemma: a place adds at most one p to the Tamagawa
+    # quotient, and only where it is non-split (in C2 x C2 only with m even),
+    # while the norm constant carries at least one p
+    cells = 0
+    for spec in family_specs(MAX_ORDER):
+        G = parse_group_spec(spec)
+        theta = canonical_relation(G)
+        p, c2 = G.family.p, G.family.name == "c2xc2"
+        assert norm_constant(theta).ord(p) >= 1, spec
+        for lc in G.local_classes:
+            for kind in (SPLIT_MULT, NONSPLIT_MULT):
+                for m in (1, 2):
+                    bound = 1 if kind == NONSPLIT_MULT and (not c2 or m % 2 == 0) else 0
+                    quotient = local_theta_quotient(theta, lc, ReductionData(0, kind, m, 1)).quotient
+                    assert quotient.ord(p) <= bound, (spec, lc.names(), kind, m)
+                    cells += 1
+        for (row, col, parity), value in quotient_table(G.family).items():
+            bound = 1 if col != COL_SPLIT and (not c2 or parity == PARITY_EVEN) else 0
+            assert value <= bound, (spec, row, col, parity)
+    assert cells == 1536
+
+
 def test_place_degrees_computed_once_per_group(monkeypatch):
-    # a fresh copy of d:5 starts with an empty memo
+    # one oracle_table call counts the places of each (H, local class) once
     G = FiniteGroup(parse_group_spec("d:5").table, family=Family.parse("d:5"))
     calls = []
     real = quotients.place_counts
     monkeypatch.setattr(quotients, "place_counts", lambda *a: calls.append(a) or real(*a))
-    first = oracle_table(G)
-    pairs = len(canonical_relation(G).coeffs) * len(G.local_classes)
-    assert len(calls) == len(G.place_degree_memo) == pairs
-    assert oracle_table(G) == first and len(calls) == pairs
+    oracle_table(G)
+    assert len(calls) == len(canonical_relation(G).coeffs) * len(G.local_classes)
 
 
 def test_tampered_table_cell_fails(monkeypatch, capsys):
-    real = quotients._cells_for_family
+    real = quotients.quotient_table
 
     def tampered(family):
-        cells = real(family)
-        cells[(ROW_INERT_RAMIFIED, COL_SPLIT)] -= 1
-        return cells
+        table = real(family)
+        table[(ROW_INERT_RAMIFIED, COL_SPLIT, None)] -= 1
+        return table
 
-    monkeypatch.setattr(quotients, "_cells_for_family", tampered)
+    monkeypatch.setattr(quotients, "quotient_table", tampered)
     doc = oracle_table(parse_group_spec("d:5"))
     failed = [c for c in doc["cells"] if c["oracle"] == "FAIL"]
     assert [(c["row"], c["col"], c["value_ord_p"]) for c in failed] == [
@@ -117,34 +138,51 @@ def test_tampered_table_cell_fails(monkeypatch, capsys):
     assert out.err.count("\n") == 1
 
 
+def test_stray_prime_in_a_quotient_fails_its_cell(monkeypatch):
+    # a cell compares whole quotients, not only their p-parts
+    real = quotients._evaluate
+
+    def stray(*args):
+        contributions, quotient = real(*args)
+        return contributions, quotient * FactoredRational({3: 1})
+
+    monkeypatch.setattr(quotients, "_evaluate", stray)
+    doc = oracle_table(parse_group_spec("d:5"))
+    assert {c["oracle"] for c in doc["cells"]} == {"FAIL"}
+    assert not doc["all_pass"]
+
+
 @pytest.mark.parametrize("spec", ["c2xc2", "d:3", "d:5", "d:7"])
 def test_dash_cells_unreachable(spec):
     G = parse_group_spec(spec)
-    reachable = set()
-    for lc in G.local_classes:
-        row = classify_row(lc)
-        for kind in (SPLIT_MULT, NONSPLIT_MULT):
-            reachable.add((row, classify_column(kind, lc)))
-    assert (ROW_INERT_RAMIFIED, COL_NONSPLIT_STAYS) not in reachable
-    assert (ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_SPLITS) not in reachable
-    with pytest.raises(ImpossibleCellError):
-        table_lookup(G.family, ROW_INERT_RAMIFIED, COL_NONSPLIT_STAYS, PARITY_ODD)
-    with pytest.raises(ImpossibleCellError):
-        table_lookup(G.family, ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_SPLITS, PARITY_ODD)
+    reachable = {
+        cell_key(lc, kind, m)[:2]
+        for lc in G.local_classes
+        for kind in (SPLIT_MULT, NONSPLIT_MULT)
+        for m in (1, 2)
+    }
+    tabulated = {key[:2] for key in quotient_table(G.family)}
+    for dash in ((ROW_INERT_RAMIFIED, COL_NONSPLIT_STAYS), (ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_SPLITS)):
+        assert dash not in reachable
+        assert dash not in tabulated
+    with pytest.raises(ValueError):
+        cell_key(G.local_classes[0], ADDITIVE, 1)
 
 
 def test_paper_cell_values_spotchecks():
     # D_2p: totally ramified x split = 1/p; inert/ramified x (nonsplit -> split over M) = p
-    assert table_lookup(Family.parse("d:5"), ROW_TOTALLY_RAMIFIED, COL_SPLIT).factors() == {5: -1}
-    assert table_lookup(Family.parse("d:5"), ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS).factors() == {5: 1}
-    assert table_lookup(Family.parse("d:5"), ROW_SPLITS, COL_SPLIT).factors() == {}
+    d5 = quotient_table(Family.parse("d:5"))
+    assert d5[(ROW_TOTALLY_RAMIFIED, COL_SPLIT, None)] == -1
+    assert d5[(ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS, None)] == 1
+    assert d5[(ROW_SPLITS, COL_SPLIT, None)] == 0
     # C2xC2 parity subcases
-    assert table_lookup(Family.parse("c2xc2"), ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS, PARITY_EVEN).factors() == {}
-    assert table_lookup(Family.parse("c2xc2"), ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS, PARITY_ODD).factors() == {2: -2}
-    assert table_lookup(Family.parse("c2xc2"), ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS, PARITY_EVEN).factors() == {2: 1}
+    c2 = quotient_table(Family.parse("c2xc2"))
+    assert c2[(ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS, PARITY_EVEN)] == 0
+    assert c2[(ROW_TOTALLY_RAMIFIED, COL_NONSPLIT_STAYS, PARITY_ODD)] == -2
+    assert c2[(ROW_INERT_RAMIFIED, COL_NONSPLIT_SPLITS, PARITY_EVEN)] == 1
     # odd-order families
-    assert table_lookup(Family.parse("cpxcp:3"), ROW_TOTALLY_RAMIFIED, COL_SPLIT).factors() == {3: -2}
-    assert table_lookup(Family.parse("sd:7:3"), ROW_INERT_RAMIFIED, COL_SPLIT).factors() == {7: -2}
+    assert quotient_table(Family.parse("cpxcp:3"))[(ROW_TOTALLY_RAMIFIED, COL_SPLIT, None)] == -2
+    assert quotient_table(Family.parse("sd:7:3"))[(ROW_INERT_RAMIFIED, COL_SPLIT, None)] == -2
 
 
 def test_spec_quotient_examples():

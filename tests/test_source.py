@@ -7,8 +7,9 @@ import pathlib
 from oracle import REPO, bench_module
 
 SRC = REPO / "src" / "selgrowth"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-# Functions that nothing in src/ calls but that are kept on purpose, with why.
+# Functions and classes that nothing in src/ names but that are kept on purpose, with why.
 # The benchmark's names are read from bench/ instead (see _bench_names).
 LIBRARY_API = {
     "coeff_vector": "BrauerRelation.coeff_vector: the lattice tests compare relations by it",
@@ -95,11 +96,11 @@ def _bench_names() -> set:
 
 
 def _references(tree) -> set:
-    """Names read in tree, as a name or an attribute, outside a def of that name."""
+    """Names read in tree, as a name or an attribute, outside a def or class of that name."""
     out = set()
 
     def visit(node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, DEFINITIONS):
             inside = inside | {node.name}
         elif isinstance(node, ast.Name) and node.id not in inside:
             out.add(node.id)
@@ -113,16 +114,17 @@ def _references(tree) -> set:
 
 
 def test_every_function_is_called_from_the_package():
-    # a function or method that no code in src/ names, other than its own
-    # definition and the re-exports of __init__, is dead code there: a test
-    # helper belongs under tests/, unless the benchmark or LIBRARY_API keeps it
+    # a function, method or class that no code in src/ names, other than its
+    # own definition and the re-exports of __init__, is dead code there (an
+    # error class that nothing raises or catches among them): a test helper
+    # belongs under tests/, unless the benchmark or LIBRARY_API keeps it
     defined, referenced = [], set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         defined += [
             (node.name, f"{path.name}:{node.lineno}")
             for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if isinstance(node, DEFINITIONS)
         ]
         if path.name != "__init__.py":
             referenced |= _references(tree)
