@@ -65,17 +65,9 @@ def mark_matrix(G: FiniteGroup):
 
 
 def verify_relation(theta: BrauerRelation) -> bool:
-    """True iff the virtual permutation representation of theta vanishes."""
-    G = theta.group
-    for gclass in G.element_classes:
-        g = gclass[0]
-        total = sum(
-            n * fixed_points(G, G.subgroup_classes[cid].representative, g)
-            for cid, n in theta.coeffs
-        )
-        if total != 0:
-            return False
-    return True
+    """True iff the virtual permutation representation of theta vanishes:
+    the character, each row of the mark matrix, sums to zero against it."""
+    return all(sum(n * row[cid] for cid, n in theta.coeffs) == 0 for row in mark_matrix(theta.group))
 
 
 def canonical_relation(G: FiniteGroup) -> BrauerRelation:

@@ -96,24 +96,17 @@ def _field_from_args(args):
     raise UsageError(f"unknown field spec {text!r}")
 
 
-def _ingest(path):
+def _ingest(args, what: str) -> tuple:
+    """(path, ingested file) of --data, or of SGL_DATA without it; ``what`` needs it."""
     from .database import ingest
 
-    try:
-        return ingest(path)
-    except OSError as exc:
-        raise UsageError(f"cannot read data file {path}: {exc.strerror or exc}") from None
-
-
-def _record_by_label(args):
     path = args.data or os.environ.get("SGL_DATA")
     if not path:
-        raise UsageError("--label needs --data or the SGL_DATA environment variable")
-    result = _ingest(path)
-    for rec in result.records:
-        if rec.label == args.label:
-            return rec
-    raise UsageError(f"label {args.label!r} not found in {path}")
+        raise UsageError(f"{what} needs --data or the SGL_DATA environment variable")
+    try:
+        return path, ingest(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read data file {path}: {exc.strerror or exc}") from None
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -124,7 +117,7 @@ def _cmd_relations(args) -> dict:
     basis = relation_lattice(G)
     return {
         "schema": 1,
-        "group": G.kind,
+        "group": str(G.family),
         "classes": G.class_names,
         "basis": [
             {
@@ -166,7 +159,10 @@ def _curve_from_args(args) -> tuple:
             raise UsageError(f"--label reads the curve, rank and torsion from the data file: drop {', '.join(given)}")
         # sha_an = 1 in the data file concerns Sha over Q only; the stronger
         # all-proper-subfields assumption stays an explicit --sha-trivial flag
-        rec = _record_by_label(args)
+        path, result = _ingest(args, "--label")
+        rec = next((rec for rec in result.records if rec.label == args.label), None)
+        if rec is None:
+            raise UsageError(f"label {args.label!r} not found in {path}")
         model, rank, torsion, label = rec.model(), rec.rank, rec.torsion, rec.label
     else:
         if not args.curve:
@@ -216,10 +212,7 @@ def _cmd_certify(args) -> dict:
 def _cmd_scan(args) -> dict:
     from .database import ScanFilters, scan
 
-    path = args.data or os.environ.get("SGL_DATA")
-    if not path:
-        raise UsageError("scan needs --data or the SGL_DATA environment variable")
-    result = _ingest(path)
+    _, result = _ingest(args, "scan")
     filters = ScanFilters(
         min_rank=args.min_rank,
         max_nonsplit=args.max_nonsplit,
@@ -236,13 +229,7 @@ def _cmd_scan(args) -> dict:
     scanned = scan(result.records, family, filters=filters)
     return {
         "schema": 1,
-        "filters": {
-            "min_rank": filters.min_rank,
-            "max_nonsplit": filters.max_nonsplit,
-            "require_sha_an_one": filters.require_sha_an_one,
-            "torsion_order": filters.torsion_order,
-            "group": None if family is None else str(family),
-        },
+        "filters": {**filters._asdict(), "group": None if family is None else str(family)},
         "matches": [e.as_json() for e in scanned.matches],
         "labels": [e.label for e in scanned.matches],
         "skipped_nonsemistable": scanned.skipped_nonsemistable,
@@ -257,6 +244,13 @@ def build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("--format", choices=["json", "pretty"], default="json")
 
+    def add_curve(p):
+        p.add_argument("--curve", help="a1,a2,a3,a4,a6")
+        p.add_argument("--label", help="look the curve up in the data file")
+        p.add_argument("--data", help="curve CSV (default: SGL_DATA)")
+        p.add_argument("--rank", type=int)
+        p.add_argument("--torsion", type=int)
+
     p_rel = sub.add_parser("relations", help="Brauer relation lattice of a group")
     p_rel.add_argument("group_spec", help="c2xc2 | d:<p> | cpxcp:<p> | sd:<p>:<q>")
     add_common(p_rel)
@@ -266,19 +260,11 @@ def build_parser() -> _Parser:
     add_common(p_tab)
 
     p_an = sub.add_parser("analyze", help="local reduction data of a curve")
-    p_an.add_argument("--curve", help="a1,a2,a3,a4,a6")
-    p_an.add_argument("--label", help="look the curve up in the data file")
-    p_an.add_argument("--data", help="curve CSV (default: SGL_DATA)")
-    p_an.add_argument("--rank", type=int)
-    p_an.add_argument("--torsion", type=int)
+    add_curve(p_an)
     add_common(p_an)
 
     p_cert = sub.add_parser("certify", help="emit a growth certificate")
-    p_cert.add_argument("--curve", help="a1,a2,a3,a4,a6")
-    p_cert.add_argument("--label", help="look the curve up in the data file")
-    p_cert.add_argument("--data", help="curve CSV (default: SGL_DATA)")
-    p_cert.add_argument("--rank", type=int)
-    p_cert.add_argument("--torsion", type=int)
+    add_curve(p_cert)
     p_cert.add_argument("--sha-trivial", dest="sha_trivial", type=lambda s: [int(x) for x in s.split(",")],
                         help="primes p with Sha[p^inf] assumed trivial in all proper subfields")
     p_cert.add_argument("--field", help="mq:d1,d2 | poly:c_k,...,c_0 (degree-descending)")

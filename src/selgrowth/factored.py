@@ -64,19 +64,15 @@ class FactoredRational:
     def __mul__(self, other: "FactoredRational") -> "FactoredRational":
         if not isinstance(other, FactoredRational):
             return NotImplemented
-        merged = dict(self._factors)
-        for p, e in other._factors.items():
-            merged[p] = merged.get(p, 0) + e
-        return FactoredRational(merged)
+        return FactoredRational.product(((self, 1), (other, 1)))
 
     def __truediv__(self, other: "FactoredRational") -> "FactoredRational":
         if not isinstance(other, FactoredRational):
             return NotImplemented
-        return self * other ** -1
+        return FactoredRational.product(((self, 1), (other, -1)))
 
     def __pow__(self, k: int) -> "FactoredRational":
-        k = int(k)
-        return FactoredRational({p: e * k for p, e in self._factors.items()})
+        return FactoredRational.product(((self, int(k)),))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FactoredRational):

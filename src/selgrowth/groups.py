@@ -50,23 +50,24 @@ class Family(Record):
 
     def __init__(self, name: str, p: int, q: int | None = None):
         self._set(name, p, q)
-        if self.name == "d":
+        if name not in ("c2xc2", "d", "cpxcp", "sd"):
+            raise GroupError(f"unknown group family {name!r}")
+        # the cap first: is_prime on a huge parameter the cap refuses takes seconds
+        if self.order > MAX_ORDER:
+            raise GroupError(f"order {self.order} exceeds the cap {MAX_ORDER}")
+        if name == "d":
             if not is_prime(p) or p == 2:
                 raise GroupError(f"dihedral parameter must be an odd prime, got {p}")
-        elif self.name in ("c2xc2", "cpxcp"):
-            if not is_prime(p):
-                raise GroupError(f"{p} is not prime")
-            if (self.name == "c2xc2") != (p == 2):
-                raise GroupError(f"the elementary abelian family of p = {p} is not {self.name}")
-        elif self.name == "sd":
+        elif name == "sd":
             if not is_prime(p) or not is_prime(q) or q % 2 == 0:
                 raise GroupError(f"need primes p and odd q, got p={p} q={q}")
             if (p - 1) % q != 0:
                 raise GroupError(f"no faithful action: {q} does not divide {p}-1")
         else:
-            raise GroupError(f"unknown group family {self.name!r}")
-        if self.order > MAX_ORDER:
-            raise GroupError(f"order {self.order} exceeds the cap {MAX_ORDER}")
+            if not is_prime(p):
+                raise GroupError(f"{p} is not prime")
+            if (name == "c2xc2") != (p == 2):
+                raise GroupError(f"the elementary abelian family of p = {p} is not {name}")
 
     @property
     def order(self) -> int:
@@ -107,20 +108,20 @@ class Family(Record):
             raise GroupError(f"bad group spec {spec!r}: {exc}") from None
 
 
-class Subgroup:
-    """A subgroup stored as its sorted tuple of element indices; immutable."""
+class Subgroup(Record):
+    """A subgroup stored as its sorted tuple of element indices, and as a set.
+
+    Subgroups are immutable and compare and hash by their elements.
+    """
+
+    __slots__ = ("elements", "element_set")
 
     def __init__(self, elements):
-        object.__setattr__(self, "elements", tuple(sorted(elements)))
+        elements = tuple(sorted(elements))
+        self._set(elements, frozenset(elements))
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Subgroup is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    @cached_property
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
+    def _values(self) -> tuple:
+        return (self.elements,)
 
     def __len__(self):
         return len(self.elements)
@@ -130,12 +131,6 @@ class Subgroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __eq__(self, other):
-        return isinstance(other, Subgroup) and self.elements == other.elements
-
-    def __hash__(self):
-        return hash(self.elements)
 
     def __repr__(self):
         return f"Subgroup{self.elements}"
@@ -165,11 +160,13 @@ class FiniteGroup:
 
     Instances are immutable after construction; derived structure
     (conjugation table, conjugacy classes, subgroup lattice) is computed on
-    first use and cached. ``family`` is the theorem family of a group built by
-    a family constructor, and None for any other group.
+    first use and cached. The identity is read off the table: the element
+    whose row and column are both 0..order-1. ``family`` is the theorem family
+    of a group built by a family constructor, and None for any other group.
+    Passing ``generators`` checks the group axioms by Light's test (validate).
     """
 
-    def __init__(self, table, identity=0, family=None, validate=False, generators=None):
+    def __init__(self, table, family=None, generators=None):
         table = self.table = tuple(map(tuple, table))
         n = self.order = len(table)
         if n == 0:
@@ -181,7 +178,12 @@ class FiniteGroup:
             raise GroupError("multiplication table entries must be int")
         if set(map(len, table)) != {n} or not frozenset(range(n)).issuperset(chain.from_iterable(table)):
             raise GroupError("multiplication table is not square over 0..n-1")
-        self.identity = int(identity)
+        # unique when it exists: two two-sided identities e, e' give e = e e' = e'
+        elements = tuple(range(n))
+        self.identity = next((e for e in elements if table[e] == elements
+                              and tuple(row[e] for row in table) == elements), None)
+        if self.identity is None:
+            raise GroupError("no element is a two-sided identity")
         self.family = family
         self._inv = self._inverse_table()
         # kept with the group and dropped with it: the family's relation, set by
@@ -193,7 +195,7 @@ class FiniteGroup:
         self.place_quotient_memo = {}
         self.symbol_class_memo = {}
         self._coset_memo = {}  # D elements -> _left_cosets(D)
-        if validate:
+        if generators is not None:
             self.validate(generators)
 
     def _inverse_table(self):
@@ -212,11 +214,10 @@ class FiniteGroup:
     def validate(self, generators=None):
         """Group-axiom check: exhaustive O(n^3), or Light's test when a
         generating set is supplied (associativity on generator triples
-        propagates to all triples)."""
-        e, table = self.identity, self.table
+        propagates to all triples). Identity and inverses are checked when
+        the group is built."""
+        table = self.table
         elements = tuple(range(self.order))
-        if table[e] != elements or tuple(row[e] for row in table) != elements:
-            raise GroupError("identity is not two-sided")
         if generators is not None and len(self.subgroup_closure(generators)) != self.order:
             raise GroupError("claimed generators do not generate the group")
         # (ab)c = a(bc) for every c at once: row ab against row b read through row a
@@ -228,11 +229,6 @@ class FiniteGroup:
                     c = next(c for c in elements if row_ab[c] != row_a[row_b[c]])
                     raise GroupError(f"associativity fails at ({a},{b},{c})")
         return self
-
-    @property
-    def kind(self) -> str | None:
-        """The normalized spec of the group's family (``d:5``), or None."""
-        return None if self.family is None else str(self.family)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -700,7 +696,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     def build():
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
         gens = [1] if n > 1 else []
-        return FiniteGroup(table, validate=True, generators=gens)
+        return FiniteGroup(table, generators=gens)
 
     return _cached_group(f"c:{n}", build)
 
@@ -747,7 +743,7 @@ def _family_group(family: Family) -> FiniteGroup:
             rows0 = [[k * p + v for k in range(p) for v in cyc[y:y + p]] * 2 for y in range(p)]
             table = [rows0[y][x * p:x * p + n] for x in range(p) for y in range(p)]
             gens = [1, p]
-        return FiniteGroup(table, family=family, validate=True, generators=gens)
+        return FiniteGroup(table, family=family, generators=gens)
 
     return _cached_group(str(family), build)
 

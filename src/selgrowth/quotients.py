@@ -390,7 +390,7 @@ class GrowthCertificate(NamedTuple):
                 "delta_min": prof.delta_min,
             },
             "field": self.field.describe(),
-            "group": self.field.group.kind,
+            "group": str(self.field.group.family),
             "p": self.p,
             "relation": {
                 "coeffs": self.theta.named_coeffs(),

@@ -43,10 +43,6 @@ class MissingLocalClassError(ValueError, Refused):
     """No computed or supplied (decomposition, inertia) pair for a bad prime."""
 
 
-class RamifiedPrimeError(ValueError):
-    """Ramified prime outside the computed scope; supply the class explicitly."""
-
-
 def is_squarefree(d: int) -> bool:
     if d == 0:
         return False
@@ -89,9 +85,7 @@ def _validate_multiquadratic(d1: int, d2: int) -> None:
         raise ValueError(f"d1*d2 = {d1 * d2} is a square; the field is not biquadratic")
 
 
-def multiquadratic_local_class(
-    d1: int, d2: int, v: int, group: FiniteGroup | None = None
-) -> LocalClass:
+def multiquadratic_local_class(d1: int, d2: int, v: int) -> LocalClass:
     """Decomposition/inertia pair of v in Q(sqrt(d1), sqrt(d2)).
 
     With G = C2 x C2 generated by sign changes on sqrt(d1) and sqrt(d2), the
@@ -100,7 +94,7 @@ def multiquadratic_local_class(
     decomposition group is the meet of the fixers of subfields where v splits.
     """
     _validate_multiquadratic(d1, d2)
-    return _multiquadratic_class(d1, d2, v, group if group is not None else make_elem_abelian(2))
+    return _multiquadratic_class(d1, d2, v, make_elem_abelian(2))
 
 
 def _multiquadratic_class(d1: int, d2: int, v: int, G: FiniteGroup) -> LocalClass:
@@ -109,8 +103,6 @@ def _multiquadratic_class(d1: int, d2: int, v: int, G: FiniteGroup) -> LocalClas
     The class depends on v only through the symbols of d1, d2, d3 and whether
     v = 2, so it is kept on the group under that key; a refusal is not kept.
     """
-    if G.family is None or G.family.name != "c2xc2":
-        raise GroupError("multiquadratic local classes live in c2xc2")
     # d1 and d2 passed validation, so d3 = d1 d2 / gcd(d1, d2)^2 is squarefree too
     symbols = (_symbol(d1, v), _symbol(d2, v), _symbol(third_discriminant(d1, d2), v))
     key = (symbols, v == 2)
@@ -198,13 +190,7 @@ class FieldSpec(NamedTuple):
             # FieldSpec.multiquadratic validated d1 and d2 once for every place
             return _multiquadratic_class(self.d1, self.d2, v, G)
         if self.kind == "polynomial":
-            try:
-                pattern = factor_degree_pattern(self.poly, v)
-            except RamifiedPrimeError as exc:
-                raise MissingLocalClassError(
-                    f"prime {v} ramifies in the defining polynomial; {exc}"
-                ) from exc
-            return frobenius_class(G, pattern)
+            return frobenius_class(G, factor_degree_pattern(self.poly, v))
         raise MissingLocalClassError(
             f"no local class for prime {v}: abstract fields need --local-class overrides"
         )
@@ -228,7 +214,8 @@ def _sympy_poly():
 def factor_degree_pattern(coeffs, v: int) -> tuple:
     """Degrees of the irreducible factors of a monic poly mod v (sorted).
 
-    Rejects primes where the reduction has a repeated factor (v | disc), read
+    A prime where the reduction has a repeated factor (v | disc) ramifies,
+    and its class must be supplied: MissingLocalClassError. The repeat is read
     from the multiplicities of sympy's factorization over F_v: ``Poly.is_sqf``
     is not used, as sympy 1.14 calls x^2 - 12x + 86 mod 2, which is x^2,
     squarefree.
@@ -239,7 +226,8 @@ def factor_degree_pattern(coeffs, v: int) -> tuple:
     Poly, x = _sympy_poly()
     _, factors = Poly(coeffs, x, modulus=v).factor_list()
     if any(k > 1 for _, k in factors):
-        raise RamifiedPrimeError(
+        raise MissingLocalClassError(
+            f"prime {v} ramifies in the defining polynomial; "
             f"{v} divides the polynomial discriminant; supply --local-class explicitly"
         )
     out = tuple(sorted(f.degree() for f, _ in factors))

@@ -7,13 +7,17 @@ unchanged, so that the tests and the benchmark read one copy of its
 selgrowth-free oracles.
 """
 
+import functools
 import importlib.util
 import pathlib
 
 from selgrowth.brauer import BrauerRelation
+from selgrowth.curves import make_profile
+from selgrowth.database import ingest
 from selgrowth.groups import FiniteGroup
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
+DATA = REPO / "data" / "curves.csv"
 
 
 def bench_module(name: str):
@@ -22,6 +26,15 @@ def bench_module(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@functools.cache
+def data_curves() -> tuple:
+    """(label, bad primes) of each curve of data/curves.csv, in file order."""
+    return tuple(
+        (rec.label, tuple(rd.v for rd in make_profile(rec.model(), rank=rec.rank).bad_places))
+        for rec in ingest(DATA).records
+    )
 
 
 def family_specs(max_order: int) -> list:
@@ -46,7 +59,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """G x H with element (a, b) encoded as a |H| + b."""
     m = H.order
     table = [[g * m + h for g in G.table[x // m] for h in H.table[x % m]] for x in range(G.order * m)]
-    return FiniteGroup(table, identity=G.identity * m + H.identity)
+    return FiniteGroup(table)
 
 
 def relabeled(G: FiniteGroup, perm) -> FiniteGroup:
@@ -55,7 +68,7 @@ def relabeled(G: FiniteGroup, perm) -> FiniteGroup:
     for i, v in enumerate(perm):
         inv[v] = i
     table = [[perm[G.table[inv[a]][inv[b]]] for b in range(G.order)] for a in range(G.order)]
-    return FiniteGroup(table, identity=perm[G.identity])
+    return FiniteGroup(table)
 
 
 def induce(theta: BrauerRelation, big: FiniteGroup, embedding) -> BrauerRelation:

@@ -111,7 +111,7 @@ def test_criterion_3_lattice_agreement():
             lattice = relation_lattice(G)
             coords = lattice_coordinates([b.coeff_vector() for b in lattice],
                                          canonical_relation(G).coeff_vector())
-            assert coords is not None, f"canonical relation outside lattice for {G.kind}"
+            assert coords is not None, f"canonical relation outside lattice for {G.family}"
 
 
 def test_criterion_4_example2_certificate():

@@ -1,21 +1,27 @@
+import contextlib
+import io
 import json
 import os
-import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from selgrowth import cli
 from selgrowth.arith import FactorizationBudgetError
 from selgrowth.cli import UsageError, main
 from selgrowth.curves import CurveCheckError
-from selgrowth.groups import GroupError
+from selgrowth.groups import GroupError, parse_group_spec
 from selgrowth.quotients import NonSemistableError
 from selgrowth.records import Refused
 from selgrowth.splitting import AmbiguousSplittingError, MissingLocalClassError
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+from oracle import DATA, REPO, data_curves
+
+SRC = REPO / "src"
 
 EXPECTED_LIST = ["91b1", "91b2", "91b3", "123a1", "123a2", "141a1", "142a1", "155a1"]
 
@@ -422,3 +428,118 @@ def test_exit_code_of_each_error(capsys, monkeypatch, error, code, prefix):
     monkeypatch.setitem(cli._COMMANDS, "relations", raise_it)
     result = run(capsys, "relations", "c2xc2")
     assert result == (code, "", f"{prefix}the reason\n")
+
+
+# -- the argv grammar, generated ----------------------------------------------------
+
+SMALL_GROUPS = ["c2xc2", "d:3", "d:5", "cpxcp:3", "sd:7:3"]
+GROUP_SPECS = st.sampled_from(SMALL_GROUPS + [
+    " D:05", "cpxcp:2", "d:4", "d:2", "q8", "d:x", "d:", "cpxcp:17", "sd:7:4", "sd:7", "sd:5:3", "d:-3", "",
+])
+CLASS_NAMES = st.sampled_from(["1", "C2", "C2a", "C2c", "C3", "C3b", "C5", "C7", "G", "U4", "X", ""])
+INTS = st.integers(-30, 30).map(str) | st.sampled_from(["x", "", "1.5", "0x10", "1e3"])
+CURVES = st.lists(st.integers(-30, 30), min_size=5, max_size=5).map(lambda a: ",".join(map(str, a)))
+FIELDS = st.one_of(
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(lambda d: f"mq:{d[0]},{d[1]}"),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(lambda c: "poly:" + ",".join(map(str, [1, *c]))),
+    st.sampled_from(["mq:3", "mq:3,5,7", "mq:x,5", "poly:", "poly:2,0,1", "poly:1,x", "bogus", ""]),
+)
+LOCAL_CLASSES = (
+    st.builds("{}:D={},I={}".format, st.sampled_from(["2", "3", "5", "11", "13", "x", "v=5"]), CLASS_NAMES, CLASS_NAMES)
+    | st.sampled_from(["5:D=G", "5:D=G,I=1,D=G", "5", "5:d=G,i=1", ":D=G,I=1"])
+)
+LABELS = st.sampled_from(["11a1", "65a1", "91b1", "nosuch"])
+DATA_PATHS = st.sampled_from([str(DATA), "/nonexistent/curves.csv", str(REPO / "data"), str(REPO / "README.md")])
+
+
+def _options(draw, candidates) -> list:
+    """A drawn subset of the (flag, strategy) candidates, each with a drawn value, in drawn order."""
+    chosen = [[flag] if value is None else [flag, draw(value)]
+              for flag, value in candidates if draw(st.booleans())]
+    return [word for option in draw(st.permutations(chosen)) for word in option]
+
+
+def _curve_options(draw) -> tuple:
+    """(argv, bad primes): a curve of the data file, or drawn coefficients and a rank."""
+    curve = draw(st.none() | st.sampled_from(data_curves()))
+    if curve is None:
+        return [f"--curve={draw(CURVES)}", "--rank", str(draw(st.integers(0, 3)))], ()
+    label, bad = curve
+    return ["--label", label, "--data", str(DATA)], bad
+
+
+def _certify_options(draw) -> list:
+    """A curve, a field and p that fit together, with drawn local classes."""
+    argv, bad = _curve_options(draw)
+    field = draw(st.sampled_from(["mq", "poly", "abstract"]))
+    if field == "mq":
+        d1, d2 = draw(st.permutations([-1, 2, 3, 5, -3, 6, 7]))[:2]
+        argv += ["--field", f"mq:{d1},{d2}", "-p", "2"]
+    elif field == "poly":
+        # Q(sqrt 2, sqrt 3) and Q(sqrt 2, sqrt 5)
+        argv += ["--field", draw(st.sampled_from(["poly:1,0,-10,0,1", "poly:1,0,-14,0,9"])), "--group", "c2xc2",
+                 "-p", "2"]
+    else:
+        G = parse_group_spec(draw(st.sampled_from(SMALL_GROUPS)))
+        argv += ["--group", str(G.family), "-p", str(G.family.p)]
+        for v in bad:
+            argv.append("--local-class={}:D={},I={}".format(v, *draw(st.sampled_from(G.local_classes)).names()))
+    if draw(st.booleans()):
+        argv += ["--sha-trivial", draw(st.sampled_from(["2", "3", "2,3"]))]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--local-class", draw(LOCAL_CLASSES)]
+    return argv
+
+
+@st.composite
+def argvs(draw) -> list:
+    """A call of each subcommand: mostly well formed with drawn values, else any mix of its options."""
+    command = draw(st.sampled_from(["relations", "tables", "analyze", "certify", "scan"]))
+    argv = [command]
+    well_formed = draw(st.integers(0, 3)) > 0
+    if command in ("relations", "tables"):
+        argv.append(draw(GROUP_SPECS))
+    elif command == "analyze" and well_formed:
+        argv += _curve_options(draw)[0]
+    elif command == "certify" and well_formed:
+        argv += _certify_options(draw)
+    elif command == "scan":
+        argv += _options(draw, [
+            ("--data", DATA_PATHS), ("--min-rank", INTS), ("--max-nonsplit", INTS), ("--torsion-free", None),
+            ("--any-sha", None), ("--group", GROUP_SPECS), ("-p", INTS),
+        ])
+    else:
+        argv += _options(draw, [
+            ("--curve", CURVES | st.sampled_from(["1,2,3", "a,b,c,d,e", "", "1 0 0 -1 0"])), ("--label", LABELS),
+            ("--data", DATA_PATHS), ("--rank", INTS), ("--torsion", INTS),
+        ])
+        if command == "certify":
+            argv += _options(draw, [
+                ("--field", FIELDS), ("--group", GROUP_SPECS), ("-p", INTS),
+                ("--sha-trivial", st.sampled_from(["2", "2,3", "x", ""])), ("--local-class", LOCAL_CLASSES),
+            ])
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "pretty", "pretty", "xml"]))]
+    return argv
+
+
+@given(argvs(), st.sampled_from([None, str(DATA), "/nonexistent/curves.csv"]))
+@settings(max_examples=1500, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_every_generated_call_exits_cleanly(argv, sgl_data):
+    # every input path succeeds or refuses with exit 1 or 2 and one line on
+    # stderr, never a traceback; the small groups and curves keep each call
+    # far from the factoring budget
+    env = {} if sgl_data is None else {"SGL_DATA": sgl_data}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if sgl_data is None:
+            os.environ.pop("SGL_DATA", None)
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0:
+        assert out and err == "", (argv, err)
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err, (argv, err)
+        assert out == "" or (argv[0] == "tables" and code == 2), (argv, out)

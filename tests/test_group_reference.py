@@ -316,7 +316,7 @@ def test_corrupted_family_table_fails_at_the_first_bad_triple(spec):
         triple = first_associativity_failure(bad, gens)
         assert triple is not None
         with pytest.raises(GroupError) as info:
-            FiniteGroup(bad, validate=True, generators=gens)
+            FiniteGroup(bad, generators=gens)
         assert str(info.value) == "associativity fails at ({},{},{})".format(*triple)
 
 

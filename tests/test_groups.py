@@ -139,6 +139,26 @@ def test_malformed_tables_are_refused(row1, reason):
         FiniteGroup([C3[0], row1, C3[2]])
 
 
+def test_identity_is_read_off_the_table():
+    # the one element whose row and column are both 0..n-1; in [[0, 1], [0, 1]]
+    # both elements are left identities and neither is two-sided
+    assert relabeled(make_cyclic(3), [2, 0, 1]).identity == 2
+    with pytest.raises(GroupError, match="no element is a two-sided identity"):
+        FiniteGroup([[0, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("spec", [f"d:{10 ** 60 + 7}", f"cpxcp:{10 ** 60 + 7}", f"sd:{10 ** 60 + 7}:3"],
+                         ids=["d", "cpxcp", "sd"])
+def test_order_cap_is_checked_before_primality(spec, monkeypatch):
+    # a primality test of a parameter the cap refuses can take seconds
+    def no_primality_test(n):
+        raise AssertionError(f"is_prime({n}) was called")
+
+    monkeypatch.setattr("selgrowth.groups.is_prime", no_primality_test)
+    with pytest.raises(GroupError, match=f"exceeds the cap {MAX_ORDER}"):
+        Family.parse(spec)
+
+
 def test_equivalent_specs_share_one_group():
     G = parse_group_spec("d:97")
     assert parse_group_spec(" D:97") is G
@@ -162,14 +182,14 @@ def test_family_parse_round_trips():
     assert len(ALL_FAMILY_SPECS) == 39
     for spec in ALL_FAMILY_SPECS:
         family = Family.parse(spec)
-        assert str(family) == spec == parse_group_spec(spec).kind
+        assert str(family) == spec == str(parse_group_spec(spec).family)
         assert parse_group_spec(spec).family == family
         assert family.order == parse_group_spec(spec).order
     assert Family.parse(" D:97") == Family.parse("d:097") == Family("d", 97)
     assert str(Family.parse("d:097")) == "d:97"
     assert Family.parse("cpxcp:2") == Family.parse("C2XC2") == Family("c2xc2", 2)
     assert [Family.parse(s).case for s in ("c2xc2", "d:5", "cpxcp:3", "sd:7:3")] == list("abcc")
-    assert make_cyclic(6).family is None and make_cyclic(6).kind is None
+    assert make_cyclic(6).family is None
 
 
 def test_family_and_local_class_are_immutable_values():
@@ -441,4 +461,4 @@ def test_direct_product_and_relabel_are_groups():
     perm = [3, 0, 6, 1, 7, 2, 5, 4]
     H = relabeled(G, perm)
     H.validate()
-    assert H.identity == perm[G.identity]
+    assert H.identity == perm[G.identity] == 3  # found without being told

@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import random
 from collections import OrderedDict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from selgrowth import groups, quotients
@@ -41,7 +43,7 @@ from selgrowth.quotients import (
 )
 from selgrowth.splitting import FieldSpec, LocalClass
 
-from oracle import family_specs
+from oracle import DATA, data_curves, family_specs
 
 
 FAMILY_SPECS = ["c2xc2", "d:3", "d:5", "d:7", "cpxcp:3", "cpxcp:5", "cpxcp:7",
@@ -271,7 +273,7 @@ def test_biquadratic_contributions_match_quadratic_symbols(ds, v, kind, m):
     d1, d2 = ds
     G = parse_group_spec("c2xc2")
     theta = canonical_relation(G)
-    lc = multiquadratic_local_class(d1, d2, v, group=G)
+    lc = multiquadratic_local_class(d1, d2, v)
     rep = local_theta_quotient(theta, lc, ReductionData(v, kind, m, 1))
     contribs = {
         G.class_names[cid]: fr for cid, fr in rep.contributions
@@ -534,3 +536,40 @@ def test_memos_keep_certificates_byte_identical(monkeypatch):
         monkeypatch.setattr(groups, "_recent_groups", OrderedDict())
         fresh.append(run(*req))
     assert fresh == warm
+
+
+THEOREM_SPECS = ["c2xc2", "d:3", "d:5", "d:7", "cpxcp:3", "cpxcp:5", "sd:7:3", "sd:13:3"]
+
+
+@given(st.data())
+@settings(max_examples=600, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_theorem_bound_holds_on_every_certificate(data):
+    # the paper's criterion end to end, from the CLI: every place adds at most
+    # 1 to ord_p of the Tamagawa quotient when it is non-split with even ord
+    # (case a) or non-split (case b), and 0 in case c, so ord_p of the Sha
+    # quotient is at least rank ord_p(norm) - n, n those places; the rank
+    # inequality of the hypotheses makes that bound positive
+    label, bad = data.draw(st.sampled_from(data_curves()))
+    spec = data.draw(st.sampled_from(THEOREM_SPECS))
+    G = parse_group_spec(spec)
+    p = G.family.p
+    argv = ["certify", "--label", label, "--data", str(DATA), "--group", spec, "-p", str(p)]
+    if data.draw(st.booleans()):
+        argv += ["--sha-trivial", str(p)]
+    for v in bad:
+        d_name, i_name = data.draw(st.sampled_from(G.local_classes)).names()
+        argv += ["--local-class", f"{v}:D={d_name},I={i_name}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2 and err.getvalue().startswith("refused: additive reduction"):
+        return  # not semistable: the theorem does not apply
+    assert code == 0, err.getvalue()
+    cert = json.loads(out.getvalue())
+    hyp = cert["hypotheses"]
+    n = {"a": hyp["n_nonsplit_even_ord"], "b": hyp["n_nonsplit"], "c": 0}[G.family.case]
+    bound = hyp["rank"] * cert["relation"]["norm"].get(str(p), 0) - n
+    assert cert["ord_p"]["sha_quotient"] >= bound
+    if hyp["pass"]:
+        assert bound >= 1

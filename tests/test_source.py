@@ -51,6 +51,21 @@ def test_no_dataclasses():
     assert found == []
 
 
+def test_only_record_refuses_assignment():
+    # an immutable record derives from records.Record, the one class that
+    # defines __setattr__ and __delattr__
+    hooks = {"__setattr__", "__delattr__"}
+    found = [
+        f"{name}:{node.name}"
+        for name, node in _nodes()
+        if isinstance(node, ast.ClassDef) and node.name != "Record"
+        for stmt in node.body
+        if (isinstance(stmt, ast.FunctionDef) and stmt.name in hooks)
+        or (isinstance(stmt, ast.Assign) and hooks & {getattr(t, "id", None) for t in stmt.targets})
+    ]
+    assert found == []
+
+
 def test_local_classes_come_only_from_the_group_enumeration():
     # FiniteGroup.local_classes builds every (D, I) pair once per group, and
     # everything else selects from it instead of building and checking its own

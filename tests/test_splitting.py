@@ -17,7 +17,7 @@ from selgrowth.splitting import (
     AmbiguousSplittingError,
     FieldSpec,
     LocalClass,
-    RamifiedPrimeError,
+    MissingLocalClassError,
     factor_degree_pattern,
     frobenius_class,
     multiquadratic_local_class,
@@ -206,7 +206,7 @@ def test_pattern_biquadratic_23():
 
 
 def test_pattern_rejects_ramified():
-    with pytest.raises(RamifiedPrimeError):
+    with pytest.raises(MissingLocalClassError):
         factor_degree_pattern((1, 0, -10, 0, 1), 2)
 
 
@@ -228,7 +228,7 @@ def test_pattern_matches_trial_division(tail, v):
     coeffs = (1, *tail)
     expected = trial_division_pattern(coeffs, v)
     if expected is None:
-        with pytest.raises(RamifiedPrimeError):
+        with pytest.raises(MissingLocalClassError):
             factor_degree_pattern(coeffs, v)
     else:
         assert factor_degree_pattern(coeffs, v) == expected
@@ -244,7 +244,7 @@ def test_mq_consistent_with_degree_pattern(ds, v):
     poly = biquadratic_polynomial(d1, d2)
     try:
         pattern = factor_degree_pattern(poly, v)
-    except RamifiedPrimeError:
+    except MissingLocalClassError:
         assume(False)
     lc = multiquadratic_local_class(d1, d2, v)
     assume(lc.e == 1)  # pattern logic applies to unramified primes only
