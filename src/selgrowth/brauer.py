@@ -83,8 +83,9 @@ def canonical_relation(G: FiniteGroup) -> BrauerRelation:
     family = G.family
     if family is None:
         raise GroupError("canonical relations exist only for the named families")
-    if G.canonical_relation_memo is not None:
-        return G.canonical_relation_memo
+    theta = G.memo.get("canonical_relation")
+    if theta is not None:
+        return theta
     p, q = family.p, family.q
     if family.name == "d":
         rule = {1: 1, 2: -2, p: -1, 2 * p: 2}
@@ -93,8 +94,8 @@ def canonical_relation(G: FiniteGroup) -> BrauerRelation:
     else:
         rule = {1: 1, p: -1, p * p: p}
     coeffs = {cls.class_id: rule[cls.order] for cls in G.subgroup_classes if cls.order in rule}
-    G.canonical_relation_memo = BrauerRelation.from_dict(G, coeffs)
-    return G.canonical_relation_memo
+    theta = G.memo["canonical_relation"] = BrauerRelation.from_dict(G, coeffs)  # made once per group
+    return theta
 
 
 def norm_constant(theta: BrauerRelation) -> FactoredRational:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import factor, jacobi
+from .arith import factor, is_prime, jacobi
 from .records import ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT, Record, Refused
 
 
@@ -253,6 +253,9 @@ def make_profile(
     """Minimalize the model and assemble reduction data at every bad prime."""
     if rank < 0 or torsion_order < 1:
         raise ValueError("rank must be >= 0 and torsion order >= 1")
+    for p in sha_p_trivial:
+        if not is_prime(int(p)):
+            raise ValueError(f"Sha[p^inf] can be assumed trivial only at primes p, got {p}")
     mm = minimal_model(model)
     inv = mm.invariants
     bad = tuple(

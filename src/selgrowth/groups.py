@@ -9,8 +9,8 @@ supports (group order at most 200).
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
-from functools import cached_property
+from collections import Counter
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
@@ -20,7 +20,7 @@ from .arith import is_prime
 from .records import Record
 
 MAX_ORDER = 200
-# Family groups kept by the constructors, least recently used dropped first.
+# Family groups kept by _family_group, least recently used dropped first.
 # A group of order near the cap holds two 200 x 200 tables and its lattice,
 # so the cache stays small.
 GROUP_CACHE_SIZE = 4
@@ -40,7 +40,7 @@ class Family(Record):
 
     ``name`` is ``c2xc2`` (case (a), p = 2), ``d`` (D_2p, case (b)),
     ``cpxcp`` (Cp x Cp, case (c)) or ``sd`` (Cp : Cq, case (c)); ``p`` is the
-    prime of the theorem and ``q`` the order of the complement in ``sd``.
+    prime of the theorem and ``q``, given for ``sd`` alone, the order of the complement.
     Building one checks the parameters, so a Family always names a group of
     order at most MAX_ORDER. ``str`` gives the normalized spec. Families are
     immutable and compare and hash by (name, p, q).
@@ -52,19 +52,24 @@ class Family(Record):
         self._set(name, p, q)
         if name not in ("c2xc2", "d", "cpxcp", "sd"):
             raise GroupError(f"unknown group family {name!r}")
-        # the cap first: is_prime on a huge parameter the cap refuses takes seconds
-        if self.order > MAX_ORDER:
+        if (q is None) == (name == "sd"):
+            raise GroupError(f"the {name} family takes {'p and q' if name == 'sd' else 'p alone'}, got q={q}")
+        # a parameter below 2 is not prime, whatever the order; otherwise the cap
+        # comes first, as is_prime on a huge parameter the cap refuses takes seconds
+        low = min(p, q or 2) < 2
+        if not low and self.order > MAX_ORDER:
             raise GroupError(f"order {self.order} exceeds the cap {MAX_ORDER}")
+        prime = (lambda n: False) if low else is_prime
         if name == "d":
-            if not is_prime(p) or p == 2:
+            if not prime(p) or p == 2:
                 raise GroupError(f"dihedral parameter must be an odd prime, got {p}")
         elif name == "sd":
-            if not is_prime(p) or not is_prime(q) or q % 2 == 0:
+            if not prime(p) or not prime(q) or q % 2 == 0:
                 raise GroupError(f"need primes p and odd q, got p={p} q={q}")
             if (p - 1) % q != 0:
                 raise GroupError(f"no faithful action: {q} does not divide {p}-1")
         else:
-            if not is_prime(p):
+            if not prime(p):
                 raise GroupError(f"{p} is not prime")
             if (name == "c2xc2") != (p == 2):
                 raise GroupError(f"the elementary abelian family of p = {p} is not {name}")
@@ -186,14 +191,8 @@ class FiniteGroup:
             raise GroupError("no element is a two-sided identity")
         self.family = family
         self._inv = self._inverse_table()
-        # kept with the group and dropped with it: the family's relation, set by
-        # brauer.canonical_relation; (relation, local class) -> (place degrees,
-        # {(reduction kind, m) -> (contributions, quotient, table cell)}), by
-        # quotients.local_theta_quotient; and (quadratic symbols of d1, d2, d3,
-        # v == 2) -> local class, by splitting's multiquadratic fields
-        self.canonical_relation_memo = None
-        self.place_quotient_memo = {}
-        self.symbol_class_memo = {}
+        # other layers' results kept with the group: each layer owns its key
+        self.memo = {}
         self._coset_memo = {}  # D elements -> _left_cosets(D)
         if generators is not None:
             self.validate(generators)
@@ -671,34 +670,11 @@ def place_counts(G: FiniteGroup, cid: int, lc: LocalClass) -> tuple:
 # -- constructors ------------------------------------------------------------
 
 
-_recent_groups: OrderedDict = OrderedDict()  # spec -> FiniteGroup
-
-
-def _cached_group(spec: str, build) -> FiniteGroup:
-    """The group with normalized spec ``spec``, built by ``build()`` only when not cached.
-
-    Groups are immutable once built, so callers share one instance per spec;
-    at most GROUP_CACHE_SIZE stay cached, least recently used dropped first.
-    """
-    G = _recent_groups.pop(spec, None)
-    if G is None:
-        G = build()
-    _recent_groups[spec] = G
-    if len(_recent_groups) > GROUP_CACHE_SIZE:
-        _recent_groups.popitem(last=False)
-    return G
-
-
 def make_cyclic(n: int) -> FiniteGroup:
     if n < 1 or n > MAX_ORDER:
         raise GroupError(f"cyclic order out of range: {n}")
-
-    def build():
-        table = [[(a + b) % n for b in range(n)] for a in range(n)]
-        gens = [1] if n > 1 else []
-        return FiniteGroup(table, generators=gens)
-
-    return _cached_group(f"c:{n}", build)
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    return FiniteGroup(table, generators=[1] if n > 1 else [])
 
 
 def make_elem_abelian(p: int) -> FiniteGroup:
@@ -716,36 +692,33 @@ def make_semidirect(p: int, q: int) -> FiniteGroup:
     return _family_group(Family("sd", p, q))
 
 
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _family_group(family: Family) -> FiniteGroup:
-    """The group of a theorem family, shared by every caller while it stays cached."""
-
-    def build():
-        p, q, n = family.p, family.q, family.order
-        cyc = list(range(p)) * 2  # cyc[a:a + p] is a + 0, a + 1, ... mod p
-        if family.name == "d":
-            # r^a at a and s r^a at p + a, so r^a b = r^(a+b), r^a s r^b = s r^(b-a),
-            # s r^a r^b = s r^(a+b) and s r^a s r^b = r^(b-a)
-            ref = [p + x for x in cyc]
-            table = [cyc[a:a + p] + ref[p - a:2 * p - a] for a in range(p)]
-            table += [ref[a:a + p] + cyc[p - a:2 * p - a] for a in range(p)]
-            gens = [1, p]  # the rotation r and a reflection s
-        elif family.name == "sd":
-            # (a, b) at a q + b, with (a, b)(c, d) = (a + c u^b, b + d)
-            u = _least_unit_of_order(p, q)
-            w = [pow(u, b, p) for b in range(q)]
-            # blocks[b][k]: the q entries k q + (b + d mod q), d = 0..q-1
-            blocks = [[[k * q + (b + d) % q for d in range(q)] for k in range(p)] for b in range(q)]
-            table = [list(chain.from_iterable(blocks[b][(a + c * w[b]) % p] for c in range(p)))
-                     for a in range(p) for b in range(q)]
-            gens = [q, 1]  # (1, 0) at index q and (0, 1) at index 1
-        else:
-            # C_p x C_p, (x, y) at x p + y: row (x, y) is row (0, y) turned by x p
-            rows0 = [[k * p + v for k in range(p) for v in cyc[y:y + p]] * 2 for y in range(p)]
-            table = [rows0[y][x * p:x * p + n] for x in range(p) for y in range(p)]
-            gens = [1, p]
-        return FiniteGroup(table, family=family, generators=gens)
-
-    return _cached_group(str(family), build)
+    """The group of a theorem family, built once and shared while it stays cached."""
+    p, q, n = family.p, family.q, family.order
+    cyc = list(range(p)) * 2  # cyc[a:a + p] is a + 0, a + 1, ... mod p
+    if family.name == "d":
+        # r^a at a and s r^a at p + a, so r^a b = r^(a+b), r^a s r^b = s r^(b-a),
+        # s r^a r^b = s r^(a+b) and s r^a s r^b = r^(b-a)
+        ref = [p + x for x in cyc]
+        table = [cyc[a:a + p] + ref[p - a:2 * p - a] for a in range(p)]
+        table += [ref[a:a + p] + cyc[p - a:2 * p - a] for a in range(p)]
+        gens = [1, p]  # the rotation r and a reflection s
+    elif family.name == "sd":
+        # (a, b) at a q + b, with (a, b)(c, d) = (a + c u^b, b + d)
+        u = _least_unit_of_order(p, q)
+        w = [pow(u, b, p) for b in range(q)]
+        # blocks[b][k]: the q entries k q + (b + d mod q), d = 0..q-1
+        blocks = [[[k * q + (b + d) % q for d in range(q)] for k in range(p)] for b in range(q)]
+        table = [list(chain.from_iterable(blocks[b][(a + c * w[b]) % p] for c in range(p)))
+                 for a in range(p) for b in range(q)]
+        gens = [q, 1]  # (1, 0) at index q and (0, 1) at index 1
+    else:
+        # C_p x C_p, (x, y) at x p + y: row (x, y) is row (0, y) turned by x p
+        rows0 = [[k * p + v for k in range(p) for v in cyc[y:y + p]] * 2 for y in range(p)]
+        table = [rows0[y][x * p:x * p + n] for x in range(p) for y in range(p)]
+        gens = [1, p]
+    return FiniteGroup(table, family=family, generators=gens)
 
 
 def _least_unit_of_order(p: int, q: int) -> int:

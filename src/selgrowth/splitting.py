@@ -101,12 +101,15 @@ def _multiquadratic_class(d1: int, d2: int, v: int, G: FiniteGroup) -> LocalClas
     """multiquadratic_local_class for discriminants already validated.
 
     The class depends on v only through the symbols of d1, d2, d3 and whether
-    v = 2, so it is kept on the group under that key; a refusal is not kept.
+    v = 2: G.memo["symbol_classes"] keeps it under that key, but no refusal.
     """
     # d1 and d2 passed validation, so d3 = d1 d2 / gcd(d1, d2)^2 is squarefree too
     symbols = (_symbol(d1, v), _symbol(d2, v), _symbol(third_discriminant(d1, d2), v))
     key = (symbols, v == 2)
-    lc = G.symbol_class_memo.get(key)
+    memo = G.memo.get("symbol_classes")
+    if memo is None:
+        memo = G.memo["symbol_classes"] = {}
+    lc = memo.get(key)
     if lc is not None:
         return lc
     # element (i, j) = index 2i + j flips sqrt(d1) iff i = 1, sqrt(d2) iff j = 1;
@@ -122,7 +125,7 @@ def _multiquadratic_class(d1: int, d2: int, v: int, G: FiniteGroup) -> LocalClas
         unram = sum(s != RAMIFIED for s in symbols)
         if unram != 1:
             raise GroupError(f"ramified odd v = {v} is unramified in {unram} quadratic subfields, not 1")
-    lc = G.symbol_class_memo[key] = G.local_class(
+    lc = memo[key] = G.local_class(
         G.class_of_subgroup(Subgroup(decomp)), G.class_of_subgroup(Subgroup(inertia))
     )
     return lc

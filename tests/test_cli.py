@@ -80,6 +80,17 @@ def test_certify_example2(capsys):
     assert doc["conditional_prediction"]["sha_p_primary_order"] == 4
 
 
+@pytest.mark.parametrize("listed, bad", [("2,-7", "-7"), ("4", "4"), ("3,1", "1")])
+def test_sha_trivial_lists_only_primes(capsys, listed, bad):
+    code, out, err = run(
+        capsys,
+        "certify", "--curve", "1,0,0,-1,0", "--rank", "1", "--sha-trivial", listed,
+        "--field", "mq:3,5", "-p", "2",
+    )
+    assert (code, out) == (1, "")
+    assert err == f"usage error: Sha[p^inf] can be assumed trivial only at primes p, got {bad}\n"
+
+
 def test_certify_with_local_class_override(capsys):
     doc = run_json(
         capsys,

@@ -4,11 +4,13 @@ import pathlib
 import pickle
 import subprocess
 import sys
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selgrowth.arith import is_prime
 from selgrowth.cli import main
 from selgrowth.groups import (
     GROUP_CACHE_SIZE,
@@ -20,6 +22,7 @@ from selgrowth.groups import (
     Subgroup,
     double_cosets,
     fixed_points,
+    _family_group,
     make_cyclic,
     make_dihedral,
     make_elem_abelian,
@@ -159,6 +162,18 @@ def test_order_cap_is_checked_before_primality(spec, monkeypatch):
         Family.parse(spec)
 
 
+@pytest.mark.parametrize("spec", ["d:-3", "cpxcp:-15", "sd:-7:-3", f"sd:{10 ** 60 + 7}:1"])
+def test_parameter_below_2_is_refused_as_not_prime_without_a_test(spec, monkeypatch):
+    # whatever the order (the square of -15 exceeds the cap), and a huge
+    # parameter beside it gets no primality test either
+    def no_primality_test(n):
+        raise AssertionError(f"is_prime({n}) was called")
+
+    monkeypatch.setattr("selgrowth.groups.is_prime", no_primality_test)
+    with pytest.raises(GroupError, match="prime"):
+        Family.parse(spec)
+
+
 def test_equivalent_specs_share_one_group():
     G = parse_group_spec("d:97")
     assert parse_group_spec(" D:97") is G
@@ -220,6 +235,8 @@ def test_family_and_local_class_are_immutable_values():
         ("sd:7", "unknown group spec 'sd:7'; expected c2xc2, d:<p>, cpxcp:<p> or sd:<p>:<q>"),
         ("d:x", "bad group spec 'd:x': invalid literal for int() with base 10: 'x'"),
         ("cpxcp:4", "bad group spec 'cpxcp:4': 4 is not prime"),
+        # a parameter below 2 is named, though its square is over the cap
+        ("cpxcp:-15", "bad group spec 'cpxcp:-15': -15 is not prime"),
     ],
 )
 def test_bad_family_specs_refused(spec, message, capsys, tmp_path):
@@ -236,12 +253,43 @@ def test_bad_family_specs_refused(spec, message, capsys, tmp_path):
 
 def test_group_cache_is_bounded():
     first = make_dihedral(3)
-    for n in range(2, 2 + GROUP_CACHE_SIZE - 1):
-        make_cyclic(n)
+    others = iter([p for p in range(5, 98) if is_prime(p)])
+    for _ in range(GROUP_CACHE_SIZE - 1):
+        make_dihedral(next(others))
     assert make_dihedral(3) is first  # still among the most recent groups
-    for n in range(2, 2 + GROUP_CACHE_SIZE):
-        make_cyclic(n + 100)
+    for _ in range(GROUP_CACHE_SIZE):
+        make_dihedral(next(others))
     assert make_dihedral(3) is not first
+    assert _family_group.cache_info().currsize == GROUP_CACHE_SIZE
+
+
+def test_family_takes_q_exactly_for_sd():
+    with pytest.raises(GroupError, match="takes p and q"):
+        Family("sd", 7)
+    with pytest.raises(GroupError, match="takes p alone"):
+        Family("d", 5, 3)  # once printed d:5 while unequal to Family("d", 5)
+    assert Family("sd", 7, 3).q == 3 and Family("d", 5).q is None
+
+
+def test_layers_keep_their_memos_under_group_memo(capsys):
+    # certify, tables and relations leave on a family group only what
+    # FiniteGroup.__init__ sets and its cached properties: a layer keeps its
+    # per-group results under its own key of G.memo, not as an attribute
+    curve = ["certify", "--curve", "1,0,0,-1,0", "--rank", "1"]
+    calls = [curve + ["--field", "mq:3,5", "-p", "2"]]
+    for spec in ("c2xc2", "d:5", "cpxcp:3"):
+        calls += [["tables", spec], ["relations", spec]]
+        calls.append(curve + ["--group", spec, "-p", spec[-1],
+                              "--local-class", "5:D=G,I=G", "--local-class", "13:D=1,I=1"])
+    for argv in calls:
+        assert main(argv) == 0, capsys.readouterr().err
+    cached = {name for name, value in vars(FiniteGroup).items() if isinstance(value, cached_property)}
+    for spec in ("c2xc2", "d:5", "cpxcp:3"):
+        G = parse_group_spec(spec)
+        allowed = set(vars(FiniteGroup(G.table, family=G.family))) | cached
+        assert set(vars(G)) <= allowed, set(vars(G)) - allowed
+        assert {"canonical_relation", "places"} <= set(G.memo)
+    assert "symbol_classes" in parse_group_spec("c2xc2").memo
 
 
 # -- subgroup lattice -----------------------------------------------------------

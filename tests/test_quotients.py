@@ -3,7 +3,6 @@ import io
 import json
 import math
 import random
-from collections import OrderedDict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -507,7 +506,7 @@ def _semistable_models(count, seed):
     return out
 
 
-def test_memos_keep_certificates_byte_identical(monkeypatch):
+def test_memos_keep_certificates_byte_identical():
     # places and multiquadratic local classes are kept on the group: every
     # certificate from the warm groups equals, byte for byte, the one from
     # groups built afresh, and the place memo stays within its bound
@@ -529,11 +528,11 @@ def test_memos_keep_certificates_byte_identical(monkeypatch):
     ms = {rd.m for prof, *_ in requests for rd in prof.bad_places}
     for spec in ("c2xc2", "d:5", "cpxcp:3"):
         G = parse_group_spec(spec)
-        assert 0 < len(G.place_quotient_memo) <= len(G.local_classes) * 2 * len(ms)
-    assert 0 < len(parse_group_spec("c2xc2").symbol_class_memo) <= 3 ** 3 * 2
+        assert 0 < len(G.memo["places"]) <= len(G.local_classes) * 2 * len(ms)
+    assert 0 < len(parse_group_spec("c2xc2").memo["symbol_classes"]) <= 3 ** 3 * 2
     fresh = []
     for req in requests:
-        monkeypatch.setattr(groups, "_recent_groups", OrderedDict())
+        groups._family_group.cache_clear()
         fresh.append(run(*req))
     assert fresh == warm
 
