@@ -65,9 +65,11 @@ _BRENT_FIRST = 2048  # Pollard-Brent steps before ECM
 _ECM_CURVES = 200  # Suyama curves sigma = 6, 7, ... before Pollard-Brent again
 _ECM_B1, _ECM_B2, _ECM_D = 150, 3750, 210  # stage-1 and stage-2 bounds, giant step
 _ECM_K = math.lcm(*range(1, _ECM_B1 + 1))  # the product of the largest prime powers up to B1
-# steps of one curve: ladders over K (423) and D (15), 53 baby and 19 giant
-# steps, 18 * 24 products
-_ECM_STEPS = 942
+# steps of one curve, as _ecm_curve takes them: the ladders over K and D, the
+# baby and giant steps and a product per (giant, baby prime to D) pair
+_ECM_BABY = sum(math.gcd(j, _ECM_D) == 1 for j in range(1, _ECM_D // 2, 2))
+_ECM_STEPS = (2 * _ECM_K.bit_length() - 1 + 2 * _ECM_D.bit_length() - 1 + 1 + len(range(1, _ECM_D // 2, 2))
+              + _ECM_B2 // _ECM_D + 2 + (_ECM_B2 // _ECM_D + 1) * _ECM_BABY)
 
 
 class FactorizationBudgetError(ArithmeticError, Refused):

@@ -2,10 +2,10 @@
 
 A relation is an integer combination of conjugacy classes of subgroups whose
 virtual permutation representation vanishes; equivalently, the permutation
-character values sum to zero against the coefficients on every conjugacy
-class of group elements. The attached norm constant prod |H|^{n_H} is kept
-as an exact factored rational, since its p-adic valuation is what drives
-the growth certificates.
+character values sum to zero against the coefficients at a generator of
+every conjugacy class of cyclic subgroups. The attached norm constant
+prod |H|^{n_H} is kept as an exact factored rational, since its p-adic
+valuation is what drives the growth certificates.
 """
 
 from __future__ import annotations
@@ -52,16 +52,20 @@ class BrauerRelation(NamedTuple):
 
 
 def mark_matrix(G: FiniteGroup):
-    """Rows: conjugacy classes of elements. Columns: subgroup classes.
+    """Rows: conjugacy classes of cyclic subgroups. Columns: subgroup classes.
 
-    Entry = number of cosets of the column's subgroup fixed by the row's
-    element (the permutation character of C[G/H]).
+    Entry = number of cosets of the column's subgroup fixed by a generator g
+    of the row's subgroup (the permutation character of C[G/H] at g). The
+    character is rational, so its value at g depends only on <g> up to
+    conjugacy: a row per element class would repeat these rows.
     """
-    classes = G.subgroup_classes
-    return [
-        [fixed_points(G, cls.representative, gclass[0]) for cls in classes]
-        for gclass in G.element_classes
-    ]
+    classes, orders = G.subgroup_classes, G.element_orders
+    rows = []
+    for C in classes:
+        g = max(C.representative, key=orders.__getitem__)  # a generator when C is cyclic
+        if orders[g] == C.order:
+            rows.append([fixed_points(G, H.representative, g) for H in classes])
+    return rows
 
 
 def verify_relation(theta: BrauerRelation) -> bool:

@@ -65,10 +65,18 @@ def _parse_sha(text: str) -> Fraction | None:
     return Fraction(text)
 
 
+def _rows(reader, path):
+    """The rows of a csv reader; a line it cannot parse raises IngestError."""
+    try:
+        yield from reader
+    except csv.Error as exc:  # a field over csv.field_size_limit(), for one
+        raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def ingest(path) -> IngestResult:
     """Parse a curve CSV; malformed rows are reported, structural problems raise."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _rows(csv.reader(fh), path)
         try:
             header = next(reader)
         except StopIteration:
@@ -98,7 +106,7 @@ def ingest(path) -> IngestResult:
             try:
                 ints = [int(c.strip()) for c in row[1:8]]
                 sha = _parse_sha(row[8])
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:  # "x", sha_an "nan" or "1/0"
                 rejects.append((line_no, f"bad field: {exc}"))
                 continue
             a1, a2, a3, a4, a6, rank, torsion = ints

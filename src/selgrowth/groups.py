@@ -1,10 +1,10 @@
 """Small finite groups given by explicit Cayley tables.
 
 Elements are the integers 0..order-1. Everything downstream (subgroup
-lattices, conjugacy classes, double cosets, permutation-character values)
-is computed by direct enumeration over precomputed tables (multiplication,
-inverse, conjugation), which is exact and fast at the scale this package
-supports (group order at most 200).
+lattices and their conjugacy classes, double cosets, permutation-character
+values) is computed by direct enumeration over precomputed tables
+(multiplication, inverse, conjugation), which is exact and fast at the
+scale this package supports (group order at most 200).
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ GROUP_CACHE_SIZE = 4
 
 class GroupError(ValueError):
     pass
+
+
+def _suffix(i: int) -> str:
+    """The i-th of a, b, ..., z, aa, ab, ..., counted from 0."""
+    return (_suffix(i // 26 - 1) if i >= 26 else "") + "abcdefghijklmnopqrstuvwxyz"[i % 26]
 
 
 def _take(row: tuple, indices) -> tuple:
@@ -163,12 +168,12 @@ class SubgroupClass(NamedTuple):
 class FiniteGroup:
     """Finite group on 0..order-1 with an explicit multiplication table.
 
-    Instances are immutable after construction; derived structure
-    (conjugation table, conjugacy classes, subgroup lattice) is computed on
-    first use and cached. The identity is read off the table: the element
-    whose row and column are both 0..order-1. ``family`` is the theorem family
-    of a group built by a family constructor, and None for any other group.
-    Passing ``generators`` checks the group axioms by Light's test (validate).
+    Instances are immutable after construction; derived structure (the
+    conjugation table, the subgroup lattice and its conjugacy classes) is
+    computed on first use and cached. The identity is read off the table: the
+    element whose row and column are both 0..order-1. ``family`` is the theorem
+    family of a group built by a family constructor, and None for any other
+    group. Passing ``generators`` checks the group axioms by Light's test (validate).
     """
 
     def __init__(self, table, family=None, generators=None):
@@ -193,7 +198,6 @@ class FiniteGroup:
         self._inv = self._inverse_table()
         # other layers' results kept with the group: each layer owns its key
         self.memo = {}
-        self._coset_memo = {}  # D elements -> _left_cosets(D)
         if generators is not None:
             self.validate(generators)
 
@@ -228,10 +232,6 @@ class FiniteGroup:
                     c = next(c for c in elements if row_ab[c] != row_a[row_b[c]])
                     raise GroupError(f"associativity fails at ({a},{b},{c})")
         return self
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        return self.table == tuple(zip(*self.table))
 
     @cached_property
     def _cyclic_subgroups(self) -> dict:
@@ -280,24 +280,6 @@ class FiniteGroup:
                 gens += (g,)
         return gens
 
-    # -- conjugacy classes of elements --------------------------------------
-
-    @cached_property
-    def element_classes(self):
-        """Conjugacy classes of elements as sorted tuples, sorted by min element."""
-        if self.is_abelian:
-            return [(g,) for g in range(self.order)]
-        seen = set()
-        classes = []
-        for g in range(self.order):
-            if g in seen:
-                continue
-            orbit = {row[g] for row in self.conj}
-            seen |= orbit
-            classes.append(tuple(sorted(orbit)))
-        classes.sort(key=lambda c: c[0])
-        return classes
-
     # -- subgroups -----------------------------------------------------------
 
     def subgroup_closure(self, gens) -> tuple:
@@ -331,21 +313,6 @@ class FiniteGroup:
                     seen.update([r[y] for r in rows])
                     reps.append(y)
         return tuple(sorted(seen))
-
-    def _left_cosets(self, D: Subgroup) -> tuple:
-        """(ids, reps): ids[x] is the least element of the left coset xD, and
-        reps lists those least elements in order; kept per D."""
-        cosets = self._coset_memo.get(D.elements)
-        if cosets is None:
-            ids = [-1] * self.order
-            reps = []
-            for x, row in enumerate(self.table):
-                if ids[x] < 0:
-                    reps.append(x)
-                    for y in _take(row, D.elements):
-                        ids[y] = x
-            cosets = self._coset_memo[D.elements] = (ids, reps)
-        return cosets
 
     def _conjugates(self, elements: tuple) -> set:
         """The conjugacy orbit of a subgroup, as sorted element tuples."""
@@ -450,7 +417,7 @@ class FiniteGroup:
         counts, seen = Counter(bases), Counter()
         names = []
         for b in bases:
-            names.append(b if counts[b] == 1 else b + "abcdefghijklmnopqrstuvwxyz"[seen[b]])
+            names.append(b if counts[b] == 1 else b + _suffix(seen[b]))
             seen[b] += 1
         return names
 
@@ -549,8 +516,11 @@ class LocalClass(Record):
         if not iset <= D.element_set:
             raise GroupError("inertia subgroup is not contained in the decomposition group")
         table = G.table
-        ids = G._left_cosets(I)[0]
-        cosets = [d for d in D if ids[d] == d]  # the least element of each coset dI in D
+        cosets, covered = [], set()
+        for d in D:  # ascending, so d is the least element of each new coset dI
+            if d not in covered:
+                cosets.append(d)
+                covered.update(_take(table[d], I.elements))
         # I is normalized by itself, so one element per coset decides normality
         for d in cosets:
             if not iset.issuperset(_take(G.conj[d], I.elements)):
@@ -604,34 +574,27 @@ def double_cosets(G: FiniteGroup, H: Subgroup, D):
         if D.group is not G and D.group.table != G.table:
             raise GroupError("local class and subgroup live in different groups")
         D, I = D.decomposition, D.inertia
-    conj, inv = G.conj, G._inv
+    conj, inv, table = G.conj, G._inv, G.table
     hset = H.element_set
-    h_rows = [G.table[h] for h in H.elements]
+    h_rows = [table[h] for h in H.elements]
     d_elems = D.elements
     i_elems = I.elements if I is not None else None
-    coset, reps = G._left_cosets(D)
-    seen = set()  # ids of the left cosets yD covered so far
+    covered = set()
     records = []
-    # the least element of HxD is the least element of one of its left cosets
-    for x in reps:
-        if x in seen:
+    for x in range(G.order):  # ascending, so x is the least element of each new HxD
+        if x in covered:
             continue
-        # HxD is the union of the left cosets (hx)D; count each new one once
-        fresh = {coset[h_row[x]] for h_row in h_rows} - seen
-        seen |= fresh
-        size = len(fresh) * len(d_elems)
+        double = {y for h_row in h_rows for y in _take(table[h_row[x]], d_elems)}
+        covered |= double
         row = conj[inv[x]]  # d lies in x^-1 H x iff x d x^-1 = row[d] lies in H
-        meet_d = len(hset.intersection(_take(row, d_elems)))
-        degree = len(d_elems) // meet_d
-        if i_elems is not None:
-            meet_i = len(hset.intersection(_take(row, i_elems)))
-            e = len(i_elems) // meet_i
-            f = degree // e
-            if e * f != degree:
-                raise GroupError(f"ramification index {e} does not divide the local degree {degree}")
-            records.append(DoubleCoset(x, size, degree, e, f))
-        else:
-            records.append(DoubleCoset(x, size, degree))
+        degree = len(d_elems) // len(hset.intersection(_take(row, d_elems)))
+        if i_elems is None:
+            records.append(DoubleCoset(x, len(double), degree))
+            continue
+        e = len(i_elems) // len(hset.intersection(_take(row, i_elems)))
+        if degree % e:
+            raise GroupError(f"ramification index {e} does not divide the local degree {degree}")
+        records.append(DoubleCoset(x, len(double), degree, e, degree // e))
     total_degree = sum(r.degree for r in records)
     if total_degree != G.order // len(H):
         raise GroupError(f"local degrees sum to {total_degree}, not [G:H] = {G.order // len(H)}")

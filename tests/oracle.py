@@ -10,6 +10,7 @@ selgrowth-free oracles.
 import functools
 import importlib.util
 import pathlib
+import sys
 
 from selgrowth.brauer import BrauerRelation
 from selgrowth.curves import make_profile
@@ -20,8 +21,15 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 DATA = REPO / "data" / "curves.csv"
 
 
+@functools.cache
 def bench_module(name: str):
-    """bench/<name>.py as a module, loaded by path."""
+    """bench/<name>.py as a module, loaded by path, once.
+
+    bench/ goes on the end of sys.path, so the benchmark's imports of its
+    sibling files (``import inputs``, ``from checkers import ...``) resolve.
+    """
+    if str(REPO / "bench") not in sys.path:
+        sys.path.append(str(REPO / "bench"))
     spec = importlib.util.spec_from_file_location(f"bench_{name}", REPO / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -249,3 +249,9 @@ def test_ecm_curve_costs_its_charged_steps():
             mock.patch.object(arith, "_xdbl", wraps=arith._xdbl) as xdbl:
         assert arith._ecm_curve(1000000007 * 1000000009, 6) == 1
     assert xadd.call_count + xdbl.call_count + babies * giants == arith._ECM_STEPS
+
+
+def test_ecm_step_count_at_todays_bounds():
+    # ladders 423 + 15, baby steps 53, giant steps 19, products 18 * 24
+    assert (arith._ECM_B1, arith._ECM_B2, arith._ECM_D) == (150, 3750, 210)
+    assert arith._ECM_STEPS == 942

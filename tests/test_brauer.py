@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,14 +16,16 @@ from selgrowth.brauer import (
 from selgrowth.groups import (
     FiniteGroup,
     GroupError,
+    fixed_points,
     make_cyclic,
     make_dihedral,
     make_elem_abelian,
     make_semidirect,
     parse_group_spec,
 )
+from selgrowth.intlinalg import integer_kernel_basis
 
-from oracle import direct_product, induce, inflate, lattice_coordinates, relabeled
+from oracle import direct_product, family_specs, induce, inflate, lattice_coordinates, relabeled
 
 
 def rational_rank(A):
@@ -162,6 +165,82 @@ def test_lattice_rank_matches_rational_kernel():
         M = mark_matrix(G)
         expected = len(M[0]) - rational_rank(M)
         assert len(relation_lattice(G)) == expected
+
+
+# -- the mark matrix against one row per element class ------------------------------
+# A row per conjugacy class of elements, the classes read off G.conj here, spans
+# the same rows as the package's row per class of cyclic subgroups, so the
+# relation lattice and every verify_relation answer must come out the same.
+
+
+def element_class_mark_matrix(G):
+    """Oracle: the fixed points of the least element of each element class."""
+    least, seen = [], set()
+    for g in range(G.order):
+        if g not in seen:
+            least.append(g)
+            seen.update(row[g] for row in G.conj)
+    return [[fixed_points(G, H.representative, g) for H in G.subgroup_classes] for g in least]
+
+
+SMALL_GROUPS = [f"c:{n}" for n in range(1, 13)] + ["c2xc2", "d:3", "d:5", "d:7", "cpxcp:3", "sd:7:3"]
+
+
+def small_group(name):
+    if name.startswith("c:"):
+        return make_cyclic(int(name[2:]))
+    return parse_group_spec(name)
+
+
+def other_group(name):
+    """c:<n>, "<A> x <B>" of two SMALL_GROUPS, or "<product> relabeled"."""
+    if name.endswith(" relabeled"):
+        G = other_group(name[: -len(" relabeled")])
+        perm = list(range(G.order))
+        random.Random(name).shuffle(perm)
+        return relabeled(G, perm)
+    if " x " in name:
+        a, b = name.split(" x ")
+        return direct_product(small_group(a), small_group(b))
+    return small_group(name)
+
+
+def _product_names() -> list:
+    """The 50 direct products of two SMALL_GROUPS of least order."""
+    pairs = [(a, b) for i, a in enumerate(SMALL_GROUPS) for b in SMALL_GROUPS[i:] if a != "c:1" != b]
+    pairs.sort(key=lambda ab: (small_group(ab[0]).order * small_group(ab[1]).order, ab))
+    return [f"{a} x {b}" for a, b in pairs[:50]]
+
+
+PRODUCTS = _product_names()
+OTHER_GROUPS = [f"c:{n}" for n in range(1, 61)] + PRODUCTS + [f"{name} relabeled" for name in PRODUCTS[-15:]]
+
+
+def assert_lattice_matches_element_class_rows(G):
+    rows = element_class_mark_matrix(G)
+    basis = relation_lattice(G)
+    assert [theta.coeff_vector() for theta in basis] == integer_kernel_basis(rows)
+    # the basis relations, and their sum plus one more H, never a relation:
+    # the character of C[G/H] is [G:H] at the identity
+    total = [sum(col) for col in zip(*(theta.coeff_vector() for theta in basis))] or [0] * len(rows[0])
+    candidates = list(basis)
+    for cid in range(len(total)):
+        vec = total[:cid] + [total[cid] + 1] + total[cid + 1:]
+        candidates.append(BrauerRelation.from_dict(G, dict(enumerate(vec))))
+    for theta in candidates:
+        vec = theta.coeff_vector()
+        expected = all(sum(a * n for a, n in zip(row, vec)) == 0 for row in rows)
+        assert verify_relation(theta) == expected
+
+
+@pytest.mark.parametrize("spec", family_specs(200))
+def test_lattice_matches_element_class_rows_on_families(spec):
+    assert_lattice_matches_element_class_rows(parse_group_spec(spec))
+
+
+@pytest.mark.parametrize("name", OTHER_GROUPS)
+def test_lattice_matches_element_class_rows_on_other_groups(name):
+    assert_lattice_matches_element_class_rows(other_group(name))
 
 
 # -- induction and inflation --------------------------------------------------------

@@ -227,6 +227,19 @@ def assert_one_usage_error(result, *named):
     assert all(words in err for words in named)
 
 
+def test_malformed_data_files_give_a_reject_or_one_usage_error(capsys, tmp_path):
+    header = "label,a1,a2,a3,a4,a6,rank,torsion,sha_an\n"
+    zero = tmp_path / "zero.csv"
+    zero.write_text(header + "65a1,1,0,0,-1,0,1,2,1/0\n")
+    doc = run_json(capsys, "scan", "--data", str(zero))
+    assert doc["rejects"] == [{"line": 2, "reason": "bad field: Fraction(1, 0)"}]
+    huge = tmp_path / "huge.csv"
+    huge.write_text(header + "65a1,1,0,0,-1,0,1,2," + "1" * 200_000 + "\n")
+    for argv in (("scan", "--data", str(huge)),
+                 ("certify", "--label", "65a1", "--data", str(huge), "--field", "mq:3,5", "-p", "2")):
+        assert_one_usage_error(run(capsys, *argv), f"{huge}: line 2: field larger than field limit")
+
+
 def test_local_class_with_unknown_or_repeated_keys_is_refused(capsys):
     base = ("certify", "--curve", "1,0,0,-1,0", "--rank", "1", "--group", "d:5", "-p", "5",
             "--local-class", "13:D=G,I=G", "--local-class")

@@ -55,6 +55,21 @@ def test_ingest_rejects_bad_rows(tmp_path):
     assert [line for line, _ in result.rejects] == [3, 4, 5]
 
 
+def test_ingest_rejects_a_zero_denominator_sha(tmp_path):
+    path = write_csv(tmp_path, "65a1,1,0,0,-1,0,1,2,1/0\n14a1,1,0,1,4,-6,0,6,nan\n")
+    result = ingest(path)
+    assert result.records == []
+    assert [line for line, _ in result.rejects] == [2, 3]
+    assert all(reason.startswith("bad field: ") for _, reason in result.rejects)
+
+
+def test_ingest_field_over_the_csv_limit_raises(tmp_path):
+    path = write_csv(tmp_path, "65a1,1,0,0,-1,0,1,2,1\n14a1,1,0,1,4,-6,0,6," + "1" * 131_073 + "\n")
+    with pytest.raises(IngestError) as err:
+        ingest(path)
+    assert str(err.value).startswith(f"{path}: line 3: field larger than field limit")
+
+
 def test_ingest_duplicate_label_raises(tmp_path):
     path = write_csv(tmp_path, "65a1,1,0,0,-1,0,1,2,1\n65a1,1,0,0,-1,0,1,2,1\n")
     with pytest.raises(IngestError) as err:

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pathlib
 import pickle
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selgrowth.arith import is_prime
+from selgrowth.brauer import mark_matrix
 from selgrowth.cli import main
 from selgrowth.groups import (
     GROUP_CACHE_SIZE,
@@ -87,9 +89,9 @@ def test_group_axioms_validate():
         build(spec).validate()
 
 
-def test_dihedral6_has_three_element_classes():
-    G = make_dihedral(3)
-    assert len(G.element_classes) == 3
+def test_dihedral6_mark_matrix_has_three_rows():
+    # one row per conjugacy class of cyclic subgroups: 1, C2 and C3
+    assert len(mark_matrix(make_dihedral(3))) == 3
 
 
 def test_semidirect_rejects_bad_parameters():
@@ -286,10 +288,21 @@ def test_layers_keep_their_memos_under_group_memo(capsys):
     cached = {name for name, value in vars(FiniteGroup).items() if isinstance(value, cached_property)}
     for spec in ("c2xc2", "d:5", "cpxcp:3"):
         G = parse_group_spec(spec)
-        allowed = set(vars(FiniteGroup(G.table, family=G.family))) | cached
+        fresh = set(vars(FiniteGroup(G.table, family=G.family)))
+        assert fresh == {"table", "order", "identity", "family", "_inv", "memo"}
+        allowed = fresh | cached
         assert set(vars(G)) <= allowed, set(vars(G)) - allowed
         assert {"canonical_relation", "places"} <= set(G.memo)
     assert "symbol_classes" in parse_group_spec("c2xc2").memo
+
+
+def test_class_names_go_past_z():
+    # C2^4 has 35 classes of order 4, none cyclic: U4a, ..., U4z, U4aa, ..., U4ai
+    G = direct_product(make_elem_abelian(2), make_elem_abelian(2))
+    names = G.class_names
+    assert len(set(names)) == len(names)
+    u4 = [name for name in names if name.startswith("U4")]
+    assert len(u4) == 35 and u4[25:27] == ["U4z", "U4aa"] and u4[-1] == "U4ai"
 
 
 # -- subgroup lattice -----------------------------------------------------------
@@ -389,10 +402,17 @@ def test_fixed_points_matches_coset_oracle(spec, data):
 @given(family_groups, st.data())
 @settings(max_examples=40, deadline=None)
 def test_fixed_points_constant_on_conjugacy_classes(spec, data):
+    # equal at every conjugate x^-1 g x and at every generator g^k of <g>:
+    # the mark matrix takes one row per conjugacy class of cyclic subgroups
     G = build(spec)
-    cls = data.draw(st.sampled_from(G.subgroup_classes))
-    gclass = data.draw(st.sampled_from(G.element_classes))
-    values = {fixed_points(G, cls.representative, g) for g in gclass}
+    H = data.draw(st.sampled_from(G.subgroup_classes)).representative
+    g = data.draw(st.integers(0, G.order - 1))
+    powers = [g]
+    while powers[-1] != G.identity:
+        powers.append(G.table[powers[-1]][g])
+    m = len(powers)  # powers[k - 1] = g^k, and g^m = 1
+    generators = [powers[k - 1] for k in range(1, m + 1) if math.gcd(k, m) == 1]
+    values = {fixed_points(G, H, x) for x in generators + [row[g] for row in G.conj]}
     assert len(values) == 1
 
 
