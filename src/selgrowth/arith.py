@@ -118,13 +118,16 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    half = (n + 1) // 2
-    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1 for P = 1
+    # V_k, V_(k+1) and Q^k for P = 1, from k = 1 along the bits of d, by
+    # V_2k = V_k^2 - 2 Q^k and V_(2k+1) = V_k V_(k+1) - Q^k
+    V, W, Qk = 1, (1 - 2 * Q) % n, Q % n
     for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
         if bit == "1":
-            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
-    if U == 0 or V == 0:
+            V, W, Qk = (V * W - Qk) % n, (W * W - 2 * Qk * Q) % n, Qk * Qk * Q % n
+        else:
+            V, W, Qk = (V * V - 2 * Qk) % n, (V * W - Qk) % n, Qk * Qk % n
+    # D U_d = 2 V_(d+1) - V_d, and D is prime to n: U_d = 0 iff 2 V_(d+1) = V_d
+    if (2 * W - V) % n == 0 or V == 0:
         return True
     for _ in range(s - 1):
         V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n

@@ -108,8 +108,9 @@ def _kraus_ok_at_3(c6: int) -> bool:
     return c6 % 27 not in (9, 18)
 
 
-def model_from_c_invariants(c4: int, c6: int) -> WeierstrassModel:
-    """The normalized integral model with given c4, c6 (Kraus conditions assumed)."""
+def _ainvs_from_c_invariants(c4: int, c6: int) -> tuple:
+    """The a-invariants of the normalized integral model with given c4, c6
+    (Kraus conditions assumed)."""
     b2 = (-c6) % 12
     if b2 > 6:
         b2 -= 12
@@ -129,7 +130,7 @@ def model_from_c_invariants(c4: int, c6: int) -> WeierstrassModel:
            "no integral a4, a6 (Kraus conditions fail)")
     a4 = (b4 - a1 * a3) // 2
     a6 = (b6 - a3) // 4
-    return WeierstrassModel(a1, a2, a3, a4, a6)
+    return a1, a2, a3, a4, a6
 
 
 def minimal_model(m: WeierstrassModel) -> WeierstrassModel:
@@ -137,7 +138,8 @@ def minimal_model(m: WeierstrassModel) -> WeierstrassModel:
 
     The output discriminant divides the input discriminant, the quotient is
     a perfect 12th power, and the model is in the standard normalized form
-    (a1, a3 in {0,1} and a2 in {-1,0,1}).
+    (a1, a3 in {0,1} and a2 in {-1,0,1}). An input that is already that
+    model comes back itself.
     """
     inv = m.invariants
     c4, c6 = inv.c4, inv.c6
@@ -175,7 +177,8 @@ def minimal_model(m: WeierstrassModel) -> WeierstrassModel:
         exps[2] = exps.get(2, 0) - 1
         _check(exps[2] >= 0, "Kraus adjustment at 2 went below the input model")
 
-    mm = model_from_c_invariants(*scaled())
+    ainvs = _ainvs_from_c_invariants(*scaled())
+    mm = m if ainvs == m.ainvs() and not any(exps.values()) else WeierstrassModel(*ainvs)
     u12 = 1
     for p, d in exps.items():
         u12 *= p ** (12 * d)

@@ -88,6 +88,10 @@ class FactoredRational:
         body = " * ".join(f"{p}^{e}" for p, e in sorted(self._factors.items()))
         return f"FactoredRational({body})"
 
+    def json_items(self) -> tuple:
+        """The (str(prime), exponent) pairs of the JSON form, sorted by prime."""
+        return tuple((str(p), self._factors[p]) for p in sorted(self._factors))
+
     def as_json(self) -> dict:
         """JSON form: string prime keys, integer exponents, sorted by prime."""
-        return {str(p): self._factors[p] for p in sorted(self._factors)}
+        return dict(self.json_items())

@@ -20,9 +20,9 @@ from .arith import is_prime
 from .records import Record
 
 MAX_ORDER = 200
-# Family groups kept by _family_group, least recently used dropped first.
-# A group of order near the cap holds two 200 x 200 tables and its lattice,
-# so the cache stays small.
+# Family groups kept by _family_group, and spec strings by Family.parse, least
+# recently used dropped first. A group of order near the cap holds two
+# 200 x 200 tables and its lattice, so the cache stays small.
 GROUP_CACHE_SIZE = 4
 
 
@@ -97,11 +97,17 @@ class Family(Record):
             return f"sd:{self.p}:{self.q}"
         return f"{self.name}:{self.p}"
 
+    def _values(self) -> tuple:
+        return self.name, self.p, self.q  # hashed by each _family_group call
+
     @staticmethod
+    @lru_cache(maxsize=GROUP_CACHE_SIZE)
     def parse(spec: str) -> "Family":
         """The family of a CLI group spec: c2xc2, d:<p>, cpxcp:<p> or sd:<p>:<q>.
 
-        Case and surrounding space are ignored, and cpxcp:2 is c2xc2.
+        Case and surrounding space are ignored, and cpxcp:2 is c2xc2. The
+        latest specs are kept with their families (never with groups), so a
+        repeated spec costs a lookup here and one in ``_family_group``.
         """
         spec = spec.strip().lower()
         name, *params = spec.split(":")

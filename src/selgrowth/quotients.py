@@ -113,21 +113,21 @@ class PlaceQuotientReport(NamedTuple):
     contributions: tuple  # ((class_id, FactoredRational), ...) per subgroup class
     quotient: FactoredRational
     table_cell: str | None  # "row|col|parity" when the group is a table family
+    # (D name, I name, ((class name, items), ...), quotient items): the JSON
+    # parts, kept with the rest in G.memo["places"]; items are (str(prime), exponent)
+    json_parts: tuple
 
     def as_json(self) -> dict:
-        g = self.local_class.group
-        names = g.class_names
-        d_name, i_name = self.local_class.names()
+        """The place as JSON, in fresh containers: the memo's tuples are only read."""
+        d_name, i_name, contributions, quotient = self.json_parts
         return {
             "v": self.v,
             "reduction": self.reduction_kind,
             "m": self.m,
             "D": d_name,
             "I": i_name,
-            "contributions": {
-                names[cid]: fr.as_json() for cid, fr in self.contributions
-            },
-            "quotient": self.quotient.as_json(),
+            "contributions": {name: dict(items) for name, items in contributions},
+            "quotient": dict(quotient),
             "table_cell": self.table_cell,
         }
 
@@ -184,38 +184,30 @@ def local_theta_quotient(
     """The quotient prod_H (prod of Tamagawa numbers over places of F^H above v)^{n_H}.
 
     Everything but v depends only on (theta, lc, kind, m): G.memo["places"]
-    keeps, under (theta, lc), the place degrees, counted once, and under each
-    (kind, m) the (contributions, quotient, table cell). All go with the group.
+    keeps, under (theta, lc), the place degrees, counted once, and the D and I
+    names, and under each (kind, m) the report's other fields. All go with the group.
     """
     if rd.kind == ADDITIVE:
         raise NonSemistableError(
             f"additive reduction at {rd.v}; the quotient engine requires semistability"
         )
-    memo = theta.group.memo.get("places")
-    if memo is None:
-        memo = theta.group.memo["places"] = {}
+    memo = theta.group.memo.setdefault("places", {})
     key = (theta, lc.group, lc.decomposition.elements, lc.inertia.elements)
     entry = memo.get(key)  # one hash: the key holds the element tuples of D and I
     if entry is None:
-        entry = memo[key] = place_degrees(theta, lc), {}
-    degrees, results = entry
+        entry = memo[key] = place_degrees(theta, lc), lc.names(), {}
+    degrees, names, results = entry
     hit = results.get((rd.kind, rd.m))
     if hit is None:
         contributions, quotient = _evaluate(theta, degrees, rd.kind, rd.m)
         cell = None
         if theta.group.family is not None and rd.kind in (SPLIT_MULT, NONSPLIT_MULT):
             cell = "|".join(cell_key(lc, rd.kind, rd.m))
-        hit = results[rd.kind, rd.m] = contributions, quotient, cell
-    contributions, quotient, cell = hit
-    return PlaceQuotientReport(
-        v=rd.v,
-        reduction_kind=rd.kind,
-        m=rd.m,
-        local_class=lc,
-        contributions=contributions,
-        quotient=quotient,
-        table_cell=cell,
-    )
+        class_names = lc.group.class_names
+        parts = (*names, tuple((class_names[cid], fr.json_items()) for cid, fr in contributions),
+                 quotient.json_items())
+        hit = results[rd.kind, rd.m] = contributions, quotient, cell, parts
+    return PlaceQuotientReport(rd.v, rd.kind, rd.m, lc, *hit)
 
 
 def oracle_table(G: FiniteGroup) -> dict:
@@ -277,6 +269,17 @@ def oracle_table(G: FiniteGroup) -> dict:
         and not dash
         and nonsplit_trivial,
     }
+
+
+def relation_parts(theta: BrauerRelation) -> tuple:
+    """(norm constant, named coefficients, norm) of a relation, the last two as
+    JSON items; G.memo["relation_parts"] keeps them, made once per relation."""
+    memo = theta.group.memo.setdefault("relation_parts", {})
+    parts = memo.get(theta)
+    if parts is None:
+        norm = norm_constant(theta)
+        parts = memo[theta] = norm, tuple(theta.named_coeffs().items()), norm.json_items()
+    return parts
 
 
 def regulator_quotient(norm: FactoredRational, rank: int) -> FactoredRational:
@@ -367,7 +370,7 @@ class GrowthCertificate(NamedTuple):
     field: FieldSpec
     p: int
     theta: BrauerRelation
-    norm: FactoredRational  # norm_constant(theta)
+    norm: FactoredRational  # norm_constant(theta), from relation_parts
     hypothesis: HypothesisReport
     places: tuple  # PlaceQuotientReport per bad prime
     ord_p_tamagawa: int
@@ -378,7 +381,9 @@ class GrowthCertificate(NamedTuple):
     notes: tuple
 
     def as_json(self) -> dict:
+        """The certificate as JSON, in fresh containers: the memo's tuples are only read."""
         prof = self.profile
+        _, coeffs, norm = relation_parts(self.theta)
         pred = None
         if self.conditional_sha_prediction is not None:
             pred = {
@@ -397,10 +402,7 @@ class GrowthCertificate(NamedTuple):
             "field": self.field.describe(),
             "group": str(self.field.group.family),
             "p": self.p,
-            "relation": {
-                "coeffs": self.theta.named_coeffs(),
-                "norm": self.norm.as_json(),
-            },
+            "relation": {"coeffs": dict(coeffs), "norm": dict(norm)},
             "assumptions": {
                 "rank": prof.rank,
                 "torsion_order": prof.torsion_order,
@@ -457,7 +459,7 @@ def certify(
         raise NonSemistableError(f"additive reduction at {bad}; certificate refused")
     places = [local_theta_quotient(theta, field.local_class(rd.v, overrides), rd) for rd in profile.bad_places]
     ord_tam = sum(pr.quotient.ord(p) for pr in places)
-    norm = norm_constant(theta)
+    norm = relation_parts(theta)[0]
     ord_rhs = profile.rank * norm.ord(p)
     ord_sha = ord_rhs - ord_tam
     hyp = hypothesis_check(profile, family)

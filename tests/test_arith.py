@@ -1,4 +1,5 @@
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -157,6 +158,21 @@ def test_strong_lucas_test_with_selfridge_parameters():
         5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
     ]
     assert [n for n in accepted if flags[n]] == [n for n in range(3, 60_000, 2) if flags[n]]
+
+
+def test_strong_lucas_test_matches_sympy():
+    # the test reads U_d = 0 off V_d and V_(d+1), where sympy computes U_d
+    # itself: every odd n below 10^5, with the twelve strong Lucas
+    # pseudoprimes there, and odd n of 20 to 70 bits drawn the same on every run
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    rng = random.Random(1)
+    odd = [*range(3, 100_000, 2), *(rng.getrandbits(rng.randint(20, 70)) | 1 for _ in range(3000))]
+    accepted = [n for n in odd if arith._strong_lucas_probable_prime(n)]
+    assert accepted == [n for n in odd if is_strong_lucas_prp(n)]
+    assert [n for n in accepted if n < 100_000 and not sympy.isprime(n)] == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+    ]
 
 
 @DIFFERENTIAL

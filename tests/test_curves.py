@@ -98,7 +98,9 @@ def test_minimal_model_unscales():
 
 def test_make_profile_computes_the_minimal_models_invariants_once(monkeypatch):
     # a model keeps the invariants it computed when built, and make_profile
-    # reads them from the input model and the minimal model it builds
+    # reads them from the input model and the minimal model it builds; an
+    # input that is already minimal and normalized is the minimal model, so
+    # nothing is built and no invariants are computed again
     from selgrowth import curves
 
     real = curves.compute_invariants
@@ -106,8 +108,19 @@ def test_make_profile_computes_the_minimal_models_invariants_once(monkeypatch):
         calls = []
         monkeypatch.setattr(curves, "compute_invariants", lambda m: calls.append(m) or real(m))
         prof = make_profile(model, rank=0)
-        assert calls == [prof.model] and prof.model.ainvs() == (1, 0, 0, -1, 0)
+        assert calls == ([] if model.a1 == 1 else [prof.model]) and prof.model.ainvs() == (1, 0, 0, -1, 0)
         assert prof.model.invariants == real(prof.model) and model.invariants == real(model)
+
+
+def test_minimal_model_returns_an_input_that_is_already_minimal_and_normalized():
+    # models that need no scaling and are normalized come back as the same
+    # object; 65a1 scaled by u = 2, or moved by x -> x + 1, gives a new one
+    for ainvs in ((1, 0, 0, -1, 0), (0, 0, 1, 0, -7), (1, -1, 1, -3, 3)):
+        m = WeierstrassModel(*ainvs)
+        assert minimal_model(m) is m
+    for ainvs, minimal in (((2, 0, 0, -16, 0), (1, 0, 0, -1, 0)), ((1, 3, 1, 2, 0), (1, 0, 0, -1, 0))):
+        m = WeierstrassModel(*ainvs)
+        assert minimal_model(m) is not m and minimal_model(m).ainvs() == minimal
 
 
 def test_minimal_model_tricky_3_torsion():
@@ -262,7 +275,7 @@ def test_guards_raise_under_python_O():
         "from selgrowth import curves\n"
         "from selgrowth.curves import CurveCheckError, ReductionData, SPLIT_MULT, WeierstrassModel\n"
         "def no_integral_model():\n"
-        "    curves.model_from_c_invariants(-200, -2960)  # fails the Kraus condition at 2\n"
+        "    curves._ainvs_from_c_invariants(-200, -2960)  # fails the Kraus condition at 2\n"
         "def kraus_never_met():\n"
         "    curves._kraus_ok_at_3 = lambda c6: False\n"
         "    curves.minimal_model(WeierstrassModel(1, 0, 0, -1, 0))\n"

@@ -11,14 +11,24 @@ they print are relative and the bytes do not depend on the checkout.
 An intended output change rewrites the file, and CHANGES.md names it:
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+The sets that need no sympy are also recomputed under each other installed
+CPython 3.10+ (pyenv's versions), which has no pytest, through the same
+script:
+
+    PYTHONPATH=src python3.12 tests/test_golden.py --print tables relations
 """
 
 import hashlib
 import io
 import json
 import os
+import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import SkipTest  # pytest skips on it; the other interpreters have no pytest
 
 import selgrowth
 from selgrowth import cli
@@ -106,6 +116,22 @@ def digests(outputs) -> dict:
     return {"sha256": whole.hexdigest(), "outputs": prefixes}
 
 
+# the sets that run no sympy code: the other interpreters have no sympy
+PORTABLE_SETS = ["tables", "relations", "certify_mq seed 7", "certify_abstract seed 7"]
+
+
+def other_interpreters() -> list:
+    """One python3 per CPython minor version 3.10 and up other than this one,
+    from pyenv's versions directory."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+    found = {}
+    for exe in sorted(root.glob("3.*/bin/python3")):
+        version = re.fullmatch(r"3\.(\d+)\.\d+", exe.parts[-3])
+        if version and int(version[1]) >= 10 and int(version[1]) != sys.version_info.minor:
+            found[int(version[1])] = exe
+    return [found[minor] for minor in sorted(found)]
+
+
 def test_outputs_match_the_golden_digests(monkeypatch):
     monkeypatch.chdir(REPO)
     monkeypatch.delenv("SGL_DATA", raising=False)
@@ -124,11 +150,34 @@ def test_outputs_match_the_golden_digests(monkeypatch):
         )
 
 
+def test_other_interpreters_print_the_golden_bytes():
+    pythons = other_interpreters()
+    if not pythons:
+        raise SkipTest("no other CPython 3.10+ under pyenv's versions directory")
+    golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    env.pop("SGL_DATA", None)
+    # one child per interpreter, all at once
+    children = [subprocess.Popen([str(exe), "tests/test_golden.py", "--print", *PORTABLE_SETS], cwd=REPO,
+                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                for exe in pythons]
+    for exe, child in zip(pythons, children):
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, f"{exe}: {err[-500:]}"
+        got = json.loads(out)
+        assert got == {name: golden[name]["sha256"] for name in PORTABLE_SETS}, f"{exe} prints other bytes"
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    usage = "usage: PYTHONPATH=src python tests/test_golden.py --write | --print SET..."
+    args = sys.argv[1:]
+    if args != ["--write"] and not (args[:1] == ["--print"] and set(args[1:]) <= set(OUTPUT_SETS)):
+        raise SystemExit(usage)
     os.chdir(REPO)
     os.environ.pop("SGL_DATA", None)
+    if args[0] == "--print":
+        print(json.dumps({set_name: digests(OUTPUT_SETS[set_name]())["sha256"] for set_name in args[1:]}))
+        raise SystemExit
     DIGESTS.parent.mkdir(exist_ok=True)
     golden = {set_name: digests(make()) for set_name, make in OUTPUT_SETS.items()}
     DIGESTS.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")

@@ -292,8 +292,19 @@ def test_layers_keep_their_memos_under_group_memo(capsys):
         assert fresh == {"table", "order", "identity", "family", "_inv", "memo"}
         allowed = fresh | cached
         assert set(vars(G)) <= allowed, set(vars(G)) - allowed
-        assert {"canonical_relation", "places"} <= set(G.memo)
-    assert "symbol_classes" in parse_group_spec("c2xc2").memo
+        # each layer's key: brauer's relation; the places, and the relation's
+        # norm and JSON parts, of quotients; splitting's quadratic-symbol classes
+        mq = {"symbol_classes"} if spec == "c2xc2" else set()
+        assert set(G.memo) == {"canonical_relation", "places", "relation_parts"} | mq
+
+
+def test_tables_keeps_no_place_results(capsys):
+    # tables builds each group for one table: keeping its cells in
+    # G.memo["places"] would raise the family sweep's peak RSS
+    for spec in ("c2xc2", "d:7", "cpxcp:5", "sd:7:3"):
+        _family_group.cache_clear()
+        assert main(["tables", spec]) == 0, capsys.readouterr().err
+        assert set(parse_group_spec(spec).memo) == {"canonical_relation"}
 
 
 def test_class_names_go_past_z():

@@ -506,10 +506,23 @@ def _semistable_models(count, seed):
     return out
 
 
+def _scribble(node):
+    """Change every dict and list inside a JSON document, in place."""
+    children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    for child in list(children):
+        _scribble(child)
+    if isinstance(node, dict):
+        node.clear()
+        node["scribbled"] = True
+    elif isinstance(node, list):
+        node.append("scribbled")
+
+
 def test_memos_keep_certificates_byte_identical():
-    # places and multiquadratic local classes are kept on the group: every
-    # certificate from the warm groups equals, byte for byte, the one from
-    # groups built afresh, and the place memo stays within its bound
+    # places, relations and multiquadratic local classes are kept on the
+    # group: every certificate from the warm groups equals, byte for byte,
+    # the one from groups built afresh, whatever a caller does to the JSON
+    # it was handed, and each memo stays within its bound
     fields = [(3, 5), (-1, 2), (-3, 7), (6, 10), (5, 7)]
     requests = []
     for i, model in enumerate(_semistable_models(30, 17)):
@@ -523,12 +536,23 @@ def test_memos_keep_certificates_byte_identical():
     def run(prof, field, p, overrides):
         return json.dumps(certify(prof, field(), p, overrides).as_json(), sort_keys=True)
 
+    groups._family_group.cache_clear()  # so that the memos hold these requests alone
     warm = [run(*req) for req in requests]
+    assert [run(*req) for req in requests] == warm
+    for prof, field, p, overrides in requests:  # as_json hands out fresh containers
+        _scribble(certify(prof, field(), p, overrides).as_json())
     assert [run(*req) for req in requests] == warm
     ms = {rd.m for prof, *_ in requests for rd in prof.bad_places}
     for spec in ("c2xc2", "d:5", "cpxcp:3"):
         G = parse_group_spec(spec)
-        assert 0 < len(G.memo["places"]) <= len(G.local_classes) * 2 * len(ms)
+        theta = canonical_relation(G)
+        assert list(G.memo["relation_parts"]) == [theta]  # the one relation certify uses
+        assert 0 < len(G.memo["places"]) <= len(G.local_classes)
+        for degrees, names, results in G.memo["places"].values():
+            assert len(degrees) == len(theta.coeffs) and names in G._local_class_index
+            assert 0 < len(results) <= 2 * len(ms)
+            for *_, (d_name, i_name, contributions, quotient) in results.values():
+                assert (d_name, i_name) == names and len(contributions) == len(theta.coeffs)
     assert 0 < len(parse_group_spec("c2xc2").memo["symbol_classes"]) <= 3 ** 3 * 2
     fresh = []
     for req in requests:
