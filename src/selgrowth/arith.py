@@ -14,22 +14,25 @@ those bases.
 power; the Lucas test, the quadratic splitting symbols and the split
 multiplicative reduction test all read it.
 
-``factor`` is trial division up to 1000. A composite cofactor then meets a
-short run of Pollard's rho in Brent's form with batched gcds (R. P. Brent, "An
-improved Monte Carlo factorization algorithm", BIT 20, 1980), which finds
-factors below about 10^6; then Lenstra's elliptic curve method (H. W. Lenstra
-Jr., "Factoring integers with elliptic curves", Ann. Math. 126, 1987) on
-Montgomery curves with Suyama's sigma = 6, 7, ... and a baby-step giant-step
-stage 2 (P. L. Montgomery, "Speeding the Pollard and elliptic curve methods of
-factorization", Math. Comp. 48, 1987); then Pollard-Brent with c = 1, 2, ...
-A number with two large prime factors could take hours, so ``factor`` spends
-at most RHO_BUDGET steps on one number and then raises
-``FactorizationBudgetError``. A step is one rho iteration, one doubling or
-addition on a curve, or one stage-2 product.
+``factor`` divides out the primes below 1000 that one gcd with their product
+finds. A composite cofactor meets a short run of Pollard's rho in Brent's form
+(R. P. Brent, BIT 20, 1980), which finds most factors below 10^6, then a
+perfect power check if that run fails; then Lenstra's elliptic curve method
+(Ann. Math. 126, 1987) on Montgomery curves with Suyama's sigma = 6, 7, ...,
+a ladder from a base point with Z = 1 and a baby-step giant-step stage 2 on
+affine x after one batch inversion (P. L. Montgomery, Math. Comp. 48, 1987);
+then Pollard-Brent with c = 1, 2, ... B1 and B2 rise with the curve (P.
+Zimmermann and B. Dodson, ANTS VII, 2006): 30 curves at 150 and 3750, 20 at
+300 and 12000, 50 at 600 and 30000. ``factor`` spends at most RHO_BUDGET
+steps on one number, a step being one reduction modulo it, and then raises
+``FactorizationBudgetError``. The budget is sized for every number whose
+second-largest prime factor is below 10^12 (scripts/factor_need.py measures
+it); spending all of it takes 1.1-1.6 s at 49 digits and 6.9 s at 199.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .records import Refused
@@ -48,6 +51,7 @@ def _sieve(n: int) -> list:
 
 
 _SMALL_PRIMES = _sieve(TRIAL_LIMIT)
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
 _MR_BASES = _SMALL_PRIMES[:13]
 PSI_13 = 3317044064679887385961981
 _BPSW_EXACT = 1 << 64  # no BPSW pseudoprime below it
@@ -55,21 +59,33 @@ _BPSW_EXACT = 1 << 64  # no BPSW pseudoprime below it
 # lie below 2^64, where BPSW is exact and cheaper
 _MR_RANGES = ((318665857834031151167461, 12), (PSI_13, 13))
 
-# Pollard-Brent and ECM steps allowed per factor() call: over 700 times the
-# largest count that factoring any certify_mq benchmark discriminant or any
-# row of data/curves.csv takes (29,364 steps, for 3 * 7614985397 * 11147729759;
-# Pollard-Brent alone took up to 203,390)
-RHO_BUDGET = 21_000_000
+# Pollard-Brent and ECM steps allowed per factor() call, a step being one
+# reduction modulo the number factored: 5.1 times the largest need that
+# scripts/factor_need.py measures (462,855 steps, for 474532848780245190198108137)
+RHO_BUDGET = 2_350_000
 _BATCH = 128
 _BRENT_FIRST = 2048  # Pollard-Brent steps before ECM
-_ECM_CURVES = 200  # Suyama curves sigma = 6, 7, ... before Pollard-Brent again
-_ECM_B1, _ECM_B2, _ECM_D = 150, 3750, 210  # stage-1 and stage-2 bounds, giant step
-_ECM_K = math.lcm(*range(1, _ECM_B1 + 1))  # the product of the largest prime powers up to B1
-# steps of one curve, as _ecm_curve takes them: the ladders over K and D, the
-# baby and giant steps and a product per (giant, baby prime to D) pair
+_ECM_D = 210  # stage 2's giant step, with D/2 odd
 _ECM_BABY = sum(math.gcd(j, _ECM_D) == 1 for j in range(1, _ECM_D // 2, 2))
-_ECM_STEPS = (2 * _ECM_K.bit_length() - 1 + 2 * _ECM_D.bit_length() - 1 + 1 + len(range(1, _ECM_D // 2, 2))
-              + _ECM_B2 // _ECM_D + 2 + (_ECM_B2 // _ECM_D + 1) * _ECM_BABY)
+
+
+def _ecm_level(B1: int, B2: int) -> tuple:
+    """(bits, giants, steps) of an ECM curve with bounds B1 < TRIAL_LIMIT and B2.
+
+    Stage 1 multiplies by K = lcm(1..B1), the largest power of each prime up to
+    B1 (its exponent is exact: no power of p lies in (B1, B1 + 1/2]); ``steps``
+    are the reductions of a curve that finds nothing: 7 + 4 per bit of K, 4 + 2
+    per odd j < D/2, 8 + 2 per giant, 3 per point inverted, 1 per (giant, baby).
+    """
+    K = math.prod(p ** int(math.log(B1 + 0.5, p)) for p in _SMALL_PRIMES if p <= B1)
+    bits, giants = bin(K)[3:], B2 // _ECM_D + 1
+    return bits, giants, (7 + 4 * len(bits) + 4 + 2 * len(range(1, _ECM_D // 2, 2)) + 8 + 2 * giants
+                          + 3 * (_ECM_BABY + giants) + _ECM_BABY * giants)
+
+
+# (bits, giants, steps) for the curves sigma = 6, 7, ..., from (curves, B1, B2)
+_ECM_SCHEDULE = [level for curves, B1, B2 in ((30, 150, 3750), (20, 300, 12000), (50, 600, 30000))
+                 for level in [_ecm_level(B1, B2)] * curves]
 
 
 class FactorizationBudgetError(ArithmeticError, Refused):
@@ -155,9 +171,8 @@ def is_prime(n: int) -> bool:
     """Whether the integer n is prime (exact below PSI_13, BPSW above)."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _PRIMORIAL) != 1:
+        return n < TRIAL_LIMIT and n in _SMALL_PRIMES
     return _is_prime_no_small_factor(n)
 
 
@@ -196,7 +211,7 @@ def _brent(n: int, c: int, steps: int) -> tuple:
                 q = q * (x - y) % n
             g = math.gcd(q, n)
             k += batch
-            used += batch
+            used += 2 * batch
         r *= 2
     if g == n:  # the batch overshot: step back one at a time
         g = 1
@@ -220,37 +235,62 @@ def _xdbl(P: tuple, a24: int, n: int) -> tuple:
     return s * d % n, (s - d) * (d + a24 * (s - d)) % n
 
 
-def _ecm_curve(n: int, sigma: int) -> int:
-    """gcd(n, .) after both stages of ECM on Suyama's curve sigma >= 6: a factor of n, 1 or n."""
+def _ecm_curve(n: int, sigma: int, bits: str, giants: int) -> int:
+    """gcd(n, .) after both stages of ECM on Suyama's curve sigma >= 6, with the
+    bits of K and the giant steps of an _ecm_level: a factor of n, 1 or n."""
     u, v = sigma * sigma - 5, 4 * sigma
-    den = 16 * u ** 3 * v % n
+    den = 16 * u ** 3 * v ** 3 % n
     if (g := math.gcd(den, n)) != 1:
         return g
-    a24 = (v - u) ** 3 * (3 * u + v) * pow(den, -1, n) % n
-    P = u ** 3, v ** 3
-    for m in _ECM_K, _ECM_D:  # Montgomery's ladder: Q = KP (stage 1), then G = DQ
-        R, S = P, _xdbl(P, a24, n)
-        for bit in bin(m)[3:]:
-            if bit == "1":
-                R, S = _xadd(S, R, P, n), _xdbl(S, a24, n)
-            else:
-                R, S = _xdbl(R, a24, n), _xadd(S, R, P, n)
-        if (g := math.gcd(R[1], n)) != 1:  # stop before a later stage finds every factor
-            return g
-        Q, P = P, R
+    inv = pow(den, -1, n)
+    a24 = (v - u) ** 3 * (3 * u + v) * v * v * inv % n  # (A + 2) / 4 of By^2 = x^3 + Ax^2 + x
+    x = 16 * u ** 6 * inv % n  # u^3 / v^3: the base point P, with Z = 1
+    # Montgomery's ladder on (X:Z) = kP and (S:T) = (k+1)P, which differ by P:
+    # 2(U:V) = (s d : e (d + a24 e)) with s = (U + V)^2, d = (U - V)^2, e = s - d,
+    # and kP + (k+1)P = ((a + b)^2 : x (a - b)^2) with a = (X - Z)(S + T), b = (X + Z)(S - T)
+    X, Z, (S, T) = x, 1, _xdbl((x, 1), a24, n)
+    for bit in bits:
+        p, m, P, M = X + Z, X - Z, S + T, S - T
+        a, b = m * P, p * M
+        if bit == "1":  # (kP + (k+1)P, 2(k+1)P)
+            s, d = P * P, M * M
+            e = s - d
+            S, T = s * d % n, e * (d + a24 * e) % n
+            s, d = a + b, a - b
+            X, Z = s * s % n, x * d * d % n
+        else:  # (2kP, kP + (k+1)P)
+            s, d = p * p, m * m
+            e = s - d
+            X, Z = s * d % n, e * (d + a24 * e) % n
+            s, d = a + b, a - b
+            S, T = s * s % n, x * d * d % n
+    if (g := math.gcd(Z, n)) != 1:  # stop before stage 2 finds every factor
+        return g
     # stage 2: if Q has prime order l = mD +- j modulo a factor p of n, with
-    # j < D/2 prime to D, then x(mG) = x(jQ) mod p
-    baby, prev, cur, Q2 = [], Q, Q, _xdbl(Q, a24, n)
-    for j in range(1, _ECM_D // 2, 2):
+    # j < D/2 prime to D, then x(mG) = x(jQ) mod p for G = DQ
+    Q = X, Z
+    points, prev, cur, Q2 = [], Q, Q, _xdbl(Q, a24, n)
+    for j in range(1, _ECM_D // 2, 2):  # the babies jQ; then cur is (D/2)Q
         if math.gcd(j, _ECM_D) == 1:
-            baby.append(cur)
+            points.append(cur)
         prev, cur = cur, _xadd(cur, Q2, prev, n)
-    acc, cur, nxt = 1, P, _xdbl(P, a24, n)  # P is G now
-    for _ in range(_ECM_B2 // _ECM_D + 1):  # m = 1, ..., B2 // D + 1
-        X, Z = cur
-        for Xj, Zj in baby:
-            acc = acc * (X * Zj - Xj * Z) % n
-        cur, nxt = nxt, _xadd(nxt, P, cur, n)
+    G = _xdbl(cur, a24, n)
+    cur, nxt = G, _xdbl(G, a24, n)
+    for _ in range(giants):  # the giants G, 2G, ...
+        points.append(cur)
+        cur, nxt = nxt, _xadd(nxt, G, cur, n)
+    # x = X / Z for every point, from one inversion (Montgomery's trick)
+    prefix = [*itertools.accumulate((Z for _, Z in points), lambda acc, Z: acc * Z % n, initial=1)]
+    if (g := math.gcd(prefix[-1], n)) != 1:
+        return g
+    inv, xs = pow(prefix[-1], -1, n), []
+    for (X, Z), before in zip(reversed(points), reversed(prefix[:-1])):
+        xs.append(X * before * inv % n)
+        inv = inv * Z % n
+    acc, babies = 1, xs[-_ECM_BABY:]  # xs runs backwards: the giants, then the babies
+    for xg in xs[:-_ECM_BABY]:
+        for xb in babies:
+            acc = acc * (xg - xb) % n
     return math.gcd(acc, n)
 
 
@@ -261,18 +301,19 @@ def _split(n: int, out: dict, budget: int, k: int = 1) -> int:
     if _is_prime_no_small_factor(n):
         out[n] = out.get(n, 0) + k
         return budget
-    # rho finds the prime q of q^e in sqrt(q) steps; a root finds it at once
-    for e in range(n.bit_length() // 9, 1, -1):  # every prime factor exceeds 2^9
-        r = _integer_root(n, e)
-        if r ** e == n:
-            return _split(r, out, budget, k * e)
     g, used = _brent(n, 1, min(_BRENT_FIRST, budget))
     budget -= used
-    sigma = 6
-    while not 1 < g < n and sigma < 6 + _ECM_CURVES and budget >= _ECM_STEPS:
-        g = _ecm_curve(n, sigma)
-        budget -= _ECM_STEPS
-        sigma += 1
+    if not 1 < g < n:
+        # rho finds the prime q of q^e in sqrt(q) steps; a root finds it at once
+        for e in range(n.bit_length() // 9, 1, -1):  # every prime factor exceeds 2^9
+            r = _integer_root(n, e)
+            if r ** e == n:
+                return _split(r, out, budget, k * e)
+    for sigma, (bits, giants, steps) in enumerate(_ECM_SCHEDULE, 6):
+        if 1 < g < n or budget < steps:
+            break
+        g = _ecm_curve(n, sigma, bits, giants)
+        budget -= steps
     c = 1
     while not 1 < g < n:
         g, used = _brent(n, c, budget)
@@ -291,13 +332,20 @@ def factor(n: int) -> dict:
     if n < 1:
         raise ValueError(f"positive integer required, got {n}")
     out = {}
+    # g holds n's prime factors below TRIAL_LIMIT: one gcd finds them, or n
+    # itself below TRIAL_LIMIT^2, where the loop stops at the square root
+    g = n if n < TRIAL_LIMIT * TRIAL_LIMIT else math.gcd(n, _PRIMORIAL)
     for p in _SMALL_PRIMES:
         if p * p > n:
             if n > 1:
                 out[n] = 1
             return out
-        if n % p == 0:
-            e = 0
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            n //= p
+            e = 1
             while n % p == 0:
                 n //= p
                 e += 1

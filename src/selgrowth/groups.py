@@ -505,14 +505,23 @@ class LocalClass(Record):
     lie in D and be normal there, with D/I cyclic. The package builds them
     only in ``FiniteGroup.local_classes``, once per group; code that receives
     a LocalClass relies on the check and does not repeat it. Local classes
-    are immutable and compare and hash by (group, decomposition, inertia).
+    are immutable and compare and hash by (group, decomposition, inertia);
+    the hash is computed once, so a memo keyed by a local class (as
+    G.memo["places"] is) hashes it in constant time.
     """
 
-    __slots__ = ("group", "decomposition", "inertia")
+    __slots__ = ("group", "decomposition", "inertia", "_hash")
 
     def __init__(self, group: FiniteGroup, decomposition: Subgroup, inertia: Subgroup):
         self._set(group, decomposition, inertia)
         self.__post_init__()
+        object.__setattr__(self, "_hash", hash(self._values()))
+
+    def _values(self) -> tuple:
+        return self.group, self.decomposition, self.inertia
+
+    def __hash__(self):
+        return self._hash
 
     def __post_init__(self):
         # the (D, I) check; looked up on the class at each call, so

@@ -192,8 +192,8 @@ def local_theta_quotient(
             f"additive reduction at {rd.v}; the quotient engine requires semistability"
         )
     memo = theta.group.memo.setdefault("places", {})
-    key = (theta, lc.group, lc.decomposition.elements, lc.inertia.elements)
-    entry = memo.get(key)  # one hash: the key holds the element tuples of D and I
+    key = theta, lc  # a local class keeps its hash
+    entry = memo.get(key)
     if entry is None:
         entry = memo[key] = place_degrees(theta, lc), lc.names(), {}
     degrees, names, results = entry

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 import random
 from unittest import mock
@@ -230,7 +232,7 @@ def test_budget_refuses_two_large_prime_factors(monkeypatch):
 
 # each stage alone: the first Pollard-Brent run skipped leaves the splitting
 # to ECM; no curves leave it to Pollard-Brent
-STAGES = {"ecm": {"_BRENT_FIRST": 0}, "pollard_brent": {"_ECM_CURVES": 0}, "all": {}}
+STAGES = {"ecm": {"_BRENT_FIRST": 0}, "pollard_brent": {"_ECM_SCHEDULE": []}, "all": {}}
 
 
 def _prime_of_digits(lo, hi):
@@ -249,25 +251,73 @@ def test_each_stage_factors_like_sympy(stage, p, e, q, k):
         assert all(call.args[2] == 0 for call in brent.call_args_list)
 
 
+def test_factor_matches_sympy_on_held_out_products():
+    # p * q and k * p * q with p and q from 10^6 to 10^12, the class factor()
+    # is sized for, drawn the same on every run and never used to tune it;
+    # sympy factors k and finds p and q (its factorint takes about 0.5 s for
+    # each p * q near 10^24); 3 * 11^2 * 838509688781 * 925464992297, which
+    # took 1.78 s with one fixed B1 = 150, comes last
+    rng = random.Random("factor: held-out products")
+    cases = []
+    for i in range(30):
+        p, q = (sympy.nextprime(rng.randint(10 ** 6, 10 ** 12)) for _ in "pq")
+        cases.append((rng.randint(2, 1000) if i % 2 else 1, p, q))
+    cases.append((3 * 11 ** 2, 838509688781, 925464992297))
+    for k, p, q in cases:
+        expected = collections.Counter(sympy.factorint(k))
+        expected.update((p, q))
+        assert factor(k * p * q) == dict(sorted(expected.items()))
+
+
 @pytest.mark.parametrize("p, q", [(3001807103, 52549330733), (1705600913, 136033980959)])
 def test_ecm_splits_hard_benchmark_cofactors_within_twenty_curves(p, q):
     # the two certify_mq cofactors that took Pollard-Brent the most steps
-    found = {arith._ecm_curve(p * q, sigma) for sigma in range(6, 26)}
+    bits, giants, _ = arith._ECM_SCHEDULE[0]
+    found = {arith._ecm_curve(p * q, sigma, bits, giants) for sigma in range(6, 26)}
     assert found & {p, q} and found <= {1, p, q, p * q}
 
 
+class _CountingModulus(int):
+    """A modulus that counts the reductions made modulo it.
+
+    ``x % m`` calls ``m.__rmod__`` first, as the type of m is a subclass of
+    the type of x, so every reduction the kernels make is counted.
+    """
+
+    reductions = 0
+
+    def __rmod__(self, other):
+        self.reductions += 1
+        return int.__rmod__(self, other)
+
+
 def test_ecm_curve_costs_its_charged_steps():
-    # a curve that finds nothing runs every step: one per doubling or addition
-    # and one per stage-2 product
-    babies = sum(math.gcd(j, arith._ECM_D) == 1 for j in range(1, arith._ECM_D // 2, 2))
-    giants = arith._ECM_B2 // arith._ECM_D + 1
-    with mock.patch.object(arith, "_xadd", wraps=arith._xadd) as xadd, \
-            mock.patch.object(arith, "_xdbl", wraps=arith._xdbl) as xdbl:
-        assert arith._ecm_curve(1000000007 * 1000000009, 6) == 1
-    assert xadd.call_count + xdbl.call_count + babies * giants == arith._ECM_STEPS
+    # a step is one reduction modulo n: a curve that finds nothing makes every
+    # step it is charged at each level of the schedule, and a Pollard-Brent
+    # run that finds nothing makes every step it reports
+    n = (10 ** 24 + 7) * (3 * 10 ** 24 + 7)
+    for (bits, giants, steps), _ in itertools.groupby(arith._ECM_SCHEDULE):
+        m = _CountingModulus(n)
+        assert arith._ecm_curve(m, 6, bits, giants) == 1
+        assert m.reductions == steps
+    m = _CountingModulus(n)
+    assert arith._brent(m, 1, 10_000) == (1, m.reductions)
 
 
 def test_ecm_step_count_at_todays_bounds():
-    # ladders 423 + 15, baby steps 53, giant steps 19, products 18 * 24
-    assert (arith._ECM_B1, arith._ECM_B2, arith._ECM_D) == (150, 3750, 210)
-    assert arith._ECM_STEPS == 942
+    # (curves, bits of K, giants, steps) per level; a curve at B1 = 150 and
+    # B2 = 3750 takes the set-up 3, the ladder 4 + 4 * 211 over K (212 bits),
+    # the baby steps 4 + 2 * 52 (odd j < 105), G = 2 (105 Q) and 2G 8, the
+    # giant steps 2 * 18, three per point of the batch inversion 3 * (24 + 18)
+    # and the products 24 * 18
+    assert (arith._ECM_D, arith._ECM_BABY) == (210, 24)
+    assert arith._ecm_level(150, 3750)[1:] == (18, 3 + 4 + 4 * 211 + 4 + 2 * 52 + 8 + 2 * 18 + 3 * 42 + 24 * 18)
+    levels = [(len(list(run)), len(bits) + 1, giants, steps)
+              for (bits, giants, steps), run in itertools.groupby(arith._ECM_SCHEDULE)]
+    assert levels == [(30, 212, 18, 1561), (20, 432, 58, 3601), (50, 857, 143, 7766)]
+    assert [arith._ecm_level(b1, b2) for b1, b2 in ((150, 3750), (300, 12000), (600, 30000))] == [
+        level for level, _ in itertools.groupby(arith._ECM_SCHEDULE)]
+    K = 1
+    for B1 in range(2, arith.TRIAL_LIMIT):  # K = lcm(1..B1), its exponents read off logarithms
+        K = math.lcm(K, B1)
+        assert arith._ecm_level(B1, 0)[0] == bin(K)[3:]
