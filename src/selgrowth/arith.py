@@ -11,8 +11,8 @@ the first k = 12 or 13 prime bases below psi_k, the least strong pseudoprime to
 those bases.
 
 ``jacobi`` is the Jacobi symbol by quadratic reciprocity, with no modular
-power; the Lucas test, the quadratic splitting symbols and the split
-multiplicative reduction test all read it.
+power; the Lucas test and ``is_unit_square``, which the quadratic splitting
+symbols and the split multiplicative reduction test share, read it.
 
 ``factor`` divides out the primes below 1000 that one gcd with their product
 finds. A composite cofactor meets a short run of Pollard's rho in Brent's form
@@ -117,6 +117,13 @@ def jacobi(a: int, n: int) -> int:
             sign = -sign
         a, n = n % a, a
     return sign if n == 1 else 0
+
+
+def is_unit_square(x: int, v: int) -> bool:
+    """Whether x, a unit at the prime v, is a square in Q_v."""
+    if v == 2:
+        return x % 8 == 1
+    return jacobi(x, v) == 1
 
 
 def _strong_lucas_probable_prime(n: int) -> bool:

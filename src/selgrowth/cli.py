@@ -184,12 +184,13 @@ def _curve_from_args(args) -> tuple:
 def _cmd_analyze(args) -> dict:
     model, profile = _curve_from_args(args)
     semistable, n_nonsplit, n_even = profile.hypothesis_counts()
+    inv = profile.model.invariants
     return {
         "schema": 1,
         "label": profile.label,
         "model": list(model.ainvs()),
         "minimal_model": list(profile.model.ainvs()),
-        "invariants": {"c4": profile.c4, "c6": profile.c6, "delta_min": profile.delta_min,
+        "invariants": {"c4": inv.c4, "c6": inv.c6, "delta_min": inv.delta,
                        "delta_input": model.invariants.delta},
         "bad_places": [
             {"v": rd.v, "kind": rd.kind, "m": rd.m, "tamagawa": rd.tamagawa}

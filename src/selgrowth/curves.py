@@ -1,9 +1,9 @@
 """Local arithmetic of elliptic curves over Q, restricted to the semistable case.
 
 Covers the standard Weierstrass formulary, global minimal models by the
-Laska-Kraus-Connell method, per-prime reduction types with the split versus
-non-split classification, and the closed-form Tamagawa numbers available for
-multiplicative reduction. Ranks, torsion orders and Tate-Shafarevich data are
+Laska-Kraus-Connell method, and per-prime reduction types with the split
+versus non-split classification; the Tamagawa numbers come from Tate's rule,
+``records.tamagawa``. Ranks, torsion orders and Tate-Shafarevich data are
 never computed here; they are ingested alongside the model and carried as
 assumptions.
 """
@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import factor, is_prime, jacobi
-from .records import ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT, Record, Refused
+from .arith import factor, is_prime, is_unit_square, jacobi
+from .records import ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT, Record, Refused, tamagawa
 
 
 class SingularModelError(ValueError):
@@ -143,46 +143,23 @@ def minimal_model(m: WeierstrassModel) -> WeierstrassModel:
     """
     inv = m.invariants
     c4, c6 = inv.c4, inv.c6
-    if c4 == 0:
-        base = abs(c6)
-    elif c6 == 0:
-        base = abs(c4)
-    else:
-        base = math.gcd(abs(c4), abs(c6))
-    exps = {}
-    for p in factor(base):
+    u = 1
+    for p in factor(math.gcd(c4, c6)):  # not gcd(0, 0): delta != 0
         # the scaled discriminant delta / u^12 must stay integral
-        bounds = [_ord(inv.delta, p) // 12 if inv.delta % p == 0 else 0]
-        if c4 != 0:
-            bounds.append(_ord(c4, p) // 4)
-        if c6 != 0:
-            bounds.append(_ord(c6, p) // 6)
-        d = min(bounds)
-        if d > 0:
-            exps[p] = d
-
-    def scaled():
-        cc4, cc6 = c4, c6
-        for p, d in exps.items():
-            cc4 //= p ** (4 * d)
-            cc6 //= p ** (6 * d)
-        return cc4, cc6
+        u *= p ** min(_ord(x, p) // k for x, k in ((inv.delta, 12), (c4, 4), (c6, 6)) if x)
 
     # Kraus adjustments; the unscaled invariants come from an integral model,
-    # so decrementing terminates with non-negative exponents.
-    while not _kraus_ok_at_3(scaled()[1]):
-        exps[3] = exps.get(3, 0) - 1
-        _check(exps[3] >= 0, "Kraus adjustment at 3 went below the input model")
-    while not _kraus_ok_at_2(*scaled()):
-        exps[2] = exps.get(2, 0) - 1
-        _check(exps[2] >= 0, "Kraus adjustment at 2 went below the input model")
+    # so dividing u by 3 or 2 ends at an integer u.
+    while not _kraus_ok_at_3(c6 // u ** 6):
+        _check(u % 3 == 0, "Kraus adjustment at 3 went below the input model")
+        u //= 3
+    while not _kraus_ok_at_2(c4 // u ** 4, c6 // u ** 6):
+        _check(u % 2 == 0, "Kraus adjustment at 2 went below the input model")
+        u //= 2
 
-    ainvs = _ainvs_from_c_invariants(*scaled())
-    mm = m if ainvs == m.ainvs() and not any(exps.values()) else WeierstrassModel(*ainvs)
-    u12 = 1
-    for p, d in exps.items():
-        u12 *= p ** (12 * d)
-    _check(mm.invariants.delta * u12 == inv.delta, "delta_min * u^12 != input delta")
+    ainvs = _ainvs_from_c_invariants(c4 // u ** 4, c6 // u ** 6)
+    mm = m if u == 1 and ainvs == m.ainvs() else WeierstrassModel(*ainvs)
+    _check(mm.invariants.delta * u ** 12 == inv.delta, "delta_min * u^12 != input delta")
     return mm
 
 
@@ -199,31 +176,23 @@ class ReductionData(NamedTuple):
         return self.kind in (SPLIT_MULT, NONSPLIT_MULT)
 
 
-def _minus_c6_is_local_square(c6: int, v: int) -> bool:
-    # split multiplicative reduction criterion; v never divides c6 here
-    if v == 2:
-        return (-c6) % 8 == 1
-    return jacobi(-c6, v) == 1
-
-
-def reduction_at(c4: int, c6: int, delta_min: int, v: int) -> ReductionData:
-    if delta_min % v != 0:
-        return ReductionData(v, GOOD, 0, 1)
-    m = _ord(delta_min, v)
-    if c4 % v == 0:
-        return ReductionData(v, ADDITIVE, m, None)
-    if _minus_c6_is_local_square(c6, v):
-        return ReductionData(v, SPLIT_MULT, m, m)
-    return ReductionData(v, NONSPLIT_MULT, m, 2 if m % 2 == 0 else 1)
+def reduction_at(c4: int, c6: int, v: int, m: int) -> ReductionData:
+    """Reduction at v of a minimal model with invariants c4, c6 and m = ord_v(delta_min)."""
+    if m == 0:
+        kind = GOOD
+    elif c4 % v == 0:
+        kind = ADDITIVE
+    elif is_unit_square(-c6, v):  # split multiplicative; v never divides c6 here
+        kind = SPLIT_MULT
+    else:
+        kind = NONSPLIT_MULT
+    return ReductionData(v, kind, m, tamagawa(kind, 1, 1, m))
 
 
 class CurveProfile(NamedTuple):
     """Minimal model plus local data plus the ingested global assumptions."""
 
-    model: WeierstrassModel
-    c4: int
-    c6: int
-    delta_min: int
+    model: WeierstrassModel  # minimal: its invariants give c4, c6 and delta_min
     bad_places: tuple  # ReductionData at each prime dividing delta_min, sorted
     rank: int
     torsion_order: int
@@ -237,7 +206,8 @@ class CurveProfile(NamedTuple):
         for rd in self.bad_places:
             if rd.v == v:
                 return rd
-        return ReductionData(v, GOOD, 0, 1)
+        inv = self.model.invariants
+        return reduction_at(inv.c4, inv.c6, v, 0)
 
     def hypothesis_counts(self) -> tuple:
         """(is_semistable, #non-split places, #non-split places with even ord)."""
@@ -261,15 +231,9 @@ def make_profile(
             raise ValueError(f"Sha[p^inf] can be assumed trivial only at primes p, got {p}")
     mm = minimal_model(model)
     inv = mm.invariants
-    bad = tuple(
-        reduction_at(inv.c4, inv.c6, inv.delta, v)
-        for v in factor(abs(inv.delta))
-    )
+    bad = tuple(reduction_at(inv.c4, inv.c6, v, m) for v, m in factor(abs(inv.delta)).items())
     return CurveProfile(
         model=mm,
-        c4=inv.c4,
-        c6=inv.c6,
-        delta_min=inv.delta,
         bad_places=bad,
         rank=int(rank),
         torsion_order=int(torsion_order),
@@ -288,7 +252,7 @@ def ap_oracle(model: WeierstrassModel, v: int) -> str:
     if v == 2 or v > 10 ** 4:
         raise ValueError(f"point-count oracle needs an odd prime <= 10^4, got {v}")
     inv = model.invariants
-    rd = reduction_at(inv.c4, inv.c6, inv.delta, v)
+    rd = reduction_at(inv.c4, inv.c6, v, _ord(inv.delta, v))
     if not rd.is_multiplicative():
         raise ValueError(f"reduction at {v} is {rd.kind}, not multiplicative")
     b2, b4, b6 = inv.b2 % v, inv.b4 % v, inv.b6 % v

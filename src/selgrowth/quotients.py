@@ -4,10 +4,8 @@ The source of truth is the Mackey count of places: for a subgroup class H
 with coefficient n_H, the primes of the fixed field F^H above v correspond to
 the double cosets H\\G/D, each with a ramification index e and residue
 degree f read off from the inertia/decomposition pair. Semistable local
-behaviour is then mechanical: split multiplicative reduction stays split
-and the minimal discriminant valuation becomes e*m; non-split reduction
-becomes split exactly when f is even and otherwise keeps the parity-of-e*m
-Tamagawa number 1 or 2.
+behaviour is then mechanical: ``records.tamagawa`` gives the Tamagawa
+number of each place from the reduction type, m, e and f.
 
 The (e, f) of the places depend on v only through (D, I), so
 `place_degrees` counts them from the conjugates of H (`groups.place_counts`,
@@ -28,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .brauer import BrauerRelation, canonical_relation, norm_constant
 from .factored import FactoredRational
 from .groups import Family, FiniteGroup, GroupError, LocalClass, place_counts
-from .records import ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT, Refused
+from .records import ADDITIVE, NONSPLIT_MULT, SPLIT_MULT, Refused, tamagawa
 
 if TYPE_CHECKING:
     # types only: a certificate takes a profile and a field that the caller
@@ -132,19 +130,6 @@ class PlaceQuotientReport(NamedTuple):
         }
 
 
-def _local_tamagawa(kind: str, e: int, f: int, m: int) -> int:
-    """Tamagawa number of a place with ramification e and residue degree f above v."""
-    if kind == GOOD:
-        return 1
-    if kind == SPLIT_MULT:
-        return e * m
-    if kind == NONSPLIT_MULT:
-        if f % 2 == 0:
-            return e * m  # the node tangents become rational upstairs
-        return 2 if (e * m) % 2 == 0 else 1
-    raise NonSemistableError("additive reduction has no semistable Tamagawa formula")
-
-
 def place_degrees(theta: BrauerRelation, lc: LocalClass) -> tuple:
     """The (e, f) of the places of F^H above v, for each H in theta.
 
@@ -169,7 +154,7 @@ def _evaluate(theta: BrauerRelation, degrees: tuple, kind: str, m: int) -> tuple
     for (cid, n), places in zip(theta.coeffs, degrees):
         product = 1
         for (e, f), count in places:
-            product *= _local_tamagawa(kind, e, f, m) ** count
+            product *= tamagawa(kind, e, f, m) ** count
         if product not in factored:
             factored[product] = FactoredRational.from_int(product)
         contrib = factored[product]
@@ -397,7 +382,7 @@ class GrowthCertificate(NamedTuple):
             "curve": {
                 "label": prof.label,
                 "model": list(prof.model.ainvs()),
-                "delta_min": prof.delta_min,
+                "delta_min": prof.model.invariants.delta,
             },
             "field": self.field.describe(),
             "group": str(self.field.group.family),

@@ -1,4 +1,4 @@
-"""Immutable records, the reduction kinds, and the refusal marker.
+"""Immutable records, the reduction kinds and their Tamagawa rule, and the refusal marker.
 
 Plain value records in this package are ``typing.NamedTuple`` classes. A
 NamedTuple cannot have its own constructor, so a record that checks its
@@ -7,9 +7,10 @@ from ``Record`` instead. Neither kind imports ``dataclasses``, whose import
 (with ``inspect``) and generated methods every CLI call would pay for.
 
 The module imports nothing, so any layer can import it without loading
-another: the four reduction kinds live here for ``quotients``, which reads
-them without loading ``curves``, and ``Refused`` marks the errors that the
-CLI reports as a refused computation (exit 2).
+another: the four reduction kinds and ``tamagawa``, Tate's rule that switches
+on them, live here for ``curves`` and ``quotients``, which read them without
+loading each other, and ``Refused`` marks the errors that the CLI reports as
+a refused computation (exit 2).
 """
 
 # reduction kinds of a curve at a prime (ReductionData.kind)
@@ -17,6 +18,23 @@ GOOD = "good"
 SPLIT_MULT = "split_mult"
 NONSPLIT_MULT = "nonsplit_mult"
 ADDITIVE = "additive"
+
+
+def tamagawa(kind: str, e: int, f: int, m: int) -> int | None:
+    """Tamagawa number at a place with ramification e and residue degree f above v.
+
+    kind is the reduction at v and m = ord_v(delta_min). Over the place the
+    fiber is I_{em} (J. Tate, LNM 476, 1975), split when the reduction at v is
+    or f is even. None for additive reduction, which would need Tate's
+    algorithm.
+    """
+    if kind == GOOD:
+        return 1
+    if kind == SPLIT_MULT or kind == NONSPLIT_MULT and f % 2 == 0:
+        return e * m
+    if kind == NONSPLIT_MULT:
+        return 2 if (e * m) % 2 == 0 else 1
+    return None
 
 
 class Refused(Exception):

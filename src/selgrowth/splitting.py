@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import factor, jacobi
+from .arith import factor, is_unit_square
 from .groups import (
     FiniteGroup,
     GroupError,
@@ -58,14 +58,9 @@ def quadratic_symbol(d: int, v: int) -> str:
 
 def _symbol(d: int, v: int) -> str:
     """quadratic_symbol for a d already known to be squarefree and not 0 or 1."""
-    if v == 2:
-        r = d % 8
-        if r in (2, 3, 6, 7):  # d = 2, 3 mod 4
-            return RAMIFIED
-        return SPLIT if r == 1 else INERT
-    if d % v == 0:
+    if (v == 2 and d % 4 in (2, 3)) or (v != 2 and d % v == 0):
         return RAMIFIED
-    return SPLIT if jacobi(d, v) == 1 else INERT
+    return SPLIT if is_unit_square(d, v) else INERT
 
 
 def third_discriminant(d1: int, d2: int) -> int:
@@ -93,8 +88,7 @@ def multiquadratic_local_class(d1: int, d2: int, v: int) -> LocalClass:
     inertia is the meet of the fixers of subfields unramified at v, and the
     decomposition group is the meet of the fixers of subfields where v splits.
     """
-    _validate_multiquadratic(d1, d2)
-    return _multiquadratic_class(d1, d2, v, make_elem_abelian(2))
+    return FieldSpec.multiquadratic(d1, d2).local_class(v, None)
 
 
 def _multiquadratic_class(d1: int, d2: int, v: int, G: FiniteGroup) -> LocalClass:

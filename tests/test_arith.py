@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selgrowth import arith
-from selgrowth.arith import PSI_13, FactorizationBudgetError, factor, is_prime, jacobi
+from selgrowth.arith import PSI_13, FactorizationBudgetError, factor, is_prime, is_unit_square, jacobi
 
 # the differential tests below run the same examples on every run
 DIFFERENTIAL = settings(derandomize=True, max_examples=200, deadline=None)
@@ -140,6 +140,17 @@ def test_jacobi_is_eulers_criterion_at_odd_primes(p, a):
     assert jacobi(a, p) == (0 if euler == 0 else 1 if euler == 1 else -1)
 
 
+def test_is_unit_square_matches_brute_force_squares():
+    # by Hensel's lemma a unit is a square in Q_2 when it is one mod 8, and in
+    # Q_v for odd v when it is one mod v
+    for v in [2] + [v for v in range(3, 100, 2) if all(v % d for d in range(3, v, 2))]:
+        modulus = 8 if v == 2 else v
+        squares = {y * y % modulus for y in range(modulus)}
+        for x in range(-300, 300):
+            if x % v:
+                assert is_unit_square(x, v) == (x % modulus in squares), (x, v)
+
+
 @pytest.mark.parametrize("n", MERSENNE_PRIMES)
 def test_mersenne_primes(n):
     assert is_prime(n)
@@ -218,9 +229,11 @@ def test_factor_matches_sympy(n):
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(_prime_near(10 ** 9, 10 ** 10), _prime_near(10 ** 9, 10 ** 11), st.integers(1, 1000))
 def test_factor_matches_sympy_near_1e20(p, q, k):
-    # the size of the discriminants in the certify_mq benchmark
-    n = k * p * q
-    assert factor(n) == sympy.factorint(n)
+    # the size of the discriminants in the certify_mq benchmark; sympy found p
+    # and q and factors k, as sympy.factorint(k * p * q) would take seconds
+    expected = collections.Counter(sympy.factorint(k))
+    expected.update((p, q))
+    assert factor(k * p * q) == dict(sorted(expected.items()))
 
 
 def test_budget_refuses_two_large_prime_factors(monkeypatch):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pathlib
 import pickle
@@ -11,13 +12,16 @@ from hypothesis import strategies as st
 
 from selgrowth.arith import jacobi
 from selgrowth.curves import (
+    ReductionData,
     SingularModelError,
     WeierstrassModel,
     ap_oracle,
     compute_invariants,
     make_profile,
     minimal_model,
+    reduction_at,
 )
+from selgrowth.records import ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT, tamagawa
 
 from oracle import bench_module
 
@@ -129,6 +133,20 @@ def test_minimal_model_tricky_3_torsion():
     assert minimal_model(m).ainvs() == m.ainvs()
 
 
+@pytest.mark.parametrize("ainvs, p", [((1, -1, 1, 25, 1), 3), ((0, -1, 0, -33, 17), 2)])
+def test_minimal_model_kraus_steps(ainvs, p):
+    # p^12 | delta, p^4 | c4 and p^6 | c6, yet c4 / p^4 and c6 / p^6 fail
+    # Kraus's condition at p (at 3: c6 / 3^6 = 18 mod 27), so the model is
+    # minimal; scaled by p or 6 it comes back after u loses one factor p
+    m = WeierstrassModel(*ainvs)
+    inv = m.invariants
+    assert inv.delta % p ** 12 == inv.c4 % p ** 4 == inv.c6 % p ** 6 == 0
+    assert minimal_model(m) is m
+    for u in (p, 6):
+        scaled = WeierstrassModel(m.a1 * u, m.a2 * u ** 2, m.a3 * u ** 3, m.a4 * u ** 4, m.a6 * u ** 6)
+        assert minimal_model(scaled).ainvs() == m.ainvs()
+
+
 @given(models, st.sampled_from([1, 2, 3, 5, 6]))
 @settings(max_examples=120, deadline=None)
 def test_minimal_model_idempotent_and_divides(t, u):
@@ -181,6 +199,33 @@ def test_tamagawa_parity_rule():
     prof = make_profile(WeierstrassModel(1, 0, 1, -2, 0), rank=1, torsion_order=2)
     r2 = prof.reduction(2)
     assert (r2.kind, r2.m, r2.tamagawa) == ("nonsplit_mult", 2, 2)
+    assert prof.hypothesis_counts() == (True, 2, 1)  # non-split at 2 (m = 2) and 41 (m = 1)
+    # 14a1: non-split at 2 with m = 6, so c = 2, not 6
+    r2 = make_profile(WeierstrassModel(1, 0, 1, 4, -6), rank=0).reduction(2)
+    assert (r2.kind, r2.m, r2.tamagawa) == ("nonsplit_mult", 6, 2)
+
+
+def test_profile_defaults():
+    prof = make_profile(WeierstrassModel(1, 0, 0, -1, 0), rank=1)
+    assert (prof.torsion_order, prof.sha_p_trivial_assumed, prof.label) == (1, frozenset(), None)
+
+
+def test_tamagawa_rule_on_every_kind():
+    # Tate: at a place with ramification e and residue degree f the fiber I_m
+    # becomes I_{em}; split I_n has n components, non-split I_n has 1 or 2 as
+    # n is odd or even, and non-split turns split when f is even
+    nonsplit_odd_f = {(1, 1): 1, (1, 2): 2, (1, 3): 1, (2, 1): 2, (2, 2): 2, (2, 3): 2}
+    for e, f, m in itertools.product((1, 2), (1, 2), (1, 2, 3)):
+        assert tamagawa(GOOD, e, f, m) == 1
+        assert tamagawa(ADDITIVE, e, f, m) is None
+        assert tamagawa(SPLIT_MULT, e, f, m) == e * m
+        assert tamagawa(NONSPLIT_MULT, e, f, m) == (e * m if f == 2 else nonsplit_odd_f[e, m])
+
+
+def test_reduction_at_a_prime_not_dividing_delta_is_good():
+    inv = WeierstrassModel(1, 0, 0, -1, 0).invariants  # 65a1: 7 divides c4 = 49
+    for v in (2, 3, 7, 11):
+        assert reduction_at(inv.c4, inv.c6, v, 0) == ReductionData(v, GOOD, 0, 1)
 
 
 # -- point-count oracle ---------------------------------------------------------------
@@ -197,8 +242,12 @@ def test_ap_oracle_split_case():
 
 
 def test_ap_oracle_rejects_good_reduction():
-    with pytest.raises(ValueError):
-        ap_oracle(WeierstrassModel(1, 0, 0, -1, 0), 7)
+    # m = ord_v(delta) is 0 at a good prime: 65a1 is good at 3, 7 and 11
+    for v in (3, 7, 11):
+        with pytest.raises(ValueError, match="not multiplicative"):
+            ap_oracle(WeierstrassModel(1, 0, 0, -1, 0), v)
+    with pytest.raises(ValueError, match="odd prime <= 10"):
+        ap_oracle(WeierstrassModel(1, 0, 0, -1, 0), 10007)
 
 
 def test_ap_oracle_agrees_on_fixture_database(fixture_records):
@@ -280,13 +329,18 @@ def test_guards_raise_under_python_O():
         "    curves._kraus_ok_at_3 = lambda c6: False\n"
         "    curves.minimal_model(WeierstrassModel(1, 0, 0, -1, 0))\n"
         "def node_at_a_good_prime():\n"
-        "    curves.reduction_at = lambda c4, c6, delta, v: ReductionData(v, SPLIT_MULT, 1, 1)\n"
-        "    curves.ap_oracle(WeierstrassModel(1, 0, 0, -1, 0), 7)\n"
-        "for call in (no_integral_model, kraus_never_met, node_at_a_good_prime):\n"
+        "    # 65a1 mod 3: the cubic has one simple root and no double root\n"
+        "    curves.reduction_at = lambda c4, c6, v, m: ReductionData(v, SPLIT_MULT, 1, 1)\n"
+        "    curves.ap_oracle(WeierstrassModel(1, 0, 0, -1, 0), 3)\n"
+        "checks = ((no_integral_model, 'Kraus'), (kraus_never_met, 'Kraus adjustment at 3'),\n"
+        "          (node_at_a_good_prime, 'unique node'))\n"
+        "for call, words in checks:\n"
         "    try:\n"
         "        call()\n"
-        "    except CurveCheckError:\n"
-        "        continue\n"
+        "    except CurveCheckError as exc:\n"
+        "        if words in str(exc):\n"
+        "            continue\n"
+        "        raise SystemExit(f'{call.__name__}: {exc}')\n"
         "    raise SystemExit(f'{call.__name__}: guard did not raise')\n"
     )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"

@@ -3,11 +3,13 @@ import io
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import selgrowth
 from selgrowth import groups, quotients
 from selgrowth.brauer import canonical_relation, norm_constant
 from selgrowth.curves import (
@@ -42,7 +44,7 @@ from selgrowth.quotients import (
 )
 from selgrowth.splitting import FieldSpec, LocalClass
 
-from oracle import DATA, data_curves, family_specs
+from oracle import DATA, bench_module, data_curves, family_specs
 
 
 FAMILY_SPECS = ["c2xc2", "d:3", "d:5", "d:7", "cpxcp:3", "cpxcp:5", "cpxcp:7",
@@ -262,7 +264,7 @@ def test_biquadratic_contributions_match_quadratic_symbols(ds, v, kind, m):
     must agree with the splitting of v in each quadratic subfield computed
     directly from residue symbols (two places e=f=1 / one inert f=2 / one
     ramified e=2), bypassing the double-coset machinery entirely."""
-    from selgrowth.quotients import _local_tamagawa
+    from selgrowth.records import tamagawa
     from selgrowth.splitting import (
         multiquadratic_local_class,
         quadratic_symbol,
@@ -281,14 +283,56 @@ def test_biquadratic_contributions_match_quadratic_symbols(ds, v, kind, m):
     for name, d in subfield_of.items():
         sym = quadratic_symbol(d, v)
         if sym == "split":
-            expected = FactoredRational.from_int(_local_tamagawa(kind, 1, 1, m)) ** 2
+            expected = FactoredRational.from_int(tamagawa(kind, 1, 1, m)) ** 2
         elif sym == "inert":
-            expected = FactoredRational.from_int(_local_tamagawa(kind, 1, 2, m))
+            expected = FactoredRational.from_int(tamagawa(kind, 1, 2, m))
         else:
-            expected = FactoredRational.from_int(_local_tamagawa(kind, 2, 1, m))
+            expected = FactoredRational.from_int(tamagawa(kind, 2, 1, m))
         assert contribs[name] == expected, (name, d, sym)
     # the base field contributes the plain Tamagawa number
-    assert contribs["G"] == FactoredRational.from_int(_local_tamagawa(kind, 1, 1, m))
+    assert contribs["G"] == FactoredRational.from_int(tamagawa(kind, 1, 1, m))
+
+
+def test_mq_quotients_are_tamagawa_products_of_the_five_subfields():
+    """A fourth description of mq: fields, from first principles. At each bad
+    prime v of the first 200 seed-7 certify_mq requests, the Tamagawa products
+    over the places of Q, the three quadratic fields L and K above v give
+    Tam(K) Tam(Q)^2 / prod Tam(L), which must be the place's quotient; the
+    ord_2 of these, summed, is the certificate's. The splitting of v in each L
+    is the benchmark's symbol, and Tate's rule for I_n is written here: no
+    group, Brauer relation, Mackey count or records.tamagawa."""
+    checkers, workloads = bench_module("checkers"), bench_module("workloads")
+
+    def tam(kind, m, places):
+        # at a place (e, f) the fiber I_m becomes I_{em}: split when E is split
+        # at v or f is even, with em components, and non-split with 1 or 2
+        return math.prod(e * m if kind == SPLIT_MULT or f % 2 == 0 else 2 - e * m % 2 for e, f in places)
+
+    def ord_2(x):
+        return (x.numerator & -x.numerator).bit_length() - (x.denominator & -x.denominator).bit_length()
+
+    quadratic_places = {"split": [(1, 1), (1, 1)], "inert": [(1, 2)], "ramified": [(2, 1)]}
+    for req in workloads.make_inputs("certify_mq", 7)[0][:200]:
+        cert = json.loads(workloads.certify_mq(selgrowth, req))
+        d1, d2 = req["field"]
+        g = math.gcd(d1, d2)
+        total = 0
+        for place in cert["places"]:
+            kind, m = place["reduction"], place["m"]
+            symbols = [checkers.splitting(d, place["v"]) for d in (d1, d2, d1 // g * (d2 // g))]
+            # K is the compositum of any two L, so v is unramified (split) in K
+            # when it is in two of them, and then in the third too; otherwise
+            # K has degree 2 over the one L where v is, or v is in none of them:
+            # e is 1, 2 or 4, and there are 4, 2 or 1 places
+            e = {0: 1, 2: 2, 3: 4}[symbols.count("ramified")]
+            n = {0: 1, 1: 2, 3: 4}[symbols.count("split")]
+            assert 4 % (e * n) == 0
+            tam_K = tam(kind, m, [(e, 4 // (e * n))] * n)
+            expected = Fraction(tam_K * tam(kind, m, [(1, 1)]) ** 2,
+                                math.prod(tam(kind, m, quadratic_places[s]) for s in symbols))
+            assert expected == math.prod(Fraction(int(q)) ** k for q, k in place["quotient"].items()), (req, place)
+            total += ord_2(expected)
+        assert total == cert["ord_p"]["tamagawa_quotient"]
 
 
 def test_report_internal_consistency():

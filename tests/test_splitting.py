@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selgrowth.groups import (
-    GroupError, Subgroup, make_dihedral, make_elem_abelian, parse_group_spec,
+    FiniteGroup, GroupError, Subgroup, make_dihedral, make_elem_abelian, parse_group_spec,
 )
 from selgrowth.splitting import (
     AmbiguousSplittingError,
@@ -20,6 +20,7 @@ from selgrowth.splitting import (
     MissingLocalClassError,
     factor_degree_pattern,
     frobenius_class,
+    is_squarefree,
     multiquadratic_local_class,
     quadratic_symbol,
     third_discriminant,
@@ -138,6 +139,18 @@ def test_symbol_matches_euler_for_every_squarefree_d_up_to_10_4():
 # -- multiquadratic local classes ---------------------------------------------------
 
 
+def test_is_squarefree_at_the_edges():
+    assert is_squarefree(1) and is_squarefree(-1) and is_squarefree(-30)
+    assert not is_squarefree(0) and not is_squarefree(-12)
+
+
+def test_field_descriptions():
+    poly = (1, 0, -10, 0, 1)  # Q(sqrt 2, sqrt 3)
+    assert FieldSpec.multiquadratic(3, 5).describe() == {"kind": "multiquadratic", "d1": 3, "d2": 5}
+    assert FieldSpec.polynomial(poly, make_elem_abelian(2)).describe() == {"kind": "polynomial", "coeffs": list(poly)}
+    assert FieldSpec.abstract(make_elem_abelian(2)).describe() == {"kind": "abstract"}
+
+
 def test_third_discriminant():
     assert third_discriminant(3, 5) == 15
     assert third_discriminant(6, 10) == 15
@@ -164,8 +177,9 @@ def test_mq_local_class_at_two():
 
 
 def test_mq_counting_invariant():
-    for v in (2, 3, 5, 7, 11, 13, 97):
-        lc = multiquadratic_local_class(3, 5, v)
+    # Q(sqrt -1, sqrt -2) has third discriminant 2
+    for (d1, d2), v in itertools.product(((3, 5), (-1, -2)), (2, 3, 5, 7, 11, 13, 97)):
+        lc = multiquadratic_local_class(d1, d2, v)
         assert lc.e * lc.f * (lc.group.order // len(lc.decomposition)) == 4  # e f g = [F:Q]
 
 
@@ -269,6 +283,24 @@ def test_frobenius_ambiguous_cases():
         frobenius_class(K, (2, 2))
     with pytest.raises(AmbiguousSplittingError):
         frobenius_class(make_elem_abelian(3), (3, 3, 3))
+    # C4 x C2, element 2a + b = (a, b): two cyclic subgroups of order 4, so
+    # two classes are as ambiguous as more
+    table = [[2 * ((a + c) % 4) + (b + d) % 2 for c in range(4) for d in range(2)]
+             for a in range(4) for b in range(2)]
+    with pytest.raises(AmbiguousSplittingError, match="the 2 order-4 classes"):
+        frobenius_class(FiniteGroup(table), (4, 4))
+
+
+def test_field_local_class_sources():
+    # an override wins over the quadratic symbols, which give (C2a, 1) at 13;
+    # a polynomial field reads its degree pattern; an abstract field has none
+    mq = FieldSpec.multiquadratic(3, 5)
+    assert mq.local_class(13, {13: ("G", "C2a")}).names() == ("G", "C2a")
+    assert mq.local_class(13, {5: ("G", "C2a")}).names() == ("C2a", "1")
+    poly = FieldSpec.polynomial((1, 0, -10, 0, 1), make_elem_abelian(2))  # Q(sqrt 2, sqrt 3)
+    assert poly.local_class(23, None).names() == ("1", "1")  # 2 and 3 are squares mod 23
+    with pytest.raises(MissingLocalClassError, match="abstract fields"):
+        FieldSpec.abstract(make_elem_abelian(2)).local_class(13, None)
 
 
 def test_frobenius_rejects_non_galois_pattern():
@@ -344,6 +376,8 @@ def test_output_guards_raise_under_python_O():
         "from selgrowth import splitting\n"
         "from selgrowth.groups import GroupError\n"
         "def all_subfields_ramified():\n"
+        "    # a class made at 2, where all three subfields can ramify, is no answer at 7\n"
+        "    splitting.multiquadratic_local_class(-1, 2, 2)\n"
         "    splitting._symbol = lambda d, v: splitting.RAMIFIED\n"
         "    splitting.multiquadratic_local_class(3, 5, 7)\n"
         "def degrees_do_not_sum():\n"
