@@ -50,10 +50,11 @@ LAYER_TESTS = {
     "brauer": ["tests/test_brauer.py"],
     "curves": ["tests/test_curves.py"],
     "database": ["tests/test_database.py"],
+    "factor_kernel": ["tests/test_arith.py"],
     "factored": ["tests/test_factored.py"],
     "groups": ["tests/test_groups.py", "tests/test_group_reference.py"],
     "intlinalg": ["tests/test_intlinalg.py"],
-    "quotients": ["tests/test_quotients.py"],
+    "quotients": ["tests/test_quotients.py", "tests/test_golden.py"],
     "records": ["tests/test_curves.py", "tests/test_quotients.py"],
     "splitting": ["tests/test_splitting.py"],
 }
@@ -70,12 +71,22 @@ EQUIVALENT = {
         "a1 a3 is 0 or 1, and b4 - 1 and b4 + 1 have the same parity",
     ("curves", "_ainvs_from_c_invariants", "(b6 - a3) // 4", "(b6 + a3) // 4"):
         "a3 = b6 mod 2 and 4 divides b6 - a3 (checked above), so both floors are the same",
+    ("factor_kernel", "_ecm_level", "len(range(1, _ECM_D // 2, 2))", "len(range(2, _ECM_D // 2, 2))"):
+        "range(1, 105, 2) and range(2, 105, 2) both have 52 entries",
+    ("factor_kernel", "_pm1_level", "len(range(1, _ECM_D // 2, 2))", "len(range(2, _ECM_D // 2, 2))"):
+        "range(1, 105, 2) and range(2, 105, 2) both have 52 entries",
+    ("factor_kernel", "_ecm_curve", "(1, xs[-_ECM_BABY:])", "(2, xs[-_ECM_BABY:])"):
+        "n is odd, so gcd(2 acc, n) = gcd(acc, n)",
+    ("factor_kernel", "_pm1", "(1, 2, vd)", "(2, 2, vd)"):
+        "n is odd, so gcd(2 acc, n) = gcd(acc, n)",
+    ("groups", "_family_group", "a:a + p", "a:a - p"):
+        "cyc and ref are doubled lists of 2p entries and 0 <= a < p, so index a - p is index a + p",
+    ("groups", "_family_group", "y:y + p", "y:y - p"):
+        "cyc is a doubled list of 2p entries and 0 <= y < p, so index y - p is index y + p",
     ("splitting", "quadratic_symbol", "d in (0, 1)", "d in (1, 1)"):
         "is_squarefree(0) is False, so d = 0 is refused by the same condition with the same message",
     ("splitting", "_validate_multiquadratic", "d in (0, 1)", "d in (1, 1)"):
         "is_squarefree(0) is False, so d = 0 is refused by the same condition with the same message",
-    ("splitting", "_validate_multiquadratic", "d3 in (0, 1)", "d3 in (1, 1)"):
-        "d1 and d2 are nonzero, so d3 = d1 d2 / gcd(d1, d2)^2 never is",
     ("splitting", "_multiquadratic_class", "v == 2", "v != 2"):
         "the memo key tells v = 2 from odd v by either flag",
 }
@@ -201,6 +212,9 @@ def main(argv=None) -> int:
                 func, before, after = mutant(source, index)[1]
                 print(f"{module} #{index} {func}: {before}  ->  {after}")
         return 0
+    if args.workdir is not None and not args.workdir.is_dir():
+        print(f"mutation_probe: --workdir {args.workdir} is not a directory", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         work = pathlib.Path(tmp)
         for name in COPIED:

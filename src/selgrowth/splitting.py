@@ -75,9 +75,7 @@ def _validate_multiquadratic(d1: int, d2: int) -> None:
             raise ValueError(f"multiquadratic discriminants must be squarefree, not 0 or 1; got {d}")
     if d1 == d2:
         raise ValueError("multiquadratic discriminants must be distinct")
-    d3 = third_discriminant(d1, d2)
-    if d3 in (0, 1):
-        raise ValueError(f"d1*d2 = {d1 * d2} is a square; the field is not biquadratic")
+    # so d3 = d1 d2 / gcd(d1, d2)^2 is neither 0 nor 1: the field is biquadratic
 
 
 def multiquadratic_local_class(d1: int, d2: int, v: int) -> LocalClass:

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -9,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selgrowth import arith
+from selgrowth import arith, factor_kernel
 from selgrowth.arith import PSI_13, FactorizationBudgetError, factor, is_prime, is_unit_square, jacobi
 
 # the differential tests below run the same examples on every run
@@ -243,9 +244,29 @@ def test_budget_refuses_two_large_prime_factors(monkeypatch):
     assert factor(1009 * 1013) == {1009: 1, 1013: 1}
 
 
+def test_budget_refuses_a_1000_digit_product_within_its_stated_time():
+    # a step on a longer number costs more units, so spending the budget takes
+    # no longer at 1,000 digits than at 27 (README: about 0.7 s of CPU time at
+    # any length); p and q are the least primes above 10^499 and 10^500
+    p, q = 10 ** 499 + 153, 10 ** 500 + 961
+    start = time.process_time()
+    with pytest.raises(FactorizationBudgetError, match="1000-digit cofactor"):
+        factor(p * q)
+    assert time.process_time() - start < 1.0
+    # a cofactor beyond MAX_BITS is refused before its primality test
+    n = p * p * q
+    with pytest.raises(FactorizationBudgetError, match=f"{n.bit_length()}-bit cofactor is longer than the 4096 bits"):
+        factor(n)
+
+
 # each stage alone: the first Pollard-Brent run skipped leaves the splitting
-# to ECM; no curves leave it to Pollard-Brent
-STAGES = {"ecm": {"_BRENT_FIRST": 0}, "pollard_brent": {"_ECM_SCHEDULE": []}, "all": {}}
+# to p - 1 or to ECM; no p - 1 run and no curves leave it to Pollard-Brent
+STAGES = {
+    "ecm": {"_BRENT_FIRST": 0, "_PM1_RUNS": []},
+    "pm1": {"_BRENT_FIRST": 0, "_ECM_SCHEDULE": []},
+    "pollard_brent": {"_PM1_RUNS": [], "_ECM_SCHEDULE": []},
+    "all": {},
+}
 
 
 def _prime_of_digits(lo, hi):
@@ -258,10 +279,14 @@ def _prime_of_digits(lo, hi):
 @given(_prime_of_digits(4, 10), st.integers(1, 3), _prime_of_digits(4, 10), st.integers(1, 1000))
 def test_each_stage_factors_like_sympy(stage, p, e, q, k):
     n = p ** e * q * k
-    with mock.patch.dict(vars(arith), STAGES[stage]), mock.patch.object(arith, "_brent", wraps=arith._brent) as brent:
+    with mock.patch.dict(vars(factor_kernel), STAGES[stage]), \
+            mock.patch.object(factor_kernel, "_brent", wraps=factor_kernel._brent) as brent, \
+            mock.patch.object(factor_kernel, "_pm1", wraps=factor_kernel._pm1) as pm1:
         assert factor(n) == sympy.factorint(n)
     if stage == "ecm":  # Pollard-Brent never took a step
         assert all(call.args[2] == 0 for call in brent.call_args_list)
+    if stage == "pm1":  # p - 1 ran on p^e q, the one cofactor that is no perfect power
+        assert pm1.called == (p != q)
 
 
 def test_factor_matches_sympy_on_held_out_products():
@@ -285,8 +310,8 @@ def test_factor_matches_sympy_on_held_out_products():
 @pytest.mark.parametrize("p, q", [(3001807103, 52549330733), (1705600913, 136033980959)])
 def test_ecm_splits_hard_benchmark_cofactors_within_twenty_curves(p, q):
     # the two certify_mq cofactors that took Pollard-Brent the most steps
-    bits, giants, _ = arith._ECM_SCHEDULE[0]
-    found = {arith._ecm_curve(p * q, sigma, bits, giants) for sigma in range(6, 26)}
+    bits, giants, _ = factor_kernel._ECM_SCHEDULE[0]
+    found = {factor_kernel._ecm_curve(p * q, sigma, bits, giants) for sigma in range(6, 26)}
     assert found & {p, q} and found <= {1, p, q, p * q}
 
 
@@ -309,12 +334,57 @@ def test_ecm_curve_costs_its_charged_steps():
     # step it is charged at each level of the schedule, and a Pollard-Brent
     # run that finds nothing makes every step it reports
     n = (10 ** 24 + 7) * (3 * 10 ** 24 + 7)
-    for (bits, giants, steps), _ in itertools.groupby(arith._ECM_SCHEDULE):
+    for (bits, giants, steps), _ in itertools.groupby(factor_kernel._ECM_SCHEDULE):
         m = _CountingModulus(n)
-        assert arith._ecm_curve(m, 6, bits, giants) == 1
+        assert factor_kernel._ecm_curve(m, 6, bits, giants) == 1
         assert m.reductions == steps
     m = _CountingModulus(n)
-    assert arith._brent(m, 1, 10_000) == (1, m.reductions)
+    assert factor_kernel._brent(m, 1, 10_000) == (1, m.reductions)
+
+
+def test_pm1_stage_2_costs_its_charge():
+    # stage 1 is one built-in pow, charged 6 per 5 bits of E and 32 more; the
+    # rest of the charge is stage 2's reductions: V_1, V_2, the 52 steps over
+    # odd j < D/2, V_D, then the product and the next giant of each giant
+    n = (10 ** 24 + 7) * (3 * 10 ** 24 + 7)
+    for E, giants, steps in factor_kernel._PM1_RUNS:
+        m = _CountingModulus(n)
+        assert factor_kernel._pm1(m, E, giants) == 1
+        assert m.reductions == 3 + 52 + 2 * giants
+        assert steps == E.bit_length() * 6 // 5 + 32 + m.reductions
+
+
+@pytest.mark.parametrize("p", [10000000391, 10000702343, 10000904423], ids=["stage-1", "mD+j", "mD-j"])
+def test_pm1_finds_a_prime_whose_p_minus_1_is_smooth(p):
+    # p - 1 is 2000-smooth, or a 2000-smooth part times one prime l in
+    # (2000, 20000]: l = 12007 = 57 * 210 + 37, found by V_57D - V_37, and
+    # l = 12097 = 58 * 210 - 83, found by V_58D - V_83; q - 1 = 2 * 131 * 521 * 73259
+    (E, giants, _), = factor_kernel._PM1_RUNS
+    q = 10000000019
+    large = [f for f in sympy.factorint(p - 1) if f > 2000]
+    assert large in ([], [12007], [12097]) and E % ((p - 1) // math.prod(large)) == 0
+    assert factor_kernel._pm1(p * q, E, giants) == p
+    # with no giant steps, stage 1 alone finds p when p - 1 divides E, and not
+    # the primes whose l divides the order of 3 modulo them
+    assert factor_kernel._pm1(p * q, E, 0) == (p if not large else 1)
+
+
+def test_pm1_finding_every_prime_falls_through_to_ecm():
+    # p - 1 and q - 1 both divide E, so stage 1 finds both primes at once
+    # (gcd = n); ECM splits n instead
+    p, q = 10000000391, 10000000537
+    (E, _, _), = factor_kernel._PM1_RUNS
+    assert E % (p - 1) == 0 and E % (q - 1) == 0
+    pm1, results = factor_kernel._pm1, []
+
+    def recorded(n, E, giants):
+        results.append((n, pm1(n, E, giants)))
+        return results[-1][1]
+
+    with mock.patch.multiple(factor_kernel, _BRENT_FIRST=0, _pm1=recorded), \
+            mock.patch.object(factor_kernel, "_ecm_curve", wraps=factor_kernel._ecm_curve) as ecm:
+        assert factor(p * q) == {p: 1, q: 1}
+    assert results == [(p * q, p * q)] and ecm.called
 
 
 def test_ecm_step_count_at_todays_bounds():
@@ -323,14 +393,20 @@ def test_ecm_step_count_at_todays_bounds():
     # the baby steps 4 + 2 * 52 (odd j < 105), G = 2 (105 Q) and 2G 8, the
     # giant steps 2 * 18, three per point of the batch inversion 3 * (24 + 18)
     # and the products 24 * 18
-    assert (arith._ECM_D, arith._ECM_BABY) == (210, 24)
-    assert arith._ecm_level(150, 3750)[1:] == (18, 3 + 4 + 4 * 211 + 4 + 2 * 52 + 8 + 2 * 18 + 3 * 42 + 24 * 18)
+    assert (factor_kernel._ECM_D, factor_kernel._ECM_BABY) == (210, 24)
+    assert factor_kernel._ecm_level(150, 3750)[1:] == (
+        18, 3 + 4 + 4 * 211 + 4 + 2 * 52 + 8 + 2 * 18 + 3 * 42 + 24 * 18)
     levels = [(len(list(run)), len(bits) + 1, giants, steps)
-              for (bits, giants, steps), run in itertools.groupby(arith._ECM_SCHEDULE)]
+              for (bits, giants, steps), run in itertools.groupby(factor_kernel._ECM_SCHEDULE)]
     assert levels == [(30, 212, 18, 1561), (20, 432, 58, 3601), (50, 857, 143, 7766)]
-    assert [arith._ecm_level(b1, b2) for b1, b2 in ((150, 3750), (300, 12000), (600, 30000))] == [
-        level for level, _ in itertools.groupby(arith._ECM_SCHEDULE)]
+    assert [factor_kernel._ecm_level(b1, b2) for b1, b2 in ((150, 3750), (300, 12000), (600, 30000))] == [
+        level for level, _ in itertools.groupby(factor_kernel._ECM_SCHEDULE)]
     K = 1
     for B1 in range(2, arith.TRIAL_LIMIT):  # K = lcm(1..B1), its exponents read off logarithms
         K = math.lcm(K, B1)
-        assert arith._ecm_level(B1, 0)[0] == bin(K)[3:]
+        assert factor_kernel._ecm_level(B1, 0)[0] == bin(K)[3:]
+    # one p - 1 run at B1 = 2000 and B2 = 20000: E = lcm(1..2000) of 2878 bits,
+    # charged 2878 * 6 // 5 + 32 for stage 1 and 3 + 52 + 2 * 96 for stage 2
+    assert factor_kernel._PM1_RUNS == [factor_kernel._pm1_level(2000, 20000)]
+    (E, giants, steps), = factor_kernel._PM1_RUNS
+    assert E == math.lcm(*range(1, 2001)) and (E.bit_length(), giants, steps) == (2878, 96, 3732)

@@ -405,16 +405,19 @@ _CERTIFY_MQ = ["certify", "--curve", "1,0,0,-1,0", "--rank", "1", "--torsion", "
     "argv, unloaded",
     [
         (None, None),  # import selgrowth: no submodule at all
-        (["tables", "c2xc2"], ["curves", "splitting", "database"]),
-        (["relations", "c2xc2"], ["curves", "splitting", "database"]),
-        (["analyze", "--curve", "1,0,0,-1,0", "--rank", "1"], ["splitting", "database"]),
-        (_CERTIFY_MQ, ["database"]),
+        (["tables", "c2xc2"], ["curves", "splitting", "database", "factor_kernel"]),
+        (["relations", "c2xc2"], ["curves", "splitting", "database", "factor_kernel"]),
+        (["analyze", "--curve", "1,0,0,-1,0", "--rank", "1"], ["splitting", "database", "factor_kernel"]),
+        (_CERTIFY_MQ, ["database", "factor_kernel"]),
+        (["scan", "--data", str(DATA)], ["splitting", "factor_kernel"]),
     ],
-    ids=["import", "tables", "relations", "analyze", "certify-mq"],
+    ids=["import", "tables", "relations", "analyze", "certify-mq", "scan"],
 )
 def test_cold_call_loads_only_the_layers_it_runs(argv, unloaded):
     # each call as `python -m selgrowth` makes it, in a fresh interpreter:
-    # a layer that a subcommand never runs is never compiled either
+    # a layer that a subcommand never runs is never compiled either. No
+    # discriminant of data/curves.csv (65a1 among them) leaves a composite
+    # cofactor after trial division, so the factoring kernel stays unloaded
     proc = subprocess.run(
         [sys.executable, "-c", _CALL_IN_FRESH_INTERPRETER, json.dumps(argv)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
