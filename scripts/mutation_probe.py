@@ -79,10 +79,38 @@ EQUIVALENT = {
         "n is odd, so gcd(2 acc, n) = gcd(acc, n)",
     ("factor_kernel", "_pm1", "(1, 2, vd)", "(2, 2, vd)"):
         "n is odd, so gcd(2 acc, n) = gcd(acc, n)",
-    ("groups", "_family_group", "a:a + p", "a:a - p"):
-        "cyc and ref are doubled lists of 2p entries and 0 <= a < p, so index a - p is index a + p",
-    ("groups", "_family_group", "y:y + p", "y:y - p"):
-        "cyc is a doubled list of 2p entries and 0 <= y < p, so index y - p is index y + p",
+    ("groups", "<module>", "GROUP_CACHE_SIZE = 4", "GROUP_CACHE_SIZE = 5"):
+        "a cache size: every result is the same at any size, and the cache test reads the bound by its name",
+    ("groups", "_take", "itemgetter(*indices)(row) if len(indices) > 1 else tuple((row[i] for i in indices))",
+     "itemgetter(*indices)(row) if len(indices) > 2 else tuple((row[i] for i in indices))"):
+        "itemgetter of two indices gives the same 2-tuple as the generator",
+    ("groups", "element_orders", "[0] * self.order", "[1] * self.order"):
+        "every element is a power of a walked generator, so every entry is written over",
+    ("groups", "_subgroup_orbits", "range(1, n)", "range(2, n)"):
+        "the divisor 1 decides only a join with |H| k = 1, that is g in H, which the loop skips",
+    ("groups", "_subgroup_orbits", "range(1, m + 1)", "range(2, m + 1)"):
+        "k = 1 would mean g in H, which the loop skips",
+    ("groups", "_subgroup_orbits", "range(1, m + 1)", "range(1, m + 2)"):
+        "k = m always qualifies, as powers[0] = e lies in H, so k never reaches m + 1",
+    ("groups", "_semidirect_table", "s:s + p", "s:s - p"):
+        "each run is a doubled list of 2p entries and 0 <= s < p, so index s - p is index s + p",
+    ("groups", "_semidirect_table", "b:b + k", "b:b - k"):
+        "runs is a doubled list of 2k runs and 0 <= b < k, so index b - k is index b + k",
+    ("groups", "_semidirect_table", "[[j * p + c for c in range(p)] * 2 for j in range(k)]",
+     "[[j * p + c for c in range(p)] * 3 for j in range(k)]"):
+        "a slice s:s + p with 0 <= s < p reads only the first 2p entries of a run",
+    ("groups", "_semidirect_table", "[[j * p + c for c in range(p)] * 2 for j in range(k)] * 2",
+     "[[j * p + c for c in range(p)] * 2 for j in range(k)] * 3"):
+        "a slice b:b + k with 0 <= b < k reads only the first 2k runs",
+    ("groups", "make_cyclic", "FiniteGroup(_semidirect_table(n, 1, 1), generators=[1] if n > 1 else [])",
+     "FiniteGroup(_semidirect_table(n, 1, 2), generators=[1] if n > 1 else [])"):
+        "with k = 1 the twist is read only as u^0, which is 1 mod n > 1 and 0 = 1 mod 1",
+    ("arith", "_strong_probable_prime", "range(s - 1)", "range(s + 1)"):
+        "the added turns test a^(n-1) and a^(2(n-1)) against -1, which no odd n > 1 passes: each prime r | n, "
+        "and so n, would be 1 mod 2^(v2(n-1)+1)",
+    ("arith", "_strong_lucas_probable_prime", "(n + 1, 0)", "(n + 1, 1)"):
+        "the added turn tests V_(n+1) = 0, which (D/n) = -1 rules out: each prime r | n would be (D/r) mod "
+        "2^(v2(n+1)+1), and so n would be (D/n) = -1 mod it",
     ("splitting", "quadratic_symbol", "d in (0, 1)", "d in (1, 1)"):
         "is_squarefree(0) is False, so d = 0 is refused by the same condition with the same message",
     ("splitting", "_validate_multiquadratic", "d in (0, 1)", "d in (1, 1)"):

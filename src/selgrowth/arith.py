@@ -198,8 +198,9 @@ def _split(n: int, out: dict, budget: int, k: int = 1) -> int:
     g, used = fk._brent(n, 1, min(fk._BRENT_FIRST, budget // w))
     budget -= used * w
     if not 1 < g < n:
-        # rho finds the prime q of q^e in sqrt(q) steps; a root finds it at once
-        for e in range(n.bit_length() // 9, 1, -1):  # every prime factor exceeds 2^9
+        # rho finds the prime q of q^e in sqrt(q) steps; a root finds it at once. Prime e
+        # suffice, largest first, as the root's own split finds its powers; q > 2^9, so 9e <= b
+        for e in reversed([e for e in _SMALL_PRIMES if 9 * e <= n.bit_length()]):
             r = _integer_root(n, e)
             if r ** e == n:
                 return _split(r, out, budget, k * e)

@@ -78,11 +78,11 @@ def canonical_relation(G: FiniteGroup) -> BrauerRelation:
     """The standard relation of each theorem family (T. & V. Dokchitser,
     "Regulator constants and the parity conjecture", Invent. Math. 178, 2009).
 
-    Every subgroup class of a listed order gets that order's coefficient:
+    Every subgroup class of a listed order gets that order's coefficient. The
+    family is C_p : C_k, and one rule serves k = 2 (d:p) and k = q (sd:p:q):
 
-    c2xc2, cpxcp:p:  1 - (all subgroups of order p) + p G
-    d:p:             1 - 2 C2 - Cp + 2 G
-    sd:p:q:          1 - q Cq - Cp + q G
+    c2xc2, cpxcp:p (k = p):  1 - (all subgroups of order p) + p G
+    d:p, sd:p:q:             1 - k Ck - Cp + k G
     """
     family = G.family
     if family is None:
@@ -90,13 +90,8 @@ def canonical_relation(G: FiniteGroup) -> BrauerRelation:
     theta = G.memo.get("canonical_relation")
     if theta is not None:
         return theta
-    p, q = family.p, family.q
-    if family.name == "d":
-        rule = {1: 1, 2: -2, p: -1, 2 * p: 2}
-    elif family.name == "sd":
-        rule = {1: 1, q: -q, p: -1, p * q: q}
-    else:
-        rule = {1: 1, p: -1, p * p: p}
+    p, k = family.p, family.k
+    rule = {1: 1, p: -1, p * p: p} if k == p else {1: 1, k: -k, p: -1, p * k: k}
     coeffs = {cls.class_id: rule[cls.order] for cls in G.subgroup_classes if cls.order in rule}
     theta = G.memo["canonical_relation"] = BrauerRelation.from_dict(G, coeffs)  # made once per group
     return theta

@@ -40,6 +40,14 @@ def _emit(obj, pretty: bool) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _ints(option: str, text: str) -> list:
+    """The comma-separated integers of ``text``, an argument of ``option``."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{option} takes comma-separated integers, got {text!r}") from None
+
+
 def _parse_curve(text: str):
     from .curves import WeierstrassModel
 
@@ -83,12 +91,11 @@ def _field_from_args(args):
         parts = text[3:].split(",")
         if len(parts) != 2:
             raise UsageError(f"--field mq needs two discriminants, got {text!r}")
-        return FieldSpec.multiquadratic(int(parts[0]), int(parts[1]))
+        return FieldSpec.multiquadratic(*_ints("--field mq", text[3:]))
     if text.startswith("poly:"):
         if not args.group:
             raise UsageError("--field poly:... also requires --group")
-        coeffs = tuple(int(c) for c in text[5:].split(","))
-        return FieldSpec.polynomial(coeffs, parse_group_spec(args.group))
+        return FieldSpec.polynomial(tuple(_ints("--field poly", text[5:])), parse_group_spec(args.group))
     if not text:
         if not args.group:
             raise UsageError("pass --field mq:d1,d2, --field poly:..., or --group for an abstract field")
@@ -174,9 +181,10 @@ def _curve_from_args(args) -> tuple:
             raise UsageError("--rank is required with --curve (ranks are ingested, not computed)")
         rank = 0 if args.rank is None else args.rank  # analyze only: certify needs --rank
         torsion, label = 1 if args.torsion is None else args.torsion, None
+    sha = getattr(args, "sha_trivial", None)  # certify's option alone
     profile = make_profile(
         model, rank=rank, torsion_order=torsion,
-        sha_p_trivial=getattr(args, "sha_trivial", None) or [], label=label,
+        sha_p_trivial=[] if sha is None else _ints("--sha-trivial", sha), label=label,
     )
     return model, profile
 
@@ -266,7 +274,7 @@ def build_parser() -> _Parser:
 
     p_cert = sub.add_parser("certify", help="emit a growth certificate")
     add_curve(p_cert)
-    p_cert.add_argument("--sha-trivial", dest="sha_trivial", type=lambda s: [int(x) for x in s.split(",")],
+    p_cert.add_argument("--sha-trivial", dest="sha_trivial",
                         help="primes p with Sha[p^inf] assumed trivial in all proper subfields")
     p_cert.add_argument("--field", help="mq:d1,d2 | poly:c_k,...,c_0 (degree-descending)")
     p_cert.add_argument("--group", help="group spec for poly/abstract fields")

@@ -46,22 +46,26 @@ class Family(Record):
     ``name`` is ``c2xc2`` (case (a), p = 2), ``d`` (D_2p, case (b)),
     ``cpxcp`` (Cp x Cp, case (c)) or ``sd`` (Cp : Cq, case (c)); ``p`` is the
     prime of the theorem and ``q``, given for ``sd`` alone, the order of the complement.
+    Each family is C_p : C_k with t^-1 r t = r^u: ``k`` is 2 for ``d``, q for
+    ``sd`` and p for ``c2xc2`` and ``cpxcp``, and ``u`` the least unit of order
+    k mod p, or 1 when k = p and the action is trivial.
     Building one checks the parameters, so a Family always names a group of
     order at most MAX_ORDER. ``str`` gives the normalized spec. Families are
     immutable and compare and hash by (name, p, q).
     """
 
-    __slots__ = ("name", "p", "q")
+    __slots__ = ("name", "p", "q", "k", "u")
 
     def __init__(self, name: str, p: int, q: int | None = None):
-        self._set(name, p, q)
+        k = {"d": 2, "sd": q}.get(name, p)
+        self._set(name, p, q, k)
         if name not in ("c2xc2", "d", "cpxcp", "sd"):
             raise GroupError(f"unknown group family {name!r}")
         if (q is None) == (name == "sd"):
             raise GroupError(f"the {name} family takes {'p and q' if name == 'sd' else 'p alone'}, got q={q}")
         # a parameter below 2 is not prime, whatever the order; otherwise the cap
         # comes first, as is_prime on a huge parameter the cap refuses takes seconds
-        low = min(p, q or 2) < 2
+        low = min(p, k) < 2
         if not low and self.order > MAX_ORDER:
             raise GroupError(f"order {self.order} exceeds the cap {MAX_ORDER}")
         prime = (lambda n: False) if low else is_prime
@@ -78,12 +82,12 @@ class Family(Record):
                 raise GroupError(f"{p} is not prime")
             if (name == "c2xc2") != (p == 2):
                 raise GroupError(f"the elementary abelian family of p = {p} is not {name}")
+        # k is prime, so u^k = 1 with u != 1 gives order k; none exists when k = p
+        object.__setattr__(self, "u", next((u for u in range(2, p) if pow(u, k, p) == 1), 1))
 
     @property
     def order(self) -> int:
-        if self.name == "sd":
-            return self.p * self.q
-        return 2 * self.p if self.name == "d" else self.p ** 2
+        return self.p * self.k
 
     @property
     def case(self) -> str:
@@ -227,7 +231,7 @@ class FiniteGroup:
         the group is built."""
         table = self.table
         elements = tuple(range(self.order))
-        if generators is not None and len(self.subgroup_closure(generators)) != self.order:
+        if generators is not None and len(self._join((self.identity,), (), *generators)) != self.order:
             raise GroupError("claimed generators do not generate the group")
         # (ab)c = a(bc) for every c at once: row ab against row b read through row a
         for a in elements if generators is None else generators:
@@ -288,27 +292,16 @@ class FiniteGroup:
 
     # -- subgroups -----------------------------------------------------------
 
-    def subgroup_closure(self, gens) -> tuple:
-        """Elements of the subgroup generated by ``gens`` (BFS on the Cayley graph)."""
-        gens = tuple(gens)
-        seen = {self.identity}
-        queue = [self.identity]
-        for x in queue:  # grows while it is read
-            for y in _take(self.table[x], gens):
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return tuple(sorted(seen))
-
-    def _join(self, elements: tuple, gens: tuple, g: int) -> tuple:
-        """Sorted elements of <H, g>, where H = ``elements`` is generated by ``gens``.
+    def _join(self, elements: tuple, gens: tuple, *new) -> tuple:
+        """Sorted elements of <H, new>, where H = ``elements`` is generated by ``gens``.
 
         Dimino's coset step: the join is a union of right cosets Hr, grown
-        until it is closed under right multiplication by gens and g.
+        until it is closed under right multiplication by gens and new. With
+        H = {e} it is the closure of e under right multiplication by new.
         """
         table = self.table
         rows = [table[h] for h in elements]
-        gens = gens + (g,)
+        gens = gens + new
         seen = set(elements)
         reps = [self.identity]
         for r in reps:  # grows while it is read
@@ -648,11 +641,24 @@ def place_counts(G: FiniteGroup, cid: int, lc: LocalClass) -> tuple:
 # -- constructors ------------------------------------------------------------
 
 
+def _semidirect_table(p: int, k: int, u: int) -> list:
+    """The table of C_p : C_k with t^-1 r t = r^u, where t^b r^a is at b p + a.
+
+    t^b r^a t^d r^c = t^(b+d) r^(a u^d + c), so block d of row t^b r^a is the
+    run t^(b+d) r^c, c = 0..p-1, turned by a u^d: its rows are slices of k
+    turned runs, with no per-entry product.
+    """
+    runs = [[j * p + c for c in range(p)] * 2 for j in range(k)] * 2  # runs[j][s:s + p] is t^j r^(s+c)
+    turns = [[a * pow(u, d, p) % p for d in range(k)] for a in range(p)]
+    return [tuple(chain.from_iterable(run[s:s + p] for run, s in zip(runs[b:b + k], turns[a])))
+            for b in range(k) for a in range(p)]
+
+
 def make_cyclic(n: int) -> FiniteGroup:
+    """C_n, as C_n : C_1: the element a is r^a."""
     if n < 1 or n > MAX_ORDER:
         raise GroupError(f"cyclic order out of range: {n}")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup(table, generators=[1] if n > 1 else [])
+    return FiniteGroup(_semidirect_table(n, 1, 1), generators=[1] if n > 1 else [])
 
 
 def make_elem_abelian(p: int) -> FiniteGroup:
@@ -672,36 +678,10 @@ def make_semidirect(p: int, q: int) -> FiniteGroup:
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _family_group(family: Family) -> FiniteGroup:
-    """The group of a theorem family, built once and shared while it stays cached."""
-    p, q, n = family.p, family.q, family.order
-    cyc = list(range(p)) * 2  # cyc[a:a + p] is a + 0, a + 1, ... mod p
-    if family.name == "d":
-        # r^a at a and s r^a at p + a, so r^a b = r^(a+b), r^a s r^b = s r^(b-a),
-        # s r^a r^b = s r^(a+b) and s r^a s r^b = r^(b-a)
-        ref = [p + x for x in cyc]
-        table = [cyc[a:a + p] + ref[p - a:2 * p - a] for a in range(p)]
-        table += [ref[a:a + p] + cyc[p - a:2 * p - a] for a in range(p)]
-        gens = [1, p]  # the rotation r and a reflection s
-    elif family.name == "sd":
-        # (a, b) at a q + b, with (a, b)(c, d) = (a + c u^b, b + d)
-        u = _least_unit_of_order(p, q)
-        w = [pow(u, b, p) for b in range(q)]
-        # blocks[b][k]: the q entries k q + (b + d mod q), d = 0..q-1
-        blocks = [[[k * q + (b + d) % q for d in range(q)] for k in range(p)] for b in range(q)]
-        table = [list(chain.from_iterable(blocks[b][(a + c * w[b]) % p] for c in range(p)))
-                 for a in range(p) for b in range(q)]
-        gens = [q, 1]  # (1, 0) at index q and (0, 1) at index 1
-    else:
-        # C_p x C_p, (x, y) at x p + y: row (x, y) is row (0, y) turned by x p
-        rows0 = [[k * p + v for k in range(p) for v in cyc[y:y + p]] * 2 for y in range(p)]
-        table = [rows0[y][x * p:x * p + n] for x in range(p) for y in range(p)]
-        gens = [1, p]
-    return FiniteGroup(table, family=family, generators=gens)
-
-
-def _least_unit_of_order(p: int, q: int) -> int:
-    # one exists, as Family checks that q divides p - 1; q is prime, so u^q = 1 gives order q
-    return next(u for u in range(2, p) if pow(u, q, p) == 1)
+    """The group of a theorem family, built once and shared while it stays cached:
+    C_p : C_k, generated by r at index 1 and t at index p."""
+    p = family.p
+    return FiniteGroup(_semidirect_table(p, family.k, family.u), family=family, generators=[1, p])
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:

@@ -78,8 +78,8 @@ def quotient_table(family: Family) -> dict:
     non-split columns of the odd-order tables (no p-part) have no key.
     """
     if family.case == "c":
-        # p-exponent 1 - p for Cp x Cp, 1 - q for Cp : Cq
-        drop = 1 - (family.p if family.q is None else family.q)
+        # p-exponent 1 - k for Cp : Ck: 1 - p for Cp x Cp, 1 - q for Cp : Cq
+        drop = 1 - family.k
         return {
             (ROW_SPLITS, COL_SPLIT, None): 0,
             (ROW_INERT_RAMIFIED, COL_SPLIT, None): drop,

@@ -216,6 +216,20 @@ def test_factor_small_cases():
             factor(n)
 
 
+def test_perfect_powers_need_only_prime_exponents():
+    q = 100000000000000000039  # the least prime above 10^20
+    for e in (4, 6, 12):
+        assert factor(q ** e) == {q: e}
+    # q^12 has 798 bits: the check tries the primes 83, 79, ..., 3 on it, 22
+    # roots where every exponent from 88 down to 12 took 77, and stops at
+    # q^4, whose own split finds q^2 and then q
+    n = q ** 12
+    with mock.patch.object(arith, "_integer_root", wraps=arith._integer_root) as root:
+        assert factor(n) == {q: 12}
+    exponents = [call.args[1] for call in root.call_args_list if call.args[0] == n]
+    assert exponents == [e for e in reversed(arith._SMALL_PRIMES) if 3 <= e <= 83] and len(exponents) == 22
+
+
 @DIFFERENTIAL
 @given(st.one_of(
     st.integers(1, 10 ** 6),

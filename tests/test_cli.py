@@ -91,6 +91,17 @@ def test_sha_trivial_lists_only_primes(capsys, listed, bad):
     assert err == f"usage error: Sha[p^inf] can be assumed trivial only at primes p, got {bad}\n"
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("--sha-trivial", "2,x", "--field", "mq:3,5"), "--sha-trivial takes comma-separated integers, got '2,x'"),
+    (("--sha-trivial", "", "--field", "mq:3,5"), "--sha-trivial takes comma-separated integers, got ''"),
+    (("--field", "mq:3,x"), "--field mq takes comma-separated integers, got '3,x'"),
+    (("--field", "poly:1,x", "--group", "d:3"), "--field poly takes comma-separated integers, got '1,x'"),
+])
+def test_a_non_integer_list_names_its_option(capsys, extra, message):
+    code, out, err = run(capsys, "certify", "--curve", "1,0,0,-1,0", "--rank", "1", "-p", "2", *extra)
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
 def test_certify_with_local_class_override(capsys):
     doc = run_json(
         capsys,

@@ -218,9 +218,10 @@ def product_rule(spec):
         q = int(params[1])
         u = min(u for u in range(2, p) if pow(u, q, p) == 1)
 
+        # t^b r^a at b p + a, and t^-1 r t = r^u
         def mul(x, y):
-            (a, b), (c, d) = divmod(x, q), divmod(y, q)
-            return (a + c * u ** b) % p * q + (b + d) % q
+            (b, a), (d, c) = divmod(x, p), divmod(y, p)
+            return (b + d) % q * p + (a * u ** d + c) % p
 
         n = p * q
     else:
@@ -234,7 +235,7 @@ def product_rule(spec):
 def family_generators(spec):
     """The generating set each family constructor hands to Light's test."""
     name, *params = spec.split(":")
-    return [int(params[1]), 1] if name == "sd" else [1, 2 if name == "c2xc2" else int(params[0])]
+    return [1, 2 if name == "c2xc2" else int(params[0])]
 
 
 SHORTCUT_NAMES = family_specs(200) + ["d:3 x c:2", "c2xc2 x c:4", "sd:7:3 x c:3"]
@@ -261,7 +262,7 @@ def test_semidirect_product_rule_uses_a_nontrivial_twist():
     # a twist u = 1 would make the rule abelian and the table check vacuous
     table = make_semidirect(7, 3).table
     assert table != tuple(zip(*table))
-    assert product_rule("sd:7:3")[3][1] != product_rule("sd:7:3")[1][3]
+    assert product_rule("sd:7:3")[7][1] != product_rule("sd:7:3")[1][7]  # t r and r t
 
 
 @pytest.mark.parametrize("name", SHORTCUT_NAMES)

@@ -104,8 +104,8 @@ def test_semidirect_rejects_bad_parameters():
 def test_semidirect_uses_least_unit():
     # order 3 units mod 7 are 2 and 4; the table must use 2
     G = make_semidirect(7, 3)
-    # element (a=0, b=1) acts on (a=1, b=0): (0,1)*(1,0) = (2^1 * 1, 1)
-    assert G.table[1][3] == 2 * 3 + 1
+    # r at 1 and t at 7, with t^b r^a at 7 b + a: r t = t r^u = t r^2
+    assert G.table[1][7] == 7 + 2
 
 
 def test_parse_group_spec_errors():
@@ -150,6 +150,18 @@ def test_identity_is_read_off_the_table():
     assert relabeled(make_cyclic(3), [2, 0, 1]).identity == 2
     with pytest.raises(GroupError, match="no element is a two-sided identity"):
         FiniteGroup([[0, 1], [0, 1]])
+
+
+def test_inverse_is_the_first_right_inverse_that_is_also_a_left_inverse():
+    # identity 0; row 1 has two right inverses of 1, and the first, 2, is no
+    # left inverse (2 * 1 = 3), so the constructor must pick 3; the table is
+    # no group, which validate() then finds
+    table = [[0, 1, 2, 3], [1, 2, 0, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
+    G = FiniteGroup(table)
+    assert G.identity == 0 and table[1][2] == 0 != table[2][1]
+    assert G._inv == (0, 3, 2, 1)
+    with pytest.raises(GroupError, match="associativity fails"):
+        G.validate()
 
 
 @pytest.mark.parametrize("spec", [f"d:{10 ** 60 + 7}", f"cpxcp:{10 ** 60 + 7}", f"sd:{10 ** 60 + 7}:3"],
@@ -273,6 +285,17 @@ def test_family_takes_q_exactly_for_sd():
     assert Family("sd", 7, 3).q == 3 and Family("d", 5).q is None
 
 
+def test_each_family_is_cp_by_ck_with_the_least_twist():
+    # C_p : C_k with t^-1 r t = r^u, u the least unit of order k mod p (1 when k = p)
+    got = {spec: (Family.parse(spec).k, Family.parse(spec).u) for spec in ALL_FAMILY_SPECS}
+    assert [got[spec] for spec in ("c2xc2", "d:3", "d:97", "cpxcp:13", "sd:7:3", "sd:11:5", "sd:31:5")] == [
+        (2, 1), (2, 2), (2, 96), (13, 1), (3, 2), (5, 3), (5, 2)]
+    for spec, (k, u) in got.items():
+        p = Family.parse(spec).p
+        assert Family.parse(spec).order == p * k == parse_group_spec(spec).order
+        assert [v for v in range(1, p) if pow(v, k, p) == 1 and (v > 1 or k == p)][0] == u
+
+
 def test_layers_keep_their_memos_under_group_memo(capsys):
     # certify, tables and relations leave on a family group only what
     # FiniteGroup.__init__ sets and its cached properties: a layer keeps its
@@ -323,6 +346,29 @@ def test_class_names_go_past_z():
 def test_all_subgroups_against_brute_force(spec):
     G = build(spec)
     assert {s.elements for s in G.all_subgroups} == brute_force_subgroups(G)
+
+
+def test_lattice_computes_no_join_that_lagrange_decides(monkeypatch):
+    # in every family group, a join <H, g> that is the whole group is one
+    # whose order |H<g>| = |H| k and Lagrange already decide, so the lattice
+    # skips it and every join it computes is a proper subgroup
+    join, sizes = FiniteGroup._join, []
+
+    def recorded(self, *args):
+        joined = join(self, *args)
+        sizes.append(len(joined))
+        return joined
+
+    for spec in ALL_FAMILY_SPECS:
+        family = parse_group_spec(spec)
+        G = FiniteGroup(family.table)  # a copy with no lattice yet
+        G._generators  # the generating set's joins do reach G
+        sizes.clear()
+        monkeypatch.setattr(FiniteGroup, "_join", recorded)
+        classes = G.subgroup_classes
+        monkeypatch.undo()
+        assert classes == family.subgroup_classes
+        assert sizes and max(sizes) < G.order, spec
 
 
 def test_subgroup_class_counts():
@@ -513,6 +559,17 @@ def test_double_cosets_rejects_bad_inertia():
     with pytest.raises(GroupError):
         # D/I = full dihedral over trivial inertia is not cyclic
         double_cosets(G, one, LocalClass(G, whole, one))
+
+
+def test_double_cosets_refuse_a_local_class_of_another_group():
+    G, other = make_dihedral(3), make_cyclic(6)
+    one = Subgroup((G.identity,))
+    lc = LocalClass(G, Subgroup(range(6)), Subgroup(range(6)))
+    with pytest.raises(GroupError, match="different groups"):
+        double_cosets(other, one, lc)
+    # a copy of the same table is the same group
+    copy_ = FiniteGroup(G.table)
+    assert double_cosets(copy_, one, lc) == double_cosets(G, one, lc)
 
 
 def test_place_counts_refuse_a_count_that_is_not_an_integer():
