@@ -1,9 +1,11 @@
 """Small finite groups given by explicit Cayley tables.
 
-Elements are the integers 0..order-1. Everything downstream (subgroup
-lattices and their conjugacy classes, double cosets, permutation-character
-values) is computed by direct enumeration over precomputed tables
-(multiplication, inverse, conjugation), which is exact and fast at the
+Elements are the integers 0..order-1, each held in one byte: the rows of
+the multiplication and conjugation tables and the element sets of subgroups
+are ``bytes``, so composing a row with a set of elements is one
+``bytes.translate``. Everything downstream (subgroup lattices and their
+conjugacy classes, double cosets, permutation-character values) is computed
+by direct enumeration over these tables, which is exact and fast at the
 scale this package supports (group order at most 200).
 """
 
@@ -13,16 +15,15 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter
 from typing import NamedTuple
 
 from .arith import is_prime
 from .records import Record
 
-MAX_ORDER = 200
+MAX_ORDER = 200  # below 256, so that every element fits in one byte
 # Family groups kept by _family_group, and spec strings by Family.parse, least
-# recently used dropped first. A group of order near the cap holds two
-# 200 x 200 tables and its lattice, so the cache stays small.
+# recently used dropped first. A group near the cap takes about 0.27 MB with its
+# tables, lattice and local classes (d:97 after `tables`, by tracemalloc).
 GROUP_CACHE_SIZE = 4
 
 
@@ -33,11 +34,6 @@ class GroupError(ValueError):
 def _suffix(i: int) -> str:
     """The i-th of a, b, ..., z, aa, ab, ..., counted from 0."""
     return (_suffix(i // 26 - 1) if i >= 26 else "") + "abcdefghijklmnopqrstuvwxyz"[i % 26]
-
-
-def _take(row: tuple, indices) -> tuple:
-    """The tuple of row[i] for i in indices, read in one C call."""
-    return itemgetter(*indices)(row) if len(indices) > 1 else tuple(row[i] for i in indices)
 
 
 class Family(Record):
@@ -129,7 +125,7 @@ class Family(Record):
 
 
 class Subgroup(Record):
-    """A subgroup stored as its sorted tuple of element indices, and as a set.
+    """A subgroup stored as the bytes of its sorted element indices, and as a set.
 
     Subgroups are immutable and compare and hash by their elements.
     """
@@ -137,7 +133,7 @@ class Subgroup(Record):
     __slots__ = ("elements", "element_set")
 
     def __init__(self, elements):
-        elements = tuple(sorted(elements))
+        elements = bytes(sorted(elements))
         self._set(elements, frozenset(elements))
 
     def _values(self) -> tuple:
@@ -153,13 +149,13 @@ class Subgroup(Record):
         return iter(self.elements)
 
     def __repr__(self):
-        return f"Subgroup{self.elements}"
+        return f"Subgroup{tuple(self.elements)}"
 
 
 class SubgroupClass(NamedTuple):
     """A conjugacy class of subgroups, keyed by its canonical representative.
 
-    The representative is the conjugate whose sorted element tuple is
+    The representative is the conjugate whose sorted element bytes are
     lexicographically smallest, so class data is reproducible byte for byte.
     """
 
@@ -172,7 +168,7 @@ class SubgroupClass(NamedTuple):
         return len(self.representative)
 
     def __repr__(self):
-        return f"SubgroupClass(id={self.class_id}, rep={self.representative.elements}, size={self.class_size})"
+        return f"SubgroupClass(id={self.class_id}, rep={tuple(self.representative.elements)}, size={self.class_size})"
 
 
 class FiniteGroup:
@@ -187,21 +183,28 @@ class FiniteGroup:
     """
 
     def __init__(self, table, family=None, generators=None):
-        table = self.table = tuple(map(tuple, table))
+        table = tuple(table)
         n = self.order = len(table)
         if n == 0:
             raise GroupError("empty multiplication table")
         if n > MAX_ORDER:
             raise GroupError(f"group order {n} exceeds the cap {MAX_ORDER}")
-        # whole-table checks, with no Python call per entry; bool is refused too
-        if not {int}.issuperset(map(type, chain.from_iterable(table))):
-            raise GroupError("multiplication table entries must be int")
-        if set(map(len, table)) != {n} or not frozenset(range(n)).issuperset(chain.from_iterable(table)):
+        # whole-table checks, with no Python call per entry; rows that are not
+        # all bytes have each entry's type (bool refused) and range checked first
+        if not {bytes}.issuperset(map(type, table)):
+            table = tuple(map(tuple, table))
+            if not {int}.issuperset(map(type, chain.from_iterable(table))):
+                raise GroupError("multiplication table entries must be int")
+            if not frozenset(range(n)).issuperset(chain.from_iterable(table)):
+                raise GroupError("multiplication table is not square over 0..n-1")
+            table = tuple(map(bytes, table))
+        if set(map(len, table)) != {n} or b"".join(table).translate(None, bytes(range(n))):
             raise GroupError("multiplication table is not square over 0..n-1")
+        self.table = table
         # unique when it exists: two two-sided identities e, e' give e = e e' = e'
-        elements = tuple(range(n))
-        self.identity = next((e for e in elements if table[e] == elements
-                              and tuple(row[e] for row in table) == elements), None)
+        elements = bytes(range(n))
+        self.identity = next((e for e in range(n) if table[e] == elements
+                              and bytes([row[e] for row in table]) == elements), None)
         if self.identity is None:
             raise GroupError("no element is a two-sided identity")
         self.family = family
@@ -229,19 +232,24 @@ class FiniteGroup:
         generating set is supplied (associativity on generator triples
         propagates to all triples). Identity and inverses are checked when
         the group is built."""
-        table = self.table
-        elements = tuple(range(self.order))
-        if generators is not None and len(self._join((self.identity,), (), *generators)) != self.order:
+        table, n = self.table, self.order
+        if generators is not None and len(self._join(bytes([self.identity]), (), *generators)) != n:
             raise GroupError("claimed generators do not generate the group")
-        # (ab)c = a(bc) for every c at once: row ab against row b read through row a
-        for a in elements if generators is None else generators:
-            row_a = table[a]
-            for b, row_b in enumerate(table):
-                row_ab = table[row_a[b]]
-                if row_ab != _take(row_a, row_b):
-                    c = next(c for c in elements if row_ab[c] != row_a[row_b[c]])
-                    raise GroupError(f"associativity fails at ({a},{b},{c})")
+        # (ab)c = a(bc) for every b and c at once: the rows ab, in the order of
+        # b, against the whole table read through row a
+        flat = b"".join(table)
+        for a in range(n) if generators is None else generators:
+            left, right = b"".join(map(table.__getitem__, table[a])), flat.translate(self._padded[a])
+            if left != right:
+                b, c = divmod(next(i for i, x in enumerate(left) if x != right[i]), n)
+                raise GroupError(f"associativity fails at ({a},{b},{c})")
         return self
+
+    @cached_property
+    def _padded(self) -> tuple:
+        """Each row of the table padded to 256 bytes: H.translate(_padded[x]) is xH."""
+        pad = bytes(256 - self.order)
+        return tuple(row + pad for row in self.table)
 
     @cached_property
     def _cyclic_subgroups(self) -> dict:
@@ -275,15 +283,17 @@ class FiniteGroup:
 
     @cached_property
     def conj(self) -> tuple:
-        """Conjugation table: conj[x][g] = x^-1 g x, one row per element x."""
-        columns = tuple(zip(*self.table))  # columns[x][r] = r x
-        return tuple(_take(columns[x], self.table[self._inv[x]]) for x in range(self.order))
+        """Conjugation table: conj[x][g] = x^-1 g x, one row per element x,
+        padded to 256 bytes, so that H.translate(conj[x]) is x^-1 H x."""
+        pad, rows, inv = bytes(256 - self.order), self._padded, bytes(self._inv)
+        # for each g: x^-1 g^-1 by row x^-1, its inverse g x, then x^-1 g x by row x^-1 again
+        return tuple(inv.translate(rows[i]).translate(inv + pad).translate(rows[i]) + pad for i in inv)
 
     @cached_property
     def _generators(self) -> tuple:
         """A small generating set: each element not yet generated, in index order."""
         gens = ()
-        span = (self.identity,)
+        span = bytes([self.identity])
         for g in range(self.order):
             if g not in span:
                 span = self._join(span, gens, g)
@@ -292,36 +302,34 @@ class FiniteGroup:
 
     # -- subgroups -----------------------------------------------------------
 
-    def _join(self, elements: tuple, gens: tuple, *new) -> tuple:
+    def _join(self, elements: bytes, gens: tuple, *new) -> bytes:
         """Sorted elements of <H, new>, where H = ``elements`` is generated by ``gens``.
 
-        Dimino's coset step: the join is a union of right cosets Hr, grown
-        until it is closed under right multiplication by gens and new. With
-        H = {e} it is the closure of e under right multiplication by new.
+        Dimino's coset step: the join is a union of left cosets rH, grown
+        until it is closed under left multiplication by gens and new. With
+        H = {e} it is the closure of e under left multiplication by new.
         """
-        table = self.table
-        rows = [table[h] for h in elements]
+        table, padded = self.table, self._padded
         gens = gens + new
         seen = set(elements)
         reps = [self.identity]
         for r in reps:  # grows while it is read
-            row = table[r]
             for s in gens:
-                y = row[s]
+                y = table[s][r]
                 if y not in seen:
-                    seen.update([r[y] for r in rows])
+                    seen.update(elements.translate(padded[y]))
                     reps.append(y)
-        return tuple(sorted(seen))
+        return bytes(sorted(seen))
 
-    def _conjugates(self, elements: tuple) -> set:
-        """The conjugacy orbit of a subgroup, as sorted element tuples."""
+    def _conjugates(self, elements: bytes) -> set:
+        """The conjugacy orbit of a subgroup, as sorted element bytes."""
         rows = [self.conj[x] for x in self._generators]
         orbit = {elements}
         stack = [elements]
         while stack:
             s = stack.pop()
             for row in rows:
-                t = tuple(sorted([row[h] for h in s]))
+                t = bytes(sorted(s.translate(row)))
                 if t not in orbit:
                     orbit.add(t)
                     stack.append(t)
@@ -329,30 +337,29 @@ class FiniteGroup:
 
     @cached_property
     def _subgroup_orbits(self) -> list:
-        """Conjugacy orbits of all subgroups, as sets of sorted element tuples,
+        """Conjugacy orbits of all subgroups, as sets of sorted element bytes,
         sorted by (order, least member).
 
         Cyclic extension up to conjugacy: every subgroup is generated by the
         cyclic subgroups inside it, so joining one member of each orbit found
         so far with each cyclic subgroup reaches a conjugate of every subgroup.
         """
-        e, n = self.identity, self.order
-        whole = tuple(range(n))
+        one, n = bytes([self.identity]), self.order
+        whole = bytes(range(n))
         divisors = [d for d in range(1, n) if n % d == 0]  # orders of proper subgroups
-        known = {(e,)}
-        orbits = [{(e,)}]
-        work = [((e,), ())]  # (a member of a new orbit, its generators)
+        known = {one}
+        orbits = [{one}]
+        work = [(one, ())]  # (a member of a new orbit, its generators)
         while work:
             elements, gens = work.pop()
-            members = set(elements)
             for g, powers in self._cyclic_subgroups.items():
-                if g in members:
+                if g in elements:
                     continue
                 # H = elements meets <g> in <g^k>, k the least power in H, so
                 # |<H, g>| is at least |H<g>| = |H| k, a multiple of |H| and m,
                 # and divides n; when no proper divisor qualifies, <H, g> = G
                 m = len(powers)
-                k = next(k for k in range(1, m + 1) if powers[k % m] in members)
+                k = next(k for k in range(1, m + 1) if powers[k % m] in elements)
                 least, step = len(elements) * k, lcm(len(elements), m)
                 if all(d < least or d % step for d in divisors):
                     joined = whole
@@ -383,7 +390,7 @@ class FiniteGroup:
 
     @cached_property
     def _class_of(self) -> dict:
-        """Sorted element tuple of every subgroup -> its SubgroupClass."""
+        """Sorted element bytes of every subgroup -> its SubgroupClass."""
         return {
             s: cls
             for cls, orbit in zip(self.subgroup_classes, self._subgroup_orbits)
@@ -393,13 +400,14 @@ class FiniteGroup:
     def class_of_subgroup(self, H) -> SubgroupClass:
         """The conjugacy class containing H (H given as Subgroup or iterable).
 
-        ``_class_of`` holds every subgroup, so the lookup is the subgroup check.
+        ``_class_of`` holds every subgroup, so the lookup is the subgroup check;
+        an element outside 0..255 fails before it, as no byte holds it.
         """
-        if not isinstance(H, Subgroup):
-            H = Subgroup(H)
         try:
+            if not isinstance(H, Subgroup):
+                H = Subgroup(H)
             return self._class_of[H.elements]
-        except KeyError:
+        except (KeyError, ValueError):
             raise GroupError(f"not a subgroup of this group: {H}") from None
 
     def is_cyclic_subgroup(self, H: Subgroup) -> bool:
@@ -484,8 +492,7 @@ class FiniteGroup:
 
 def fixed_points(G: FiniteGroup, H: Subgroup, g: int) -> int:
     """Number of cosets xH fixed by g, i.e. #{x : x^-1 g x in H} / |H|."""
-    s = H.element_set
-    hits = sum(1 for row in G.conj if row[g] in s)
+    hits = G.order - len(bytes([row[g] for row in G.conj]).translate(None, H.elements))
     if hits % len(H):
         raise GroupError(f"{hits} conjugates of {g} land in H, not a multiple of |H| = {len(H)}")
     return hits // len(H)
@@ -528,10 +535,10 @@ class LocalClass(Record):
         for d in D:  # ascending, so d is the least element of each new coset dI
             if d not in covered:
                 cosets.append(d)
-                covered.update(_take(table[d], I.elements))
+                covered.update(I.elements.translate(G._padded[d]))
         # I is normalized by itself, so one element per coset decides normality
         for d in cosets:
-            if not iset.issuperset(_take(G.conj[d], I.elements)):
+            if not iset.issuperset(I.elements.translate(G.conj[d])):
                 raise GroupError("inertia subgroup is not normal in the decomposition group")
         q = len(D) // len(I)
         orders = G.element_orders
@@ -592,14 +599,14 @@ def double_cosets(G: FiniteGroup, H: Subgroup, D):
     for x in range(G.order):  # ascending, so x is the least element of each new HxD
         if x in covered:
             continue
-        double = {y for h_row in h_rows for y in _take(table[h_row[x]], d_elems)}
+        double = {table[h_row[x]][d] for h_row in h_rows for d in d_elems}
         covered |= double
         row = conj[inv[x]]  # d lies in x^-1 H x iff x d x^-1 = row[d] lies in H
-        degree = len(d_elems) // len(hset.intersection(_take(row, d_elems)))
+        degree = len(d_elems) // len(hset.intersection([row[d] for d in d_elems]))
         if i_elems is None:
             records.append(DoubleCoset(x, len(double), degree))
             continue
-        e = len(i_elems) // len(hset.intersection(_take(row, i_elems)))
+        e = len(i_elems) // len(hset.intersection([row[d] for d in i_elems]))
         if degree % e:
             raise GroupError(f"ramification index {e} does not divide the local degree {degree}")
         records.append(DoubleCoset(x, len(double), degree, e, degree // e))
@@ -619,16 +626,18 @@ def place_counts(G: FiniteGroup, cid: int, lc: LocalClass) -> tuple:
     f = |D| / (|D meet K| e). The same (e, f) as ``double_cosets(G, H, lc)``.
     """
     orbit = G._subgroup_orbits[cid]
-    D, I = lc.decomposition.element_set, lc.inertia.element_set
-    weights = Counter()  # (e, f) -> sum of |D meet K|
-    for K in orbit:
-        meet = D.intersection(K)
-        e, degree = len(I) // len(I.intersection(meet)), len(D) // len(meet)
+    D, I = lc.decomposition.elements, lc.inertia.elements
+    d, i = len(D), len(I)
+    weights = {}  # (e, f) -> sum of |D meet K|
+    for K in orbit:  # |D meet K| and |I meet K|: D and I less the elements that K deletes
+        meet = d - len(D.translate(None, K))
+        e, degree = i // (i - len(I.translate(None, K))), d // meet
         if degree % e:
             raise GroupError(f"ramification index {e} does not divide the local degree {degree}")
-        weights[e, degree // e] += len(meet)
+        ef = e, degree // e
+        weights[ef] = weights.get(ef, 0) + meet
     # each weight times |N(H)| / (|H||D|), where |N(H)| = |G| / (number of conjugates)
-    norm_h, scale = G.order // len(orbit), G.subgroup_classes[cid].order * len(D)
+    norm_h, scale = G.order // len(orbit), G.subgroup_classes[cid].order * d
     counts = []
     for ef, weight in sorted(weights.items()):
         count, rest = divmod(weight * norm_h, scale)
@@ -648,9 +657,9 @@ def _semidirect_table(p: int, k: int, u: int) -> list:
     run t^(b+d) r^c, c = 0..p-1, turned by a u^d: its rows are slices of k
     turned runs, with no per-entry product.
     """
-    runs = [[j * p + c for c in range(p)] * 2 for j in range(k)] * 2  # runs[j][s:s + p] is t^j r^(s+c)
+    runs = [bytes(range(j * p, j * p + p)) * 2 for j in range(k)] * 2  # runs[j][s:s + p] is t^j r^(s+c)
     turns = [[a * pow(u, d, p) % p for d in range(k)] for a in range(p)]
-    return [tuple(chain.from_iterable(run[s:s + p] for run, s in zip(runs[b:b + k], turns[a])))
+    return [b"".join([run[s:s + p] for run, s in zip(runs[b:b + k], turns[a])])
             for b in range(k) for a in range(p)]
 
 

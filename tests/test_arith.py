@@ -329,6 +329,35 @@ def test_ecm_splits_hard_benchmark_cofactors_within_twenty_curves(p, q):
     assert found & {p, q} and found <= {1, p, q, p * q}
 
 
+def test_ecm_ladder_reaches_the_identity_at_the_brute_force_group_order():
+    # Suyama's curve By^2 = x^3 + Ax^2 + x of sigma, set up here from its own
+    # formulas: u = sigma^2 - 5, v = 4 sigma, A + 2 = (v - u)^3 (3u + v) / (4 u^3 v)
+    # and x(P) = u^3 / v^3; B is taken so that P lies on the curve. Counting
+    # #E(F_l) point by point gives a multiple of 12 (the curve's rational
+    # torsion), and stage 1 with K = #E(F_l) must send P mod l to the identity:
+    # a ladder on any other curve, or from any other point, does not
+    q, cases = 1000003, 0
+    for sigma in range(6, 16):
+        u, v = sigma * sigma - 5, 4 * sigma
+        for ell in filter(is_prime, range(50, 400)):
+            if 4 * u * v % ell == 0:
+                continue  # the set-up divides by zero mod l, and the kernel returns at once
+            a = ((v - u) ** 3 * (3 * u + v) * pow(4 * u ** 3 * v, -1, ell) - 2) % ell
+            x0 = u ** 3 * pow(v ** 3, -1, ell) % ell
+
+            def chi(y):
+                return jacobi(y % ell, ell)
+
+            twist = chi(x0 ** 3 + a * x0 * x0 + x0)
+            if twist == 0 or (a * a - 4) % ell == 0:
+                continue  # P of order 2, or a singular curve
+            order = 1 + sum(1 + twist * chi(x ** 3 + a * x * x + x) for x in range(ell))
+            assert order % 12 == 0, (sigma, ell, order)
+            assert factor_kernel._ecm_curve(ell * q, sigma, bin(order)[3:], 0) == ell, (sigma, ell)
+            cases += 1
+    assert cases == 625
+
+
 class _CountingModulus(int):
     """A modulus that counts the reductions made modulo it.
 

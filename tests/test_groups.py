@@ -134,14 +134,25 @@ C3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
         ([1, 2, 0.0], "must be int"),
         ([1.5, 2, 0], "must be int"),
         ([1, "2", 0], "must be int"),
-        ([True, 2, 0], "must be int"),
+        ([True, 2, 0], "must be int"),  # though bytes([True, 2, 0]) is a valid row
         ([1, 2, False], "must be int"),
+        (bytes([1, 2, 3]), "not square"),  # a bytes row with an entry >= n
+        (bytes([1, 2]), "not square"),  # bytes rows of the wrong length
+        (bytes([1, 2, 0, 1]), "not square"),
+        (bytearray([1, 2, 3]), "not square"),
     ],
 )
 def test_malformed_tables_are_refused(row1, reason):
-    assert FiniteGroup(C3).table == tuple(map(tuple, C3))
-    with pytest.raises(GroupError, match=reason):
-        FiniteGroup([C3[0], row1, C3[2]])
+    # a table is stored as bytes rows, whether its rows come as lists, bytes,
+    # bytearrays or a mix; each bad row is refused among list rows and among
+    # bytes rows, with the same message
+    rows = [bytes(row) for row in C3]
+    for good in (C3, rows, [C3[0], rows[1], bytearray(C3[2])]):
+        table = FiniteGroup(good).table
+        assert [list(row) for row in table] == C3 and {type(row) for row in table} == {bytes}
+    for others in (C3, rows):
+        with pytest.raises(GroupError, match=reason):
+            FiniteGroup([others[0], row1, others[2]])
 
 
 def test_identity_is_read_off_the_table():
@@ -309,6 +320,7 @@ def test_layers_keep_their_memos_under_group_memo(capsys):
     for argv in calls:
         assert main(argv) == 0, capsys.readouterr().err
     cached = {name for name, value in vars(FiniteGroup).items() if isinstance(value, cached_property)}
+    assert "_padded" in cached  # the table's rows padded for bytes.translate, made on first use
     for spec in ("c2xc2", "d:5", "cpxcp:3"):
         G = parse_group_spec(spec)
         fresh = set(vars(FiniteGroup(G.table, family=G.family)))
@@ -345,7 +357,7 @@ def test_class_names_go_past_z():
 @pytest.mark.parametrize("spec", ["c2xc2", "d:3", "c:6", "c:8", "cpxcp:3", "c:12", "c:16"])
 def test_all_subgroups_against_brute_force(spec):
     G = build(spec)
-    assert {s.elements for s in G.all_subgroups} == brute_force_subgroups(G)
+    assert {tuple(s.elements) for s in G.all_subgroups} == brute_force_subgroups(G)
 
 
 def test_lattice_computes_no_join_that_lagrange_decides(monkeypatch):
@@ -397,6 +409,7 @@ def test_class_of_subgroup_refuses_non_subgroups():
             [h for h in H if h != e],  # no identity
             sorted(set(H) | set(K)),  # not closed: two distinct subgroups of prime order
             list(H) + [H.elements[-1]],  # a repeated element
+            [e, 300], [-1, e],  # elements that no byte holds
         ):
             with pytest.raises(GroupError, match="not a subgroup"):
                 G.class_of_subgroup(bad)
@@ -416,7 +429,7 @@ def test_class_representative_is_lex_smallest():
     for cls in G.subgroup_classes:
         rep = cls.representative
         for x in range(G.order):
-            assert rep.elements <= tuple(sorted(G.conj[x][h] for h in rep))
+            assert tuple(rep.elements) <= tuple(sorted(G.conj[x][h] for h in rep))
 
 
 def test_class_names():
