@@ -117,6 +117,10 @@ EQUIVALENT = {
     ("arith", "_strong_lucas_probable_prime", "(n + 1, 0)", "(n + 1, 1)"):
         "the added turn tests V_(n+1) = 0, which (D/n) = -1 rules out: each prime r | n would be (D/r) mod "
         "2^(v2(n+1)+1), and so n would be (D/n) = -1 mod it",
+    ("intlinalg", "hermite_normal_form_rows", "len(work[0]) if work else 0", "len(work[0]) if work else 1"):
+        "n is read only while work or h has a row, and with no nonzero row both stay empty",
+    ("intlinalg", "hermite_normal_form_rows", "piv[col] < 0", "piv[col] < 1"):
+        "the pivot is taken from rows with a nonzero entry in col, and no row subtracts from it, so it is never 0",
     ("splitting", "quadratic_symbol", "d in (0, 1)", "d in (1, 1)"):
         "is_squarefree(0) is False, so d = 0 is refused by the same condition with the same message",
     ("splitting", "_validate_multiquadratic", "d in (0, 1)", "d in (1, 1)"):

@@ -26,9 +26,8 @@ _EXPORTS = {
     "database": ("CurveRecord", "ScanFilters", "ingest", "scan"),
     "factored": ("FactoredRational",),
     "groups": (
-        "Family", "FiniteGroup", "LocalClass", "Subgroup", "SubgroupClass", "double_cosets",
-        "fixed_points", "make_cyclic", "make_dihedral", "make_elem_abelian", "make_semidirect",
-        "parse_group_spec",
+        "Family", "FiniteGroup", "LocalClass", "SubgroupClass", "double_cosets", "fixed_points",
+        "make_cyclic", "make_dihedral", "make_elem_abelian", "make_semidirect", "parse_group_spec",
     ),
     "quotients": (
         "GrowthCertificate", "PlaceQuotientReport", "certify", "hypothesis_check",

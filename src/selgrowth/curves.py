@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import factor, is_prime, is_unit_square, jacobi
+from .arith import MAX_BITS, factor, is_prime, is_unit_square, jacobi
 from .records import ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT, Record, Refused, tamagawa
 
 
@@ -227,6 +227,9 @@ def make_profile(
     if rank < 0 or torsion_order < 1:
         raise ValueError("rank must be >= 0 and torsion order >= 1")
     for p in sha_p_trivial:
+        if int(p).bit_length() > MAX_BITS:  # refused by length, before is_prime spends seconds on it
+            raise ValueError(f"Sha[p^inf] can be assumed trivial only at primes p, got a "
+                             f"{int(p).bit_length()}-bit number, longer than the {MAX_BITS} bits checked")
         if not is_prime(int(p)):
             raise ValueError(f"Sha[p^inf] can be assumed trivial only at primes p, got {p}")
     mm = minimal_model(model)

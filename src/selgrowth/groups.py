@@ -1,12 +1,13 @@
 """Small finite groups given by explicit Cayley tables.
 
 Elements are the integers 0..order-1, each held in one byte: the rows of
-the multiplication and conjugation tables and the element sets of subgroups
-are ``bytes``, so composing a row with a set of elements is one
-``bytes.translate``. Everything downstream (subgroup lattices and their
-conjugacy classes, double cosets, permutation-character values) is computed
-by direct enumeration over these tables, which is exact and fast at the
-scale this package supports (group order at most 200).
+the multiplication and conjugation tables are ``bytes``, and a subgroup is
+the ``bytes`` of its sorted elements. Composing a row with a set of elements
+is one ``bytes.translate``, and I lies in D exactly when ``I.translate(None,
+D)`` is empty. Everything downstream (subgroup lattices and their conjugacy
+classes, (D, I) pairs, double cosets, permutation-character values) is
+computed by direct enumeration over these tables, which is exact and fast at
+the scale this package supports (group order at most 200).
 """
 
 from __future__ import annotations
@@ -124,34 +125,6 @@ class Family(Record):
             raise GroupError(f"bad group spec {spec!r}: {exc}") from None
 
 
-class Subgroup(Record):
-    """A subgroup stored as the bytes of its sorted element indices, and as a set.
-
-    Subgroups are immutable and compare and hash by their elements.
-    """
-
-    __slots__ = ("elements", "element_set")
-
-    def __init__(self, elements):
-        elements = bytes(sorted(elements))
-        self._set(elements, frozenset(elements))
-
-    def _values(self) -> tuple:
-        return (self.elements,)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, g):
-        return g in self.element_set
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __repr__(self):
-        return f"Subgroup{tuple(self.elements)}"
-
-
 class SubgroupClass(NamedTuple):
     """A conjugacy class of subgroups, keyed by its canonical representative.
 
@@ -159,7 +132,7 @@ class SubgroupClass(NamedTuple):
     lexicographically smallest, so class data is reproducible byte for byte.
     """
 
-    representative: Subgroup
+    representative: bytes
     class_size: int
     class_id: int
 
@@ -168,7 +141,7 @@ class SubgroupClass(NamedTuple):
         return len(self.representative)
 
     def __repr__(self):
-        return f"SubgroupClass(id={self.class_id}, rep={tuple(self.representative.elements)}, size={self.class_size})"
+        return f"SubgroupClass(id={self.class_id}, rep={tuple(self.representative)}, size={self.class_size})"
 
 
 class FiniteGroup:
@@ -375,16 +348,14 @@ class FiniteGroup:
 
     @cached_property
     def all_subgroups(self):
-        """Every subgroup, sorted by (order, elements)."""
-        subs = [s for orbit in self._subgroup_orbits for s in orbit]
-        subs.sort(key=lambda s: (len(s), s))
-        return [Subgroup(s) for s in subs]
+        """Every subgroup as its sorted element bytes, sorted by (order, elements)."""
+        return sorted((s for orbit in self._subgroup_orbits for s in orbit), key=lambda s: (len(s), s))
 
     @cached_property
     def subgroup_classes(self):
         """Conjugacy classes of subgroups, sorted by (order, representative)."""
         return [
-            SubgroupClass(representative=Subgroup(min(orbit)), class_size=len(orbit), class_id=i)
+            SubgroupClass(representative=min(orbit), class_size=len(orbit), class_id=i)
             for i, orbit in enumerate(self._subgroup_orbits)
         ]
 
@@ -398,19 +369,17 @@ class FiniteGroup:
         }
 
     def class_of_subgroup(self, H) -> SubgroupClass:
-        """The conjugacy class containing H (H given as Subgroup or iterable).
+        """The conjugacy class containing H, given by its elements in any order.
 
         ``_class_of`` holds every subgroup, so the lookup is the subgroup check;
         an element outside 0..255 fails before it, as no byte holds it.
         """
         try:
-            if not isinstance(H, Subgroup):
-                H = Subgroup(H)
-            return self._class_of[H.elements]
+            return self._class_of[bytes(sorted(H))]
         except (KeyError, ValueError):
-            raise GroupError(f"not a subgroup of this group: {H}") from None
+            raise GroupError(f"not a subgroup of this group: {H!r}") from None
 
-    def is_cyclic_subgroup(self, H: Subgroup) -> bool:
+    def is_cyclic_subgroup(self, H: bytes) -> bool:
         return any(self.element_orders[g] == len(H) for g in H)
 
     @cached_property
@@ -455,9 +424,9 @@ class FiniteGroup:
                 if len(I) > len(D):
                     break
                 # I normal in D puts D inside N(I), of order |G| / (class size of I)
-                if (self.order // self._class_of[I.elements].class_size) % len(D):
+                if (self.order // self._class_of[I].class_size) % len(D):
                     continue
-                if not I.element_set <= D.element_set:
+                if I.translate(None, D):  # some element of I lies outside D
                     continue
                 try:
                     pairs.append(LocalClass(self, D, I))
@@ -490,9 +459,9 @@ class FiniteGroup:
 # -- module-level operations -------------------------------------------------
 
 
-def fixed_points(G: FiniteGroup, H: Subgroup, g: int) -> int:
+def fixed_points(G: FiniteGroup, H: bytes, g: int) -> int:
     """Number of cosets xH fixed by g, i.e. #{x : x^-1 g x in H} / |H|."""
-    hits = G.order - len(bytes([row[g] for row in G.conj]).translate(None, H.elements))
+    hits = G.order - len(bytes([row[g] for row in G.conj]).translate(None, H))
     if hits % len(H):
         raise GroupError(f"{hits} conjugates of {g} land in H, not a multiple of |H| = {len(H)}")
     return hits // len(H)
@@ -501,6 +470,7 @@ def fixed_points(G: FiniteGroup, H: Subgroup, g: int) -> int:
 class LocalClass(Record):
     """A nested pair: inertia inside decomposition, up to simultaneous conjugacy.
 
+    ``decomposition`` and ``inertia`` are subgroups as sorted element bytes.
     Building one is the single place where a (D, I) pair is checked: I must
     lie in D and be normal there, with D/I cyclic. The package builds them
     only in ``FiniteGroup.local_classes``, once per group; code that receives
@@ -512,7 +482,7 @@ class LocalClass(Record):
 
     __slots__ = ("group", "decomposition", "inertia", "_hash")
 
-    def __init__(self, group: FiniteGroup, decomposition: Subgroup, inertia: Subgroup):
+    def __init__(self, group: FiniteGroup, decomposition: bytes, inertia: bytes):
         self._set(group, decomposition, inertia)
         self.__post_init__()
         object.__setattr__(self, "_hash", hash(self._values()))
@@ -527,30 +497,27 @@ class LocalClass(Record):
         # the (D, I) check; looked up on the class at each call, so
         # bench/tracing.py can time it by wrapping this method
         G, D, I = self.group, self.decomposition, self.inertia
-        iset = I.element_set
-        if not iset <= D.element_set:
+        if I.translate(None, D):
             raise GroupError("inertia subgroup is not contained in the decomposition group")
-        table = G.table
-        cosets, covered = [], set()
-        for d in D:  # ascending, so d is the least element of each new coset dI
-            if d not in covered:
-                cosets.append(d)
-                covered.update(I.elements.translate(G._padded[d]))
-        # I is normalized by itself, so one element per coset decides normality
-        for d in cosets:
-            if not iset.issuperset(I.elements.translate(G.conj[d])):
-                raise GroupError("inertia subgroup is not normal in the decomposition group")
+        # one d decides: if d^q, q = [D:I], is the first power of d in I and d
+        # normalizes I, then I<d> is a subgroup of D of order |D|, so D = I<d>,
+        # I is normal in D and D/I is cyclic. When I is normal, each such d
+        # generates D/I and normalizes I, so the first one that fails says that
+        # I is not normal; if there is none, D/I is not cyclic (or I not normal).
         q = len(D) // len(I)
-        orders = G.element_orders
-        for d in cosets:
+        table, orders = G.table, G.element_orders
+        for d in D:
             if orders[d] % q:
-                continue  # the order of dI in D/I divides that of d
+                continue  # the least k with d^k in I divides the order of d
             k, x = 1, d
-            while x not in iset:
+            while x not in I:
                 x = table[x][d]
                 k += 1
-            if k == q:
-                return
+            if k != q:
+                continue
+            if I.translate(G.conj[d]).translate(None, I):
+                raise GroupError("inertia subgroup is not normal in the decomposition group")
+            return
         raise GroupError("quotient D/I is not cyclic")
 
     @property
@@ -577,7 +544,7 @@ class DoubleCoset(NamedTuple):
     f_index: int | None = None
 
 
-def double_cosets(G: FiniteGroup, H: Subgroup, D):
+def double_cosets(G: FiniteGroup, H: bytes, D):
     """Partition of G into double cosets HxD, with local degree bookkeeping.
 
     D is a decomposition subgroup, or a LocalClass, whose inertia subgroup
@@ -590,23 +557,21 @@ def double_cosets(G: FiniteGroup, H: Subgroup, D):
             raise GroupError("local class and subgroup live in different groups")
         D, I = D.decomposition, D.inertia
     conj, inv, table = G.conj, G._inv, G.table
-    hset = H.element_set
-    h_rows = [table[h] for h in H.elements]
-    d_elems = D.elements
-    i_elems = I.elements if I is not None else None
+    hset = set(H)
+    h_rows = [table[h] for h in H]
     covered = set()
     records = []
     for x in range(G.order):  # ascending, so x is the least element of each new HxD
         if x in covered:
             continue
-        double = {table[h_row[x]][d] for h_row in h_rows for d in d_elems}
+        double = {table[h_row[x]][d] for h_row in h_rows for d in D}
         covered |= double
         row = conj[inv[x]]  # d lies in x^-1 H x iff x d x^-1 = row[d] lies in H
-        degree = len(d_elems) // len(hset.intersection([row[d] for d in d_elems]))
-        if i_elems is None:
+        degree = len(D) // len(hset.intersection([row[d] for d in D]))
+        if I is None:
             records.append(DoubleCoset(x, len(double), degree))
             continue
-        e = len(i_elems) // len(hset.intersection([row[d] for d in i_elems]))
+        e = len(I) // len(hset.intersection([row[d] for d in I]))
         if degree % e:
             raise GroupError(f"ramification index {e} does not divide the local degree {degree}")
         records.append(DoubleCoset(x, len(double), degree, e, degree // e))
@@ -626,7 +591,7 @@ def place_counts(G: FiniteGroup, cid: int, lc: LocalClass) -> tuple:
     f = |D| / (|D meet K| e). The same (e, f) as ``double_cosets(G, H, lc)``.
     """
     orbit = G._subgroup_orbits[cid]
-    D, I = lc.decomposition.elements, lc.inertia.elements
+    D, I = lc.decomposition, lc.inertia
     d, i = len(D), len(I)
     weights = {}  # (e, f) -> sum of |D meet K|
     for K in orbit:  # |D meet K| and |I meet K|: D and I less the elements that K deletes

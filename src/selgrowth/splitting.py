@@ -21,13 +21,7 @@ import math
 from typing import NamedTuple
 
 from .arith import factor, is_unit_square
-from .groups import (
-    FiniteGroup,
-    GroupError,
-    LocalClass,
-    Subgroup,
-    make_elem_abelian,
-)
+from .groups import FiniteGroup, GroupError, LocalClass, make_elem_abelian
 from .records import Refused
 
 SPLIT = "split"
@@ -117,9 +111,7 @@ def _multiquadratic_class(d1: int, d2: int, v: int, G: FiniteGroup) -> LocalClas
         unram = sum(s != RAMIFIED for s in symbols)
         if unram != 1:
             raise GroupError(f"ramified odd v = {v} is unramified in {unram} quadratic subfields, not 1")
-    lc = memo[key] = G.local_class(
-        G.class_of_subgroup(Subgroup(decomp)), G.class_of_subgroup(Subgroup(inertia))
-    )
+    lc = memo[key] = G.local_class(G.class_of_subgroup(decomp), G.class_of_subgroup(inertia))
     return lc
 
 

@@ -93,7 +93,7 @@ def inflate(theta: BrauerRelation, gamma: FiniteGroup, projection) -> BrauerRela
     """theta moved along a surjection gamma -> theta.group: H goes to its full preimage."""
     coeffs = {}
     for cid, n in theta.coeffs:
-        H = theta.group.subgroup_classes[cid].representative.element_set
+        H = theta.group.subgroup_classes[cid].representative
         preimage = gamma.class_of_subgroup([x for x in range(gamma.order) if projection[x] in H]).class_id
         coeffs[preimage] = coeffs.get(preimage, 0) + n
     return BrauerRelation.from_dict(gamma, coeffs)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -80,13 +81,20 @@ def test_certify_example2(capsys):
     assert doc["conditional_prediction"]["sha_p_primary_order"] == 4
 
 
-@pytest.mark.parametrize("listed, bad", [("2,-7", "-7"), ("4", "4"), ("3,1", "1")])
+@pytest.mark.parametrize("listed, bad", [
+    ("2,-7", "-7"), ("4", "4"), ("3,1", "1"),
+    # 4,300 digits with no prime factor below 1000, so that is_prime would run BPSW
+    # on it for seconds: refused by its length, which the message gives for its digits
+    pytest.param(str(10 ** 4299 + 9), "a 14281-bit number, longer than the 4096 bits checked", id="4300-digits"),
+])
 def test_sha_trivial_lists_only_primes(capsys, listed, bad):
+    start = time.process_time()
     code, out, err = run(
         capsys,
         "certify", "--curve", "1,0,0,-1,0", "--rank", "1", "--sha-trivial", listed,
         "--field", "mq:3,5", "-p", "2",
     )
+    assert time.process_time() - start < 0.5
     assert (code, out) == (1, "")
     assert err == f"usage error: Sha[p^inf] can be assumed trivial only at primes p, got {bad}\n"
 

@@ -144,7 +144,7 @@ def test_group_layer_matches_brute_force(name):
     oracle = Oracle(G)
     subs = oracle.subgroups()
 
-    assert [tuple(s.elements) for s in G.all_subgroups] == sorted(
+    assert [tuple(s) for s in G.all_subgroups] == sorted(
         (tuple(sorted(s)) for s in subs), key=lambda s: (len(s), s)
     )
 
@@ -153,12 +153,12 @@ def test_group_layer_matches_brute_force(name):
         orbit = oracle.orbit(S)
         classes[min(tuple(sorted(c)) for c in orbit)] = len(orbit)
     expected = sorted(classes.items(), key=lambda item: (len(item[0]), item[0]))
-    assert [(tuple(c.representative.elements), c.class_size) for c in G.subgroup_classes] == expected
+    assert [(tuple(c.representative), c.class_size) for c in G.subgroup_classes] == expected
     assert [c.class_id for c in G.subgroup_classes] == list(range(len(expected)))
 
     for S in subs:
         rep = min(tuple(sorted(c)) for c in oracle.orbit(S))
-        assert tuple(G.class_of_subgroup(sorted(S)).representative.elements) == rep
+        assert tuple(G.class_of_subgroup(sorted(S)).representative) == rep
 
     reps = [frozenset(c.representative) for c in G.subgroup_classes]
     pairs = {(D, I) for D in reps for I in subs if oracle.is_local_pair(D, I)}
@@ -265,29 +265,38 @@ def test_semidirect_product_rule_uses_a_nontrivial_twist():
     assert product_rule("sd:7:3")[7][1] != product_rule("sd:7:3")[1][7]  # t r and r t
 
 
-@pytest.mark.parametrize("name", SHORTCUT_NAMES)
+@pytest.mark.parametrize("name", SHORTCUT_NAMES + list(other_groups()))
 def test_local_classes_equal_the_unfiltered_enumeration(name):
     # every I inside D that the LocalClass check accepts, with no normalizer
-    # or element-order pre-filter, in the same order
-    G = shortcut_group(name)
+    # or element-order pre-filter, in the same order; and, for every D (not
+    # only class representatives) and every I inside it, the check accepts
+    # exactly the oracle's pairs, on groups whose identity is not 0 too
+    others = other_groups()
+    G = others[name] if name in others else shortcut_group(name)
     unfiltered = []
     for dcls in G.subgroup_classes:
         D = dcls.representative
         for I in G.all_subgroups:
-            if len(I) <= len(D) and I.element_set <= D.element_set:
+            if len(I) <= len(D) and set(I) <= set(D):
                 try:
                     unfiltered.append(LocalClass(G, D, I))
                 except GroupError:
                     pass
     assert G.local_classes == tuple(unfiltered)
     oracle = Oracle(G)
-    pairs = {
-        (frozenset(dcls.representative), frozenset(I))
-        for dcls in G.subgroup_classes
-        for I in G.all_subgroups
-        if oracle.is_local_pair(frozenset(dcls.representative), frozenset(I))
-    }
-    assert {(frozenset(lc.decomposition), frozenset(lc.inertia)) for lc in unfiltered} == pairs
+    accepted, pairs = set(), set()
+    for D in G.all_subgroups:
+        for I in G.all_subgroups:
+            if not set(I) <= set(D):
+                continue
+            if oracle.is_local_pair(frozenset(D), frozenset(I)):
+                pairs.add((D, I))
+            try:
+                LocalClass(G, D, I)
+            except GroupError:
+                continue
+            accepted.add((D, I))
+    assert accepted == pairs
 
 
 def first_associativity_failure(table, firsts):

@@ -21,7 +21,6 @@ from selgrowth.groups import (
     FiniteGroup,
     GroupError,
     LocalClass,
-    Subgroup,
     double_cosets,
     fixed_points,
     _family_group,
@@ -237,11 +236,11 @@ def test_family_and_local_class_are_immutable_values():
     assert fam == Family.parse("D:05") and hash(fam) == hash(Family.parse("D:05"))
     assert fam != Family("d", 7) and fam != Family("cpxcp", 5) and fam != "d:5"
     G = make_dihedral(5)
-    whole = Subgroup(range(G.order))
+    whole = bytes(range(G.order))
     lc = LocalClass(G, whole, G.class_by_name("C5").representative)
-    assert lc == LocalClass(G, whole, Subgroup(range(5)))
-    assert hash(lc) == hash(LocalClass(G, whole, Subgroup(range(5))))
-    for record, field in ((fam, "p"), (fam, "name"), (lc, "inertia"), (whole, "elements")):
+    assert lc == LocalClass(G, whole, bytes(range(5)))
+    assert hash(lc) == hash(LocalClass(G, whole, bytes(range(5))))
+    for record, field in ((fam, "p"), (fam, "name"), (lc, "inertia")):
         before = getattr(record, field)
         with pytest.raises(AttributeError):
             setattr(record, field, None)
@@ -357,7 +356,7 @@ def test_class_names_go_past_z():
 @pytest.mark.parametrize("spec", ["c2xc2", "d:3", "c:6", "c:8", "cpxcp:3", "c:12", "c:16"])
 def test_all_subgroups_against_brute_force(spec):
     G = build(spec)
-    assert {tuple(s.elements) for s in G.all_subgroups} == brute_force_subgroups(G)
+    assert {tuple(s) for s in G.all_subgroups} == brute_force_subgroups(G)
 
 
 def test_lattice_computes_no_join_that_lagrange_decides(monkeypatch):
@@ -404,11 +403,11 @@ def test_class_of_subgroup_refuses_non_subgroups():
         e = G.identity
         prime = min(len(s) for s in G.all_subgroups if len(s) > 1)
         H, K = [s for s in G.all_subgroups if len(s) == prime][:2]
-        assert G.class_of_subgroup(list(reversed(H.elements))) == G.class_of_subgroup(H)
+        assert G.class_of_subgroup(list(reversed(H))) == G.class_of_subgroup(H)
         for bad in (
             [h for h in H if h != e],  # no identity
             sorted(set(H) | set(K)),  # not closed: two distinct subgroups of prime order
-            list(H) + [H.elements[-1]],  # a repeated element
+            list(H) + [H[-1]],  # a repeated element
             [e, 300], [-1, e],  # elements that no byte holds
         ):
             with pytest.raises(GroupError, match="not a subgroup"):
@@ -429,7 +428,7 @@ def test_class_representative_is_lex_smallest():
     for cls in G.subgroup_classes:
         rep = cls.representative
         for x in range(G.order):
-            assert tuple(rep.elements) <= tuple(sorted(G.conj[x][h] for h in rep))
+            assert tuple(rep) <= tuple(sorted(G.conj[x][h] for h in rep))
 
 
 def test_class_names():
@@ -450,7 +449,7 @@ def test_fixed_points_identity_gives_index():
 
 def test_fixed_points_examples():
     K = make_elem_abelian(2)
-    C2a = Subgroup((0, 1))
+    C2a = bytes((0, 1))
     assert fixed_points(K, C2a, 1) == 2  # g inside its own C2
     G = make_dihedral(3)
     C2 = next(c.representative for c in G.subgroup_classes if c.order == 2)
@@ -502,15 +501,15 @@ def test_burnside_transitivity(spec, data):
 def test_double_cosets_trivial_H():
     G = make_dihedral(3)
     D = next(c.representative for c in G.subgroup_classes if c.order == 2)
-    recs = double_cosets(G, Subgroup((G.identity,)), D)
+    recs = double_cosets(G, bytes((G.identity,)), D)
     assert len(recs) == G.order // len(D)
     assert all(r.degree == len(D) for r in recs)
 
 
 def test_double_cosets_klein_four_abelian():
     K = make_elem_abelian(2)
-    C2 = Subgroup((0, 1))
-    recs = double_cosets(K, C2, LocalClass(K, C2, Subgroup((K.identity,))))
+    C2 = bytes((0, 1))
+    recs = double_cosets(K, C2, LocalClass(K, C2, bytes((K.identity,))))
     assert len(recs) == 2
     assert all(r.degree == 1 and r.e_index == 1 and r.f_index == 1 for r in recs)
 
@@ -519,7 +518,7 @@ def test_double_cosets_dihedral_full_group():
     p = 5
     G = make_dihedral(p)
     C2 = next(c.representative for c in G.subgroup_classes if c.order == 2)
-    recs = double_cosets(G, C2, LocalClass(G, Subgroup(range(G.order)), Subgroup(range(G.order))))
+    recs = double_cosets(G, C2, LocalClass(G, bytes(range(G.order)), bytes(range(G.order))))
     assert len(recs) == 1
     assert recs[0].degree == p and recs[0].e_index == p and recs[0].f_index == 1
 
@@ -535,6 +534,28 @@ def test_double_coset_degree_sum(spec, data):
     assert sum(r.size for r in recs) == G.order
 
 
+def test_local_class_refusals_name_their_reason():
+    # the first d of D with d^[D:I] as its first power in I either normalizes
+    # I (accepted) or shows that I is not normal; with no such d the pair is
+    # refused as not cyclic, also when I is not normal either
+    G = make_dihedral(3)  # rotations 0..2, reflections 3..5
+    whole, one = bytes(range(6)), bytes((0,))
+    S = direct_product(make_dihedral(3), make_dihedral(3))  # (a, b) is 6 a + b
+    # C3 x S3 and 1 x <s>: the elements of order 6, (c, s), have their cube in 1 x <s>
+    c3_s3, s = bytes(range(18)), bytes((0, 3))
+    assert any(bytes(sorted(s.translate(S.conj[d]))) != s for d in c3_s3)  # s is not normal in C3 x S3
+    for group, D, I, reason in (
+        (G, bytes((0, 3)), bytes((0, 1, 2)), "not contained"),
+        (G, whole, bytes((0, 3)), "not normal"),
+        (G, whole, one, "not cyclic"),
+        (S, c3_s3, s, "not cyclic"),
+    ):
+        with pytest.raises(GroupError, match=reason):
+            LocalClass(group, D, I)
+    for D, I in ((whole, bytes(range(3))), (bytes(range(3)), one), (whole, whole), (one, one)):
+        assert LocalClass(G, D, I).f == len(D) // len(I)
+
+
 def test_output_guards_raise_under_python_O():
     # H = {0, 1} is not a subgroup of D_6: the degree-sum check of
     # double_cosets and the divisibility check of fixed_points must fire
@@ -542,12 +563,12 @@ def test_output_guards_raise_under_python_O():
     # LocalClass (the reflection subgroup {0, 3} is not normal, and D_6 over
     # trivial inertia is not cyclic)
     code = (
-        "from selgrowth.groups import (GroupError, LocalClass, Subgroup, double_cosets, fixed_points,\n"
+        "from selgrowth.groups import (GroupError, LocalClass, double_cosets, fixed_points,\n"
         "                              make_dihedral)\n"
         "G = make_dihedral(3)\n"
-        "H, one, whole = Subgroup((0, 1)), Subgroup((0,)), Subgroup(range(6))\n"
+        "H, one, whole = bytes((0, 1)), bytes((0,)), bytes(range(6))\n"
         "for call in (lambda: double_cosets(G, H, one), lambda: fixed_points(G, H, 1),\n"
-        "             lambda: LocalClass(G, whole, Subgroup((0, 3))),\n"
+        "             lambda: LocalClass(G, whole, bytes((0, 3))),\n"
         "             lambda: LocalClass(G, whole, one)):\n"
         "    try:\n"
         "        call()\n"
@@ -566,7 +587,7 @@ def test_output_guards_raise_under_python_O():
 def test_double_cosets_rejects_bad_inertia():
     G = make_dihedral(3)
     C2 = next(c.representative for c in G.subgroup_classes if c.order == 2)
-    one, whole = Subgroup((G.identity,)), Subgroup(range(G.order))
+    one, whole = bytes((G.identity,)), bytes(range(G.order))
     with pytest.raises(GroupError):
         double_cosets(G, one, LocalClass(G, whole, C2))  # C2 not normal in G
     with pytest.raises(GroupError):
@@ -576,8 +597,8 @@ def test_double_cosets_rejects_bad_inertia():
 
 def test_double_cosets_refuse_a_local_class_of_another_group():
     G, other = make_dihedral(3), make_cyclic(6)
-    one = Subgroup((G.identity,))
-    lc = LocalClass(G, Subgroup(range(6)), Subgroup(range(6)))
+    one = bytes((G.identity,))
+    lc = LocalClass(G, bytes(range(6)), bytes(range(6)))
     with pytest.raises(GroupError, match="different groups"):
         double_cosets(other, one, lc)
     # a copy of the same table is the same group
@@ -594,7 +615,7 @@ def test_place_counts_refuse_a_count_that_is_not_an_integer():
     assert place_counts(G, c2.class_id, lc) == (((1, 1), 1), ((1, 2), 2))
     orbit = sorted(G._subgroup_orbits[c2.class_id])
     G._subgroup_orbits[c2.class_id] = set(orbit) - {orbit[-1]}
-    assert orbit[-1] != lc.decomposition.elements
+    assert orbit[-1] != lc.decomposition
     with pytest.raises(GroupError, match="not an integer"):
         place_counts(G, c2.class_id, lc)
 

@@ -91,6 +91,14 @@ def test_hnf_single_row_sign():
     assert hermite_normal_form_rows([[0, -2, 4]]) == [[0, 2, -4]]
 
 
+def test_empty_matrices():
+    # a matrix with no rows has no columns to name, so its kernel basis is
+    # empty; a matrix of zero rows has no Hermite rows
+    assert integer_kernel_basis([]) == []
+    assert hermite_normal_form_rows([]) == []
+    assert hermite_normal_form_rows([[0, 0], [0, 0]]) == []
+
+
 def test_hnf_echelon_shape():
     rows = [[2, 0, 1], [4, 2, 0], [2, 2, -1]]
     h = hermite_normal_form_rows(rows)

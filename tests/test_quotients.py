@@ -23,7 +23,7 @@ from selgrowth.curves import (
 )
 from selgrowth.cli import main
 from selgrowth.factored import FactoredRational
-from selgrowth.groups import MAX_ORDER, Family, FiniteGroup, Subgroup, parse_group_spec
+from selgrowth.groups import MAX_ORDER, Family, FiniteGroup, parse_group_spec
 from selgrowth.quotients import (
     COL_NONSPLIT_SPLITS,
     COL_NONSPLIT_STAYS,
@@ -192,36 +192,36 @@ def test_spec_quotient_examples():
     # the worked examples: ord_p values for specific (family, D, I, reduction)
     G = parse_group_spec("d:5")
     theta = canonical_relation(G)
-    lc = LocalClass(G, Subgroup(range(G.order)), Subgroup(range(G.order)))
+    lc = LocalClass(G, bytes(range(G.order)), bytes(range(G.order)))
     rep = local_theta_quotient(theta, lc, ReductionData(0, SPLIT_MULT, 3, 1))
     assert rep.quotient.ord(5) == -1
 
     K = parse_group_spec("c2xc2")
     tK = canonical_relation(K)
-    lcK = LocalClass(K, Subgroup(range(K.order)), Subgroup(range(K.order)))
+    lcK = LocalClass(K, bytes(range(K.order)), bytes(range(K.order)))
     rep = local_theta_quotient(tK, lcK, ReductionData(0, NONSPLIT_MULT, 1, 1))
     assert rep.quotient.ord(2) == -2
-    lcK2 = LocalClass(K, Subgroup(range(K.order)), K.class_by_name("C2a").representative)
+    lcK2 = LocalClass(K, bytes(range(K.order)), K.class_by_name("C2a").representative)
     rep = local_theta_quotient(tK, lcK2, ReductionData(0, NONSPLIT_MULT, 2, 1))
     assert rep.quotient.ord(2) == 1
 
     for spec, expected in (("cpxcp:5", -4), ("sd:7:3", -2)):
         G = parse_group_spec(spec)
-        lc = LocalClass(G, Subgroup(range(G.order)), Subgroup(range(G.order)))
+        lc = LocalClass(G, bytes(range(G.order)), bytes(range(G.order)))
         rep = local_theta_quotient(canonical_relation(G), lc, ReductionData(0, SPLIT_MULT, 1, 1))
         assert rep.quotient.ord(G.family.p) == expected
 
 
 def test_good_reduction_contributes_one():
     G = parse_group_spec("d:5")
-    lc = LocalClass(G, Subgroup(range(G.order)), Subgroup(range(G.order)))
+    lc = LocalClass(G, bytes(range(G.order)), bytes(range(G.order)))
     rep = local_theta_quotient(canonical_relation(G), lc, ReductionData(3, "good", 0, 1))
     assert rep.quotient == FactoredRational()
 
 
 def test_additive_reduction_refused():
     G = parse_group_spec("c2xc2")
-    lc = LocalClass(G, Subgroup(range(G.order)), Subgroup(range(G.order)))
+    lc = LocalClass(G, bytes(range(G.order)), bytes(range(G.order)))
     with pytest.raises(NonSemistableError):
         local_theta_quotient(canonical_relation(G), lc, ReductionData(3, "additive", 2, None))
 
@@ -229,7 +229,7 @@ def test_additive_reduction_refused():
 def test_split_completely_gives_one():
     for spec in FAMILY_SPECS:
         G = parse_group_spec(spec)
-        lc = LocalClass(G, Subgroup((G.identity,)), Subgroup((G.identity,)))
+        lc = LocalClass(G, bytes((G.identity,)), bytes((G.identity,)))
         for kind in (SPLIT_MULT, NONSPLIT_MULT):
             rep = local_theta_quotient(canonical_relation(G), lc, ReductionData(0, kind, 1, 1))
             assert rep.quotient == FactoredRational()
@@ -244,7 +244,7 @@ def test_quotient_invariant_under_conjugation(spec, data):
     x = data.draw(st.integers(0, G.order - 1))
     row = G.conj[x]
     conj = LocalClass(
-        G, Subgroup(row[h] for h in lc.decomposition), Subgroup(row[h] for h in lc.inertia)
+        G, bytes(sorted(row[h] for h in lc.decomposition)), bytes(sorted(row[h] for h in lc.inertia))
     )
     kind = data.draw(st.sampled_from([SPLIT_MULT, NONSPLIT_MULT]))
     a = local_theta_quotient(theta, lc, ReductionData(0, kind, 1, 1))
@@ -338,7 +338,7 @@ def test_mq_quotients_are_tamagawa_products_of_the_five_subfields():
 def test_report_internal_consistency():
     G = parse_group_spec("c2xc2")
     theta = canonical_relation(G)
-    lc = LocalClass(G, Subgroup(range(G.order)), G.class_by_name("C2b").representative)
+    lc = LocalClass(G, bytes(range(G.order)), G.class_by_name("C2b").representative)
     rep = local_theta_quotient(theta, lc, ReductionData(5, NONSPLIT_MULT, 1, 1))
     # quotient equals the product of contributions raised to the coefficients
     acc = FactoredRational()

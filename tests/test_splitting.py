@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selgrowth.groups import (
-    FiniteGroup, GroupError, Subgroup, make_dihedral, make_elem_abelian, parse_group_spec,
+    FiniteGroup, GroupError, make_dihedral, make_elem_abelian, parse_group_spec,
 )
 from selgrowth.splitting import (
     AmbiguousSplittingError,
@@ -373,7 +373,7 @@ def test_local_class_validation():
     G = make_dihedral(3)
     C2 = next(c.representative for c in G.subgroup_classes if c.order == 2)
     with pytest.raises(GroupError):
-        LocalClass(G, Subgroup(range(G.order)), C2)  # C2 not normal in G
+        LocalClass(G, bytes(range(G.order)), C2)  # C2 not normal in G
 
 
 def test_output_guards_raise_under_python_O():
