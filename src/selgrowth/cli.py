@@ -40,12 +40,27 @@ def _emit(obj, pretty: bool) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+_QUOTED = 80  # bytes: the longest quoted argument that a refusal echoes
+
+
 def _ints(option: str, text: str) -> list:
-    """The comma-separated integers of ``text``, an argument of ``option``."""
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise UsageError(f"{option} takes comma-separated integers, got {text!r}") from None
+    """The comma-separated integers of ``text``, an argument of ``option``.
+
+    A refusal quotes a short argument whole, and else gives the length of
+    the first item that is not an integer, so that its one line stays short.
+    """
+    out = []
+    for i, item in enumerate(text.split(","), 1):
+        try:
+            out.append(int(item))
+        except ValueError:
+            if len(repr(text).encode()) <= _QUOTED:
+                raise UsageError(f"{option} takes comma-separated integers, got {text!r}") from None
+            digits = item.strip().lstrip("+-")  # int() refuses more than get_int_max_str_digits()
+            unit = "digits" if digits.isdecimal() else "characters"
+            raise UsageError(f"{option} takes integers of at most {sys.get_int_max_str_digits()} digits, "
+                             f"got {len(digits)} {unit} in item {i}") from None
+    return out
 
 
 def _parse_curve(text: str):

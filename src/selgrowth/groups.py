@@ -618,14 +618,24 @@ def place_counts(G: FiniteGroup, cid: int, lc: LocalClass) -> tuple:
 def _semidirect_table(p: int, k: int, u: int) -> list:
     """The table of C_p : C_k with t^-1 r t = r^u, where t^b r^a is at b p + a.
 
-    t^b r^a t^d r^c = t^(b+d) r^(a u^d + c), so block d of row t^b r^a is the
-    run t^(b+d) r^c, c = 0..p-1, turned by a u^d: its rows are slices of k
-    turned runs, with no per-entry product.
+    Row x lists x y over y, so row(y) read through the padded row(x) is
+    row(xy). The rows of r and t come from r t^d r^c = t^d r^(u^d + c) (block
+    d turned by u^d) and t t^d r^c = t^(d+1) r^c (the blocks shifted by one);
+    those of r^a and t^b by repeated translates, and row t^b r^a is
+    row(r^a) read through row(t^b): p + k + pk translates, with no
+    per-entry product.
     """
-    runs = [bytes(range(j * p, j * p + p)) * 2 for j in range(k)] * 2  # runs[j][s:s + p] is t^j r^(s+c)
-    turns = [[a * pow(u, d, p) % p for d in range(k)] for a in range(p)]
-    return [b"".join([run[s:s + p] for run, s in zip(runs[b:b + k], turns[a])])
-            for b in range(k) for a in range(p)]
+    n, pad = p * k, bytes(256 - p * k)
+    blocks = [(bytes(range(d * p, d * p + p)), pow(u, d, p)) for d in range(k)]
+    r = b"".join(block[s:] + block[:s] for block, s in blocks) + pad
+    t = bytes(range(p, n)) + bytes(range(p)) + pad
+    # the rows of t^b as whole translation tables: their bytes past n are never read
+    r_rows, t_rows = [bytes(range(n))], [bytes(range(256))]
+    for _ in range(1, p):
+        r_rows.append(r_rows[-1].translate(r))
+    for _ in range(1, k):
+        t_rows.append(t_rows[-1].translate(t))
+    return [row.translate(tb) for tb in t_rows for row in r_rows]
 
 
 def make_cyclic(n: int) -> FiniteGroup:

@@ -17,6 +17,11 @@ the group once per local class, beside each result for a reduction type and m.
 keyed by `cell_key`'s (row, col, parity). Certify never reads it, since it
 always counts the places; `oracle_table` checks the counts against it cell
 by cell, for `selgrowth tables` and the tests alike.
+
+Both read one integer per H, the product of its Tamagawa numbers
+(`_tamagawa_products`). Certify factors those products into the
+`FactoredRational` contributions and quotient of its report; `oracle_table`
+factors nothing, and checks each cell in exact integers.
 """
 
 from __future__ import annotations
@@ -143,6 +148,18 @@ def place_degrees(theta: BrauerRelation, lc: LocalClass) -> tuple:
     return tuple(place_counts(G, cid, lc) for cid, _ in theta.coeffs)
 
 
+def _tamagawa_products(degrees: tuple, kind: str, m: int) -> tuple:
+    """The product of the Tamagawa numbers over the places of F^H above v, for
+    each H of a relation: an int per entry of ``place_degrees``."""
+    out = []
+    for places in degrees:
+        product = 1
+        for (e, f), count in places:
+            product *= tamagawa(kind, e, f, m) ** count
+        out.append(product)
+    return tuple(out)
+
+
 def _evaluate(theta: BrauerRelation, degrees: tuple, kind: str, m: int) -> tuple:
     """(contributions, quotient) of a place with these place degrees and reduction.
 
@@ -151,16 +168,22 @@ def _evaluate(theta: BrauerRelation, degrees: tuple, kind: str, m: int) -> tuple
     """
     contributions, powers = [], []
     factored = {}  # product of Tamagawa numbers -> its factorization
-    for (cid, n), places in zip(theta.coeffs, degrees):
-        product = 1
-        for (e, f), count in places:
-            product *= tamagawa(kind, e, f, m) ** count
+    for (cid, n), product in zip(theta.coeffs, _tamagawa_products(degrees, kind, m)):
         if product not in factored:
             factored[product] = FactoredRational.from_int(product)
         contrib = factored[product]
         contributions.append((cid, contrib))
         powers.append((contrib, n))
     return tuple(contributions), FactoredRational.product(powers)
+
+
+def _ord(n: int, p: int) -> int:
+    """The exponent of the prime p in the positive integer n."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
 
 
 def local_theta_quotient(
@@ -201,9 +224,10 @@ def oracle_table(G: FiniteGroup) -> dict:
     Every local class is evaluated for both multiplicative reduction types at
     m = 1 and m = 2; the factor m cancels in a relation, so the parity of m
     is all the tables need. A cell passes when it has a realization and
-    every realization equals the tabulated value exactly. For odd-order
-    groups the non-split columns are not tabulated, and their p-part must
-    vanish instead.
+    every realization equals the tabulated value exactly: in integers,
+    num = den p^c for the cell's exponent c. For odd-order groups the
+    non-split columns are not tabulated, and their p-part must vanish
+    instead: ord_p(num) = ord_p(den). Nothing here is factored.
     """
     theta = canonical_relation(G)
     family = G.family
@@ -220,15 +244,23 @@ def oracle_table(G: FiniteGroup) -> dict:
         degrees = place_degrees(theta, lc)
         for kind in (SPLIT_MULT, NONSPLIT_MULT):
             for m in (1, 2):
-                _, quotient = _evaluate(theta, degrees, kind, m)
+                # the quotient is num / den, the products over n_H > 0 and n_H < 0
+                num = den = 1
+                for (_, n), product in zip(theta.coeffs, _tamagawa_products(degrees, kind, m)):
+                    if n > 0:
+                        num *= product ** n
+                    else:
+                        den *= product ** -n
                 if odd_order and kind == NONSPLIT_MULT:
-                    nonsplit_trivial = nonsplit_trivial and quotient.ord(p) == 0
+                    nonsplit_trivial = nonsplit_trivial and _ord(num, p) == _ord(den, p)
                     continue
                 key = cell_key(lc, kind, m)
                 if key not in table and key[:2] + (None,) in table:
                     key = key[:2] + (None,)
-                # the whole quotient, so that a stray prime fails the cell too
-                equal = key in table and quotient == FactoredRational({p: table[key]})
+                # the whole quotient num / den = p^c, cross-multiplied, so that a
+                # stray prime fails the cell too
+                c = table.get(key)
+                equal = c is not None and num * p ** max(-c, 0) == den * p ** max(c, 0)
                 hits.setdefault(key, []).append(equal)
     out_cells = []
     # by (row, col), then even before odd; None and a parity never share a (row, col)

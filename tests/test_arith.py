@@ -453,3 +453,12 @@ def test_ecm_step_count_at_todays_bounds():
     assert factor_kernel._PM1_RUNS == [factor_kernel._pm1_level(2000, 20000)]
     (E, giants, steps), = factor_kernel._PM1_RUNS
     assert E == math.lcm(*range(1, 2001)) and (E.bit_length(), giants, steps) == (2878, 96, 3732)
+
+
+def test_brent_step_count_at_todays_budget():
+    # x -> x^2 + 1 from y = 2, with r = 1, 2, 4, ... steps per round and the
+    # products batched, splits n = 1000003 * 1000033 at 1533 steps: a walk from
+    # y = 3 finds nothing within the 2048 steps, and one from r = 2 charges 1530
+    n = 1000003 * 1000033
+    assert factor_kernel._BRENT_FIRST == 2048
+    assert factor_kernel._brent(n, 1, factor_kernel._BRENT_FIRST) == (1000033, 1533)

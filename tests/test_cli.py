@@ -8,7 +8,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from selgrowth import cli
@@ -99,15 +99,27 @@ def test_sha_trivial_lists_only_primes(capsys, listed, bad):
     assert err == f"usage error: Sha[p^inf] can be assumed trivial only at primes p, got {bad}\n"
 
 
+LONG_ITEM = "7" * 5000  # past the 4,300 digits that int() reads from a string
+
+
 @pytest.mark.parametrize("extra, message", [
     (("--sha-trivial", "2,x", "--field", "mq:3,5"), "--sha-trivial takes comma-separated integers, got '2,x'"),
     (("--sha-trivial", "", "--field", "mq:3,5"), "--sha-trivial takes comma-separated integers, got ''"),
     (("--field", "mq:3,x"), "--field mq takes comma-separated integers, got '3,x'"),
     (("--field", "poly:1,x", "--group", "d:3"), "--field poly takes comma-separated integers, got '1,x'"),
+    # an over-long item: its length, not its text
+    (("--field", f"mq:3,{LONG_ITEM}"), "--field mq takes integers of at most 4300 digits, got 5000 digits in item 2"),
+    (("--field", f"poly:1,0,{LONG_ITEM}", "--group", "d:3"),
+     "--field poly takes integers of at most 4300 digits, got 5000 digits in item 3"),
+    (("--sha-trivial", LONG_ITEM, "--field", "mq:3,5"),
+     "--sha-trivial takes integers of at most 4300 digits, got 5000 digits in item 1"),
+    (("--sha-trivial", f"2,x{LONG_ITEM}", "--field", "mq:3,5"),
+     "--sha-trivial takes integers of at most 4300 digits, got 5001 characters in item 2"),
 ])
 def test_a_non_integer_list_names_its_option(capsys, extra, message):
     code, out, err = run(capsys, "certify", "--curve", "1,0,0,-1,0", "--rank", "1", "-p", "2", *extra)
     assert (code, out, err) == (1, "", f"usage error: {message}\n")
+    assert len(err.encode()) < 200
 
 
 def test_certify_with_local_class_override(capsys):
@@ -488,7 +500,8 @@ CURVES = st.lists(st.integers(-30, 30), min_size=5, max_size=5).map(lambda a: ",
 FIELDS = st.one_of(
     st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(lambda d: f"mq:{d[0]},{d[1]}"),
     st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(lambda c: "poly:" + ",".join(map(str, [1, *c]))),
-    st.sampled_from(["mq:3", "mq:3,5,7", "mq:x,5", "poly:", "poly:2,0,1", "poly:1,x", "bogus", ""]),
+    st.sampled_from(["mq:3", "mq:3,5,7", "mq:x,5", "poly:", "poly:2,0,1", "poly:1,x", "bogus", "",
+                     f"mq:3,{LONG_ITEM}", f"poly:1,0,{LONG_ITEM}"]),
 )
 LOCAL_CLASSES = (
     st.builds("{}:D={},I={}".format, st.sampled_from(["2", "3", "5", "11", "13", "x", "v=5"]), CLASS_NAMES, CLASS_NAMES)
@@ -562,7 +575,7 @@ def argvs(draw) -> list:
         if command == "certify":
             argv += _options(draw, [
                 ("--field", FIELDS), ("--group", GROUP_SPECS), ("-p", INTS),
-                ("--sha-trivial", st.sampled_from(["2", "2,3", "x", ""])), ("--local-class", LOCAL_CLASSES),
+                ("--sha-trivial", st.sampled_from(["2", "2,3", "x", "", LONG_ITEM])), ("--local-class", LOCAL_CLASSES),
             ])
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["json", "pretty", "pretty", "xml"]))]
@@ -570,6 +583,12 @@ def argvs(draw) -> list:
 
 
 @given(argvs(), st.sampled_from([None, str(DATA), "/nonexistent/curves.csv"]))
+# the over-long list items are seldom drawn, so each also runs as an example
+@example(["certify", "--curve", "1,0,0,-1,0", "--rank", "1", "-p", "2", "--field", f"mq:3,{LONG_ITEM}"], None)
+@example(["certify", "--curve", "1,0,0,-1,0", "--rank", "1", "-p", "2", "--group", "d:3",
+          "--field", f"poly:1,0,{LONG_ITEM}"], None)
+@example(["certify", "--curve", "1,0,0,-1,0", "--rank", "1", "-p", "2", "--field", "mq:3,5",
+          "--sha-trivial", LONG_ITEM], None)
 @settings(max_examples=1500, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_every_generated_call_exits_cleanly(argv, sgl_data):
@@ -588,4 +607,5 @@ def test_every_generated_call_exits_cleanly(argv, sgl_data):
         assert out and err == "", (argv, err)
     else:
         assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err, (argv, err)
+        assert len(err.encode()) < 200, (argv, err[:200])
         assert out == "" or (argv[0] == "tables" and code == 2), (argv, out)

@@ -118,6 +118,17 @@ def test_place_degrees_computed_once_per_group(monkeypatch):
     assert len(calls) == len(canonical_relation(G).coeffs) * len(G.local_classes)
 
 
+def test_place_degrees_take_a_local_class_of_the_relation_group():
+    G = parse_group_spec("d:5")
+    theta = canonical_relation(G)
+    with pytest.raises(groups.GroupError, match="different groups"):
+        quotients.place_degrees(theta, parse_group_spec("d:7").local_classes[-1])
+    # another group object with the same table is the same group
+    same = FiniteGroup(G.table, family=G.family)
+    for lc, twin in zip(G.local_classes, same.local_classes, strict=True):
+        assert quotients.place_degrees(theta, twin) == quotients.place_degrees(theta, lc)
+
+
 def test_tampered_table_cell_fails(monkeypatch, capsys):
     real = quotients.quotient_table
 
@@ -142,17 +153,65 @@ def test_tampered_table_cell_fails(monkeypatch, capsys):
 
 
 def test_stray_prime_in_a_quotient_fails_its_cell(monkeypatch):
-    # a cell compares whole quotients, not only their p-parts
-    real = quotients._evaluate
+    # a cell compares whole quotients, not only their p-parts: a factor 3 on
+    # the first H's Tamagawa product puts 3^(n_H) != 1 into every quotient
+    real = quotients._tamagawa_products
 
     def stray(*args):
-        contributions, quotient = real(*args)
-        return contributions, quotient * FactoredRational({3: 1})
+        first, *rest = real(*args)
+        return (3 * first, *rest)
 
-    monkeypatch.setattr(quotients, "_evaluate", stray)
+    monkeypatch.setattr(quotients, "_tamagawa_products", stray)
     doc = oracle_table(parse_group_spec("d:5"))
     assert {c["oracle"] for c in doc["cells"]} == {"FAIL"}
     assert not doc["all_pass"]
+
+
+def test_integer_cell_check_agrees_with_the_factored_quotient():
+    # oracle_table's rule: num = den p^c, for num and den the products over
+    # n_H > 0 and n_H < 0, exactly when _evaluate's quotient is p^c, for every
+    # tabulated c; and ord_p(num) = ord_p(den) exactly when its p-part is 1
+    specs = family_specs(MAX_ORDER)
+    assert len(specs) == 39
+    places = 0
+    for spec in specs:
+        G = parse_group_spec(spec)
+        theta = canonical_relation(G)
+        p = G.family.p
+        exponents = sorted(set(quotient_table(G.family).values()))
+        for lc in G.local_classes:
+            degrees = quotients.place_degrees(theta, lc)
+            for kind in (SPLIT_MULT, NONSPLIT_MULT):
+                for m in range(1, 5):
+                    products = quotients._tamagawa_products(degrees, kind, m)
+                    num = math.prod(x ** n for (_, n), x in zip(theta.coeffs, products) if n > 0)
+                    den = math.prod(x ** -n for (_, n), x in zip(theta.coeffs, products) if n < 0)
+                    _, quotient = quotients._evaluate(theta, degrees, kind, m)
+                    assert Fraction(num, den) == quotient.value(), (spec, lc.names(), kind, m)
+                    for c in exponents:
+                        integer = num * p ** max(-c, 0) == den * p ** max(c, 0)
+                        assert integer is (quotient == FactoredRational({p: c})), (spec, lc.names(), kind, m, c)
+                    ords = quotients._ord(num, p), quotients._ord(den, p)
+                    assert ords == (FactoredRational.from_int(num).ord(p), FactoredRational.from_int(den).ord(p))
+                    assert (ords[0] == ords[1]) is (quotient.ord(p) == 0), (spec, lc.names(), kind, m)
+                    places += 1
+    assert places == 2 * 1536
+
+
+def test_tables_sweep_factors_nothing(monkeypatch):
+    # the tables path checks its cells in integers: no factor() call, in the
+    # module that FactoredRational reads it from or in arith
+    from selgrowth import arith, factored
+
+    calls = []
+    for module in (arith, factored):
+        monkeypatch.setattr(module, "factor", lambda n, real=module.factor: calls.append(n) or real(n))
+    FactoredRational.from_int(12)
+    assert calls == [12]  # the counter sees a call
+    calls.clear()
+    for spec in family_specs(MAX_ORDER):
+        assert oracle_table(parse_group_spec(spec))["all_pass"], spec
+    assert calls == []
 
 
 @pytest.mark.parametrize("spec", ["c2xc2", "d:3", "d:5", "d:7"])
