@@ -56,11 +56,10 @@ MEMORY_CAP = 512 * 2 ** 20  # bytes of address space per test run (see above)
 # the layers that read it where it has none
 LAYER_TESTS = {
     "arith": ["tests/test_arith.py"],
-    "brauer": ["tests/test_brauer.py"],
+    "brauer": ["tests/test_brauer.py", "tests/test_factored.py"],
     "curves": ["tests/test_curves.py"],
     "database": ["tests/test_database.py"],
     "factor_kernel": ["tests/test_arith.py"],
-    "factored": ["tests/test_factored.py"],
     "groups": ["tests/test_groups.py", "tests/test_group_reference.py"],
     "intlinalg": ["tests/test_intlinalg.py"],
     "quotients": ["tests/test_quotients.py", "tests/test_golden.py"],

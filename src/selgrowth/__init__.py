@@ -3,8 +3,8 @@
 Given a semistable elliptic curve over Q and a small Galois extension in one
 of the supported families (biquadratic, dihedral of order 2p, elementary
 abelian p of rank 2, or C_p : C_q), this package computes the Tamagawa and
-regulator quotients attached to the family's Brauer relation in exact
-factored form and emits a certificate predicting the p-adic valuation of
+regulator quotients attached to the family's Brauer relation exactly, as
+exponent maps, and emits a certificate predicting the p-adic valuation of
 Tate-Shafarevich/Selmer growth, checking the theorem hypotheses on the way.
 
 The public names below load lazily (PEP 562): ``import selgrowth`` loads no
@@ -24,7 +24,6 @@ _EXPORTS = {
         "make_profile", "minimal_model",
     ),
     "database": ("CurveRecord", "ScanFilters", "ingest", "scan"),
-    "factored": ("FactoredRational",),
     "groups": (
         "Family", "FiniteGroup", "LocalClass", "SubgroupClass", "double_cosets", "fixed_points",
         "make_cyclic", "make_dihedral", "make_elem_abelian", "make_semidirect", "parse_group_spec",

@@ -4,15 +4,20 @@ A relation is an integer combination of conjugacy classes of subgroups whose
 virtual permutation representation vanishes; equivalently, the permutation
 character values sum to zero against the coefficients at a generator of
 every conjugacy class of cyclic subgroups. The attached norm constant
-prod |H|^{n_H} is kept as an exact factored rational, since its p-adic
-valuation is what drives the growth certificates.
+prod |H|^{n_H} is kept exactly, since its p-adic valuation is what drives
+the growth certificates.
+
+A quotient here and in ``quotients`` is a positive rational kept as its
+exponent map: the tuple of (prime, exponent) pairs by increasing prime, with
+no zero exponent. ``exponent_sum`` multiplies quotients and ``ord_of`` reads
+one exponent.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .factored import FactoredRational
+from .arith import factor
 from .groups import FiniteGroup, GroupError, fixed_points
 from .intlinalg import integer_kernel_basis
 
@@ -97,11 +102,31 @@ def canonical_relation(G: FiniteGroup) -> BrauerRelation:
     return theta
 
 
-def norm_constant(theta: BrauerRelation) -> FactoredRational:
-    """prod |H|^{n_H} over the relation, as an exact factored rational."""
+def ord_of(q: tuple, p: int) -> int:
+    """The exponent of the prime p in the quotient q (0 if absent)."""
+    return dict(q).get(p, 0)
+
+
+def exponent_sum(terms) -> tuple:
+    """prod q^k over the pairs (q, k) of ``terms``, as a quotient: k times
+    the exponents of each q, summed per prime."""
+    exponents = {}
+    for q, k in terms:
+        for p, e in q:
+            exponents[p] = exponents.get(p, 0) + e * k
+    return tuple(sorted((p, e) for p, e in exponents.items() if e))
+
+
+def json_items(q: tuple) -> tuple:
+    """The (str(prime), exponent) pairs of a quotient's JSON form, by increasing prime."""
+    return tuple((str(p), e) for p, e in q)
+
+
+def norm_constant(theta: BrauerRelation) -> tuple:
+    """prod |H|^{n_H} over the relation, as a quotient."""
     orders = [(theta.group.subgroup_classes[cid].order, n) for cid, n in theta.coeffs]
-    factored = {h: FactoredRational.from_int(h) for h in {h for h, _ in orders}}  # each |H| once
-    return FactoredRational.product((factored[h], n) for h, n in orders)
+    factored = {h: tuple(factor(h).items()) for h in {h for h, _ in orders}}  # each |H| once
+    return exponent_sum((factored[h], n) for h, n in orders)
 
 
 def relation_lattice(G: FiniteGroup):

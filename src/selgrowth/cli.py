@@ -19,7 +19,7 @@ import sys
 # Only the group layer and quotients load with this module: relations, tables
 # and certify run them. A subcommand imports curves, splitting or database
 # where it first needs them, so a cold call compiles only the layers it runs.
-from .brauer import norm_constant, relation_lattice, verify_relation
+from .brauer import json_items, norm_constant, relation_lattice, verify_relation
 from .groups import Family, parse_group_spec
 from .quotients import certify, oracle_table
 from .records import Refused
@@ -41,6 +41,13 @@ def _emit(obj, pretty: bool) -> str:
 
 
 _QUOTED = 80  # bytes: the longest quoted argument that a refusal echoes
+
+
+def _shown(text: str) -> str:
+    """``text`` quoted for a refusal, or named by its length once the quote
+    is longer than _QUOTED bytes, so that the refusal's one line stays short."""
+    quoted = repr(text)
+    return quoted if len(quoted.encode()) <= _QUOTED else f"an argument of {len(text)} characters"
 
 
 def _ints(option: str, text: str) -> list:
@@ -68,7 +75,7 @@ def _parse_curve(text: str):
 
     parts = [p for p in text.replace(" ", ",").split(",") if p]
     if len(parts) != 5:
-        raise UsageError(f"--curve needs five integers a1,a2,a3,a4,a6, got {text!r}")
+        raise UsageError(f"--curve needs five integers a1,a2,a3,a4,a6, got {_shown(text)}")
     try:
         return WeierstrassModel.from_ainvs(parts)
     except ValueError as exc:
@@ -85,13 +92,13 @@ def _parse_local_classes(items) -> dict:
         try:
             v = int(head)
         except ValueError:
-            raise UsageError(f"--local-class must start with the prime: {item!r}")
+            raise UsageError(f"--local-class must start with the prime: {_shown(item)}")
         pieces = [piece.partition("=") for piece in body.split(",")]
         names = {key.strip().upper(): val.strip() for key, _, val in pieces}
         if len(pieces) != 2 or sorted(names) != ["D", "I"]:
-            raise UsageError(f"--local-class needs D=... and I=..., each once and nothing else: {item!r}")
+            raise UsageError(f"--local-class needs D=... and I=..., each once and nothing else: {_shown(item)}")
         if v in overrides:
-            raise UsageError(f"--local-class names the prime {v} twice")
+            raise UsageError(f"--local-class names a prime twice: {_shown(item)}")
         overrides[v] = (names["D"], names["I"])
     return overrides
 
@@ -105,7 +112,7 @@ def _field_from_args(args):
             raise UsageError("--group does not apply to --field mq:..., whose group is c2xc2")
         parts = text[3:].split(",")
         if len(parts) != 2:
-            raise UsageError(f"--field mq needs two discriminants, got {text!r}")
+            raise UsageError(f"--field mq needs two discriminants, got {_shown(text)}")
         return FieldSpec.multiquadratic(*_ints("--field mq", text[3:]))
     if text.startswith("poly:"):
         if not args.group:
@@ -115,7 +122,7 @@ def _field_from_args(args):
         if not args.group:
             raise UsageError("pass --field mq:d1,d2, --field poly:..., or --group for an abstract field")
         return FieldSpec.abstract(parse_group_spec(args.group))
-    raise UsageError(f"unknown field spec {text!r}")
+    raise UsageError(f"unknown field spec {_shown(text)}")
 
 
 def _ingest(args, what: str) -> tuple:
@@ -144,7 +151,7 @@ def _cmd_relations(args) -> dict:
         "basis": [
             {
                 "coeffs": b.named_coeffs(),
-                "norm": norm_constant(b).as_json(),
+                "norm": dict(json_items(norm_constant(b))),
                 "verified": verify_relation(b),
             }
             for b in basis
@@ -184,7 +191,7 @@ def _curve_from_args(args) -> tuple:
         path, result = _ingest(args, "--label")
         rec = next((rec for rec in result.records if rec.label == args.label), None)
         if rec is None:
-            raise UsageError(f"label {args.label!r} not found in {path}")
+            raise UsageError(f"label {_shown(args.label)} not found in {path}")
         model, rank, torsion, label = rec.model(), rec.rank, rec.torsion, rec.label
     else:
         if not args.curve:

@@ -20,16 +20,17 @@ by cell, for `selgrowth tables` and the tests alike.
 
 Both read one integer per H, the product of its Tamagawa numbers
 (`_tamagawa_products`). Certify factors those products into the
-`FactoredRational` contributions and quotient of its report; `oracle_table`
-factors nothing, and checks each cell in exact integers.
+contributions and quotient of its report, each an exponent map of (prime,
+exponent) pairs (see ``brauer``); `oracle_table` factors nothing, and checks
+each cell in exact integers.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .brauer import BrauerRelation, canonical_relation, norm_constant
-from .factored import FactoredRational
+from .arith import factor
+from .brauer import BrauerRelation, canonical_relation, exponent_sum, json_items, norm_constant, ord_of
 from .groups import Family, FiniteGroup, GroupError, LocalClass, place_counts
 from .records import ADDITIVE, NONSPLIT_MULT, SPLIT_MULT, Refused, tamagawa
 
@@ -113,8 +114,8 @@ class PlaceQuotientReport(NamedTuple):
     reduction_kind: str
     m: int
     local_class: LocalClass
-    contributions: tuple  # ((class_id, FactoredRational), ...) per subgroup class
-    quotient: FactoredRational
+    contributions: tuple  # ((class_id, quotient), ...) per subgroup class
+    quotient: tuple  # (prime, exponent) pairs
     table_cell: str | None  # "row|col|parity" when the group is a table family
     # (D name, I name, ((class name, items), ...), quotient items): the JSON
     # parts, kept with the rest in G.memo["places"]; items are (str(prime), exponent)
@@ -163,18 +164,18 @@ def _tamagawa_products(degrees: tuple, kind: str, m: int) -> tuple:
 def _evaluate(theta: BrauerRelation, degrees: tuple, kind: str, m: int) -> tuple:
     """(contributions, quotient) of a place with these place degrees and reduction.
 
-    The quotient sums n_H times the exponents of each contribution, so each
-    place builds one FactoredRational for it.
+    Each contribution is the exponent map of a product of Tamagawa numbers,
+    and the quotient sums n_H times the exponents of each.
     """
     contributions, powers = [], []
-    factored = {}  # product of Tamagawa numbers -> its factorization
+    factored = {}  # product of Tamagawa numbers -> its exponent map
     for (cid, n), product in zip(theta.coeffs, _tamagawa_products(degrees, kind, m)):
         if product not in factored:
-            factored[product] = FactoredRational.from_int(product)
+            factored[product] = tuple(factor(product).items())
         contrib = factored[product]
         contributions.append((cid, contrib))
         powers.append((contrib, n))
-    return tuple(contributions), FactoredRational.product(powers)
+    return tuple(contributions), exponent_sum(powers)
 
 
 def _ord(n: int, p: int) -> int:
@@ -212,8 +213,8 @@ def local_theta_quotient(
         if theta.group.family is not None and rd.kind in (SPLIT_MULT, NONSPLIT_MULT):
             cell = "|".join(cell_key(lc, rd.kind, rd.m))
         class_names = lc.group.class_names
-        parts = (*names, tuple((class_names[cid], fr.json_items()) for cid, fr in contributions),
-                 quotient.json_items())
+        parts = (*names, tuple((class_names[cid], json_items(q)) for cid, q in contributions),
+                 json_items(quotient))
         hit = results[rd.kind, rd.m] = contributions, quotient, cell, parts
     return PlaceQuotientReport(rd.v, rd.kind, rd.m, lc, *hit)
 
@@ -295,15 +296,15 @@ def relation_parts(theta: BrauerRelation) -> tuple:
     parts = memo.get(theta)
     if parts is None:
         norm = norm_constant(theta)
-        parts = memo[theta] = norm, tuple(theta.named_coeffs().items()), norm.json_items()
+        parts = memo[theta] = norm, tuple(theta.named_coeffs().items()), json_items(norm)
     return parts
 
 
-def regulator_quotient(norm: FactoredRational, rank: int) -> FactoredRational:
+def regulator_quotient(norm: tuple, rank: int) -> tuple:
     """prod_H Reg(E/F^H)^{n_H} = norm^(-rank), exactly, for a relation's norm constant."""
     if rank < 0:
         raise ValueError("rank must be non-negative")
-    return norm ** (-rank)
+    return exponent_sum(((norm, -rank),))
 
 
 # -- theorem hypotheses --------------------------------------------------------
@@ -387,7 +388,7 @@ class GrowthCertificate(NamedTuple):
     field: FieldSpec
     p: int
     theta: BrauerRelation
-    norm: FactoredRational  # norm_constant(theta), from relation_parts
+    norm: tuple  # norm_constant(theta), from relation_parts
     hypothesis: HypothesisReport
     places: tuple  # PlaceQuotientReport per bad prime
     ord_p_tamagawa: int
@@ -429,7 +430,7 @@ class GrowthCertificate(NamedTuple):
             },
             "hypotheses": self.hypothesis.as_json(),
             "places": [pr.as_json() for pr in self.places],
-            "regulator_quotient": regulator_quotient(self.norm, prof.rank).as_json(),
+            "regulator_quotient": dict(json_items(regulator_quotient(self.norm, prof.rank))),
             "ord_p": {
                 "tamagawa_quotient": self.ord_p_tamagawa,
                 "rhs": self.ord_p_rhs,
@@ -475,9 +476,9 @@ def certify(
         bad = [rd.v for rd in profile.bad_places if rd.kind == ADDITIVE]
         raise NonSemistableError(f"additive reduction at {bad}; certificate refused")
     places = [local_theta_quotient(theta, field.local_class(rd.v, overrides), rd) for rd in profile.bad_places]
-    ord_tam = sum(pr.quotient.ord(p) for pr in places)
+    ord_tam = sum(ord_of(pr.quotient, p) for pr in places)
     norm = relation_parts(theta)[0]
-    ord_rhs = profile.rank * norm.ord(p)
+    ord_rhs = profile.rank * ord_of(norm, p)
     ord_sha = ord_rhs - ord_tam
     hyp = hypothesis_check(profile, family)
     prediction = None

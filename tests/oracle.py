@@ -4,14 +4,19 @@ The groups and relations built here are test inputs: the tests check them
 with the package's own code (``verify_relation``, ``norm_constant``, the
 relation lattice). ``bench_module`` loads a file of the benchmark by path,
 unchanged, so that the tests and the benchmark read one copy of its
-selgrowth-free oracles.
+selgrowth-free oracles. ``FactoredRational`` is the oracle of the package's
+exponent maps, and ``root_number`` that of the parity of a C2 x C2
+Tamagawa quotient.
 """
 
 import functools
 import importlib.util
+import math
 import pathlib
 import sys
+from fractions import Fraction
 
+from selgrowth.arith import factor
 from selgrowth.brauer import BrauerRelation
 from selgrowth.curves import make_profile
 from selgrowth.database import ingest
@@ -124,3 +129,159 @@ def lattice_coordinates(rows, target):
 def biquadratic_polynomial(d1: int, d2: int) -> tuple:
     """Minimal polynomial of sqrt(d1) + sqrt(d2), degree-descending coefficients."""
     return (1, 0, -2 * (d1 + d2), 0, (d1 - d2) ** 2)
+
+
+# -- exact rationals --------------------------------------------------------------
+
+
+class FactoredRational:
+    """A positive rational stored as a map {prime: exponent}, no zero exponents.
+
+    The oracle of the package's quotients, which are the sorted (prime,
+    exponent) pairs of such a map: ``FactoredRational(dict(q))`` is q as an
+    object with operators, and ``value()`` is the rational number itself.
+    """
+
+    __slots__ = ("_factors",)
+
+    def __init__(self, factors=None):
+        clean = {}
+        if factors:
+            for p, e in factors.items():
+                p = int(p)
+                e = int(e)
+                if p < 2:
+                    raise ValueError(f"not a prime key: {p}")
+                if e != 0:
+                    clean[p] = e
+        self._factors = clean
+
+    @classmethod
+    def from_int(cls, n: int) -> "FactoredRational":
+        return cls(factor(n))
+
+    @classmethod
+    def product(cls, terms) -> "FactoredRational":
+        """prod r^k over the pairs (r, k) of ``terms``, by summing exponents."""
+        exponents = {}
+        for r, k in terms:
+            for p, e in r._factors.items():
+                exponents[p] = exponents.get(p, 0) + e * k
+        return cls(exponents)
+
+    def ord(self, p: int) -> int:
+        """Exponent of the prime p (0 if absent)."""
+        return self._factors.get(int(p), 0)
+
+    def factors(self) -> dict:
+        return dict(self._factors)
+
+    def value(self) -> Fraction:
+        out = Fraction(1)
+        for p, e in self._factors.items():
+            out *= Fraction(p) ** e
+        return out
+
+    def __mul__(self, other: "FactoredRational") -> "FactoredRational":
+        if not isinstance(other, FactoredRational):
+            return NotImplemented
+        return FactoredRational.product(((self, 1), (other, 1)))
+
+    def __truediv__(self, other: "FactoredRational") -> "FactoredRational":
+        if not isinstance(other, FactoredRational):
+            return NotImplemented
+        return FactoredRational.product(((self, 1), (other, -1)))
+
+    def __pow__(self, k: int) -> "FactoredRational":
+        return FactoredRational.product(((self, int(k)),))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FactoredRational):
+            return NotImplemented
+        return self._factors == other._factors
+
+    def __hash__(self):
+        return hash(frozenset(self._factors.items()))
+
+    def __repr__(self):
+        if not self._factors:
+            return "FactoredRational(1)"
+        body = " * ".join(f"{p}^{e}" for p, e in sorted(self._factors.items()))
+        return f"FactoredRational({body})"
+
+    def as_json(self) -> dict:
+        """JSON form: string prime keys, integer exponents, sorted by prime."""
+        return {str(p): self._factors[p] for p in sorted(self._factors)}
+
+
+# -- root numbers of quadratic twists -------------------------------------------------
+#
+# T. & V. Dokchitser ("Root numbers and parity of ranks of elliptic curves",
+# J. reine angew. Math. 658, 2011) show that ord_2 of the Tamagawa quotient of
+# theta = 1 - C2a - C2b - C2c + 2G over K = Q(sqrt d1, sqrt d2) has the parity
+# of the 2-Selmer rank of E/K, the sum of those of the twists E^d for d in
+# {1, d1, d2, d1 d2}; each of those has the parity of w(E^d) = -1 (2-parity
+# over Q). The local root numbers of a twist of a semistable curve by the
+# character chi of Q(sqrt d) are Rohrlich's ("Galois theory, elliptic curves,
+# and root numbers", Compositio Math. 100, 1996). No group, local class or
+# Tamagawa rule of the package is read here.
+
+
+def _odd_primes_of(d: int) -> list:
+    """The odd primes dividing the squarefree integer d, by trial division."""
+    n, out, q = abs(d), [], 3
+    while n % 2 == 0:
+        n //= 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            n //= q
+        q += 2
+    return out + ([n] if n > 1 else [])
+
+
+def ramified(d: int, v: int) -> bool:
+    """Whether the prime v ramifies in Q(sqrt d), d squarefree."""
+    return d % 4 in (2, 3) if v == 2 else d % v == 0
+
+
+def kronecker(d: int, v: int) -> int:
+    """chi(v) = (d/v) at a prime v unramified in Q(sqrt d): +1 split, -1 inert."""
+    if v == 2:
+        return 1 if d % 8 == 1 else -1
+    return 1 if pow(d % v, (v - 1) // 2, v) == 1 else -1  # Euler's criterion
+
+
+def chi_of_minus_one(d: int, v: int) -> int:
+    """chi_v(-1), the Hilbert symbol (d, -1)_v, at a prime v ramified in Q(sqrt d)."""
+    if v == 2:
+        odd = d // 2 if d % 2 == 0 else d  # d is squarefree
+        return -1 if odd % 4 == 3 else 1
+    return 1 if v % 4 == 1 else -1  # (-1/v)
+
+
+def local_root_number(d: int, v: int, split: bool | None) -> int:
+    """w_v(E^d) at a finite prime v; split is None where E has good reduction,
+    else whether its multiplicative reduction at v is split."""
+    if ramified(d, v):
+        return chi_of_minus_one(d, v)
+    if split is None:
+        return 1
+    return -(1 if split else -1) * kronecker(d, v)
+
+
+def root_number(d: int, bad: dict) -> int:
+    """w(E^d) = w_inf prod_v w_v for a semistable E with ``bad`` {v: split}:
+    w_inf = -1, and only bad primes and primes ramified in Q(sqrt d) count."""
+    primes = set(bad) | ({2} if ramified(d, 2) else set()) | set(_odd_primes_of(d))
+    w = -1
+    for v in primes:
+        w *= local_root_number(d, v, bad.get(v))
+    return w
+
+
+def twists_with_root_number_minus_one(d1: int, d2: int, bad: dict) -> int:
+    """#{d in (1, d1, d2, d3) : w(E^d) = -1}, d3 = d1 d2 over the square of their gcd."""
+    g = math.gcd(d1, d2)
+    d3 = (d1 // g) * (d2 // g)
+    return sum(root_number(d, bad) == -1 for d in (1, d1, d2, d3))

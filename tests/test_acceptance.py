@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. Every expected value is exact (integer or factored-rational equality);
+lines. Every expected value is exact (integer or exponent-map equality);
 the stated wall-clock budgets are asserted too.
 """
 
@@ -12,6 +12,7 @@ from fractions import Fraction
 from selgrowth.brauer import (
     canonical_relation,
     norm_constant,
+    ord_of,
     relation_lattice,
     verify_relation,
 )
@@ -72,14 +73,14 @@ def test_criterion_1_norm_constants():
     """Norm constants of the four canonical relations take their known values."""
     with Budget(1, 1.0):
         for p in (3, 5, 7, 11, 13):
-            assert norm_constant(canonical_relation(make_dihedral(p))).factors() == {p: 1}
-        assert norm_constant(canonical_relation(make_elem_abelian(2))).factors() == {2: 1}
+            assert dict(norm_constant(canonical_relation(make_dihedral(p)))) == {p: 1}
+        assert dict(norm_constant(canonical_relation(make_elem_abelian(2)))) == {2: 1}
         for p in (3, 5, 7, 11, 13):
-            assert norm_constant(canonical_relation(make_elem_abelian(p))).factors() == {
+            assert dict(norm_constant(canonical_relation(make_elem_abelian(p)))) == {
                 p: p - 1
             }
         for p, q in ((7, 3), (13, 3), (31, 5)):
-            assert norm_constant(canonical_relation(make_semidirect(p, q))).factors() == {
+            assert dict(norm_constant(canonical_relation(make_semidirect(p, q)))) == {
                 p: q - 1
             }
 
@@ -192,8 +193,8 @@ def test_criterion_7_invariant_suite():
             induced = induce(theta, shuffled, embedding)
             inflated = inflate(theta, shuffled, projection)
             p = G.family.p
-            assert norm_constant(induced).ord(p) == norm_constant(theta).ord(p)
-            assert norm_constant(inflated).ord(p) == norm_constant(theta).ord(p)
+            assert ord_of(norm_constant(induced), p) == ord_of(norm_constant(theta), p)
+            assert ord_of(norm_constant(inflated), p) == ord_of(norm_constant(theta), p)
 
         # integer kernels of random matrices: A x = 0 on every basis row, as
         # many rows as n - rank over Q, and the basis is its own Hermite form

@@ -122,6 +122,27 @@ def test_a_non_integer_list_names_its_option(capsys, extra, message):
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("--field", f"mq:3,5,{LONG_ITEM}"), "--field mq needs two discriminants, got an argument of 5007 characters"),
+    (("--field", f"x{LONG_ITEM}"), "unknown field spec an argument of 5001 characters"),
+    (("--field", "mq:3,5", "--local-class", f"5:D={LONG_ITEM}"),
+     "--local-class needs D=... and I=..., each once and nothing else: an argument of 5004 characters"),
+    (("--field", "mq:3,5", "--local-class", f"{LONG_ITEM}:D=G,I=1"),
+     "--local-class must start with the prime: an argument of 5008 characters"),
+    (("--field", "mq:3,5", "--local-class", f"{LONG_ITEM[:4000]}:D=G,I=1",
+      "--local-class", f"{LONG_ITEM[:4000]}:D=1,I=1"),
+     "--local-class names a prime twice: an argument of 4008 characters"),
+    # a short argument is still quoted whole
+    (("--field", "mq:3,5,7"), "--field mq needs two discriminants, got 'mq:3,5,7'"),
+    (("--field", "mq:3,5", "--local-class", "5:D=1,I=1", "--local-class", "v=5:D=G,I=C2a"),
+     "--local-class names a prime twice: 'v=5:D=G,I=C2a'"),
+])
+def test_an_over_long_argument_is_named_by_its_length(capsys, extra, message):
+    code, out, err = run(capsys, "certify", "--curve", "1,0,0,-1,0", "--rank", "1", "-p", "2", *extra)
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
+    assert len(err.encode()) < 200
+
+
 def test_certify_with_local_class_override(capsys):
     doc = run_json(
         capsys,
@@ -432,6 +453,10 @@ _CALL_IN_FRESH_INTERPRETER = (
 _CERTIFY_MQ = ["certify", "--curve", "1,0,0,-1,0", "--rank", "1", "--torsion", "2", "--field", "mq:3,5", "-p", "2"]
 
 
+# the modules that cli loads with itself, and so every subcommand
+_CLI_LAYERS = {"arith", "brauer", "cli", "groups", "intlinalg", "quotients", "records"}
+
+
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
@@ -448,7 +473,8 @@ def test_cold_call_loads_only_the_layers_it_runs(argv, unloaded):
     # each call as `python -m selgrowth` makes it, in a fresh interpreter:
     # a layer that a subcommand never runs is never compiled either. No
     # discriminant of data/curves.csv (65a1 among them) leaves a composite
-    # cofactor after trial division, so the factoring kernel stays unloaded
+    # cofactor after trial division, so the factoring kernel stays unloaded.
+    # tables and relations load exactly cli's own layers
     proc = subprocess.run(
         [sys.executable, "-c", _CALL_IN_FRESH_INTERPRETER, json.dumps(argv)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
@@ -461,6 +487,8 @@ def test_cold_call_loads_only_the_layers_it_runs(argv, unloaded):
         assert code == 0, proc.stderr
         assert "selgrowth.cli" in loaded
         assert [m for m in loaded if m.split(".")[1] in unloaded] == []
+        if argv[0] in ("tables", "relations"):
+            assert {m.split(".")[1] for m in loaded} == _CLI_LAYERS
 
 
 @pytest.mark.parametrize(
@@ -501,11 +529,11 @@ FIELDS = st.one_of(
     st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(lambda d: f"mq:{d[0]},{d[1]}"),
     st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(lambda c: "poly:" + ",".join(map(str, [1, *c]))),
     st.sampled_from(["mq:3", "mq:3,5,7", "mq:x,5", "poly:", "poly:2,0,1", "poly:1,x", "bogus", "",
-                     f"mq:3,{LONG_ITEM}", f"poly:1,0,{LONG_ITEM}"]),
+                     f"mq:3,{LONG_ITEM}", f"poly:1,0,{LONG_ITEM}", f"mq:3,5,{LONG_ITEM}", f"x{LONG_ITEM}"]),
 )
 LOCAL_CLASSES = (
     st.builds("{}:D={},I={}".format, st.sampled_from(["2", "3", "5", "11", "13", "x", "v=5"]), CLASS_NAMES, CLASS_NAMES)
-    | st.sampled_from(["5:D=G", "5:D=G,I=1,D=G", "5", "5:d=G,i=1", ":D=G,I=1"])
+    | st.sampled_from(["5:D=G", "5:D=G,I=1,D=G", "5", "5:d=G,i=1", ":D=G,I=1", f"5:D={LONG_ITEM}"])
 )
 LABELS = st.sampled_from(["11a1", "65a1", "91b1", "nosuch"])
 DATA_PATHS = st.sampled_from([str(DATA), "/nonexistent/curves.csv", str(REPO / "data"), str(REPO / "README.md")])
@@ -589,6 +617,10 @@ def argvs(draw) -> list:
           "--field", f"poly:1,0,{LONG_ITEM}"], None)
 @example(["certify", "--curve", "1,0,0,-1,0", "--rank", "1", "-p", "2", "--field", "mq:3,5",
           "--sha-trivial", LONG_ITEM], None)
+@example(["certify", "--curve", "1,0,0,-1,0", "--rank", "1", "-p", "2", "--field", f"mq:3,5,{LONG_ITEM}"], None)
+@example(["certify", "--curve", "1,0,0,-1,0", "--rank", "1", "-p", "2", "--field", f"x{LONG_ITEM}"], None)
+@example(["certify", "--curve", "1,0,0,-1,0", "--rank", "1", "-p", "2", "--field", "mq:3,5",
+          "--local-class", f"5:D={LONG_ITEM}"], None)
 @settings(max_examples=1500, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_every_generated_call_exits_cleanly(argv, sgl_data):

@@ -1,3 +1,10 @@
+"""The oracle of the package's exponent maps, and the maps checked against it.
+
+``tests/oracle.py``'s FactoredRational is checked by ``value()`` against
+``fractions.Fraction``; the quotients of ``brauer`` (sorted (prime, exponent)
+pairs) are checked against it.
+"""
+
 from fractions import Fraction
 from math import prod
 
@@ -5,7 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selgrowth.factored import FactoredRational
+from selgrowth.arith import factor
+from selgrowth.brauer import exponent_sum, json_items, ord_of
+
+from oracle import FactoredRational
 
 
 def test_from_int_and_value():
@@ -59,3 +69,16 @@ def test_product_matches_repeated_mul_and_pow(terms):
         expected = expected * r ** k
     got = FactoredRational.product(factored)
     assert got == expected and got.value() == prod((Fraction(a) ** k for a, k in terms), start=Fraction(1))
+
+
+QUOTIENT_TERMS = st.lists(st.tuples(st.integers(1, 10 ** 4), st.integers(-3, 3)), max_size=6)
+
+
+@given(QUOTIENT_TERMS)
+def test_exponent_sum_matches_the_oracle_product(terms):
+    q = exponent_sum((tuple(factor(a).items()), k) for a, k in terms)
+    expected = FactoredRational.product((FactoredRational.from_int(a), k) for a, k in terms)
+    assert FactoredRational(dict(q)) == expected
+    assert list(q) == sorted(dict(q).items()) and all(e for _, e in q)  # sorted, no zero exponent
+    assert all(ord_of(q, p) == expected.ord(p) for p in (2, 3, 5, 7, 10007))
+    assert dict(json_items(q)) == expected.as_json() and list(json_items(q)) == list(expected.as_json().items())

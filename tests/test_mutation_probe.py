@@ -5,7 +5,7 @@ import sys
 
 from oracle import REPO
 
-MODULES = ["arith", "brauer", "curves", "database", "factor_kernel", "factored", "groups", "intlinalg",
+MODULES = ["arith", "brauer", "curves", "database", "factor_kernel", "groups", "intlinalg",
            "quotients", "records", "splitting"]
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import selgrowth
 from selgrowth import groups, quotients
-from selgrowth.brauer import canonical_relation, norm_constant
+from selgrowth.brauer import canonical_relation, norm_constant, ord_of
 from selgrowth.curves import (
     ADDITIVE,
     NONSPLIT_MULT,
@@ -22,7 +22,7 @@ from selgrowth.curves import (
     make_profile,
 )
 from selgrowth.cli import main
-from selgrowth.factored import FactoredRational
+from selgrowth.database import ingest
 from selgrowth.groups import MAX_ORDER, Family, FiniteGroup, parse_group_spec
 from selgrowth.quotients import (
     COL_NONSPLIT_SPLITS,
@@ -44,7 +44,14 @@ from selgrowth.quotients import (
 )
 from selgrowth.splitting import FieldSpec, LocalClass
 
-from oracle import DATA, bench_module, data_curves, family_specs
+from oracle import (
+    DATA,
+    FactoredRational,
+    bench_module,
+    data_curves,
+    family_specs,
+    twists_with_root_number_minus_one,
+)
 
 
 FAMILY_SPECS = ["c2xc2", "d:3", "d:5", "d:7", "cpxcp:3", "cpxcp:5", "cpxcp:7",
@@ -94,13 +101,13 @@ def test_per_place_lemma_on_every_family_group():
         G = parse_group_spec(spec)
         theta = canonical_relation(G)
         p, c2 = G.family.p, G.family.name == "c2xc2"
-        assert norm_constant(theta).ord(p) >= 1, spec
+        assert ord_of(norm_constant(theta), p) >= 1, spec
         for lc in G.local_classes:
             for kind in (SPLIT_MULT, NONSPLIT_MULT):
                 for m in (1, 2):
                     bound = 1 if kind == NONSPLIT_MULT and (not c2 or m % 2 == 0) else 0
                     quotient = local_theta_quotient(theta, lc, ReductionData(0, kind, m, 1)).quotient
-                    assert quotient.ord(p) <= bound, (spec, lc.names(), kind, m)
+                    assert ord_of(quotient, p) <= bound, (spec, lc.names(), kind, m)
                     cells += 1
         for (row, col, parity), value in quotient_table(G.family).items():
             bound = 1 if col != COL_SPLIT and (not c2 or parity == PARITY_EVEN) else 0
@@ -187,26 +194,27 @@ def test_integer_cell_check_agrees_with_the_factored_quotient():
                     num = math.prod(x ** n for (_, n), x in zip(theta.coeffs, products) if n > 0)
                     den = math.prod(x ** -n for (_, n), x in zip(theta.coeffs, products) if n < 0)
                     _, quotient = quotients._evaluate(theta, degrees, kind, m)
-                    assert Fraction(num, den) == quotient.value(), (spec, lc.names(), kind, m)
+                    rational = FactoredRational(dict(quotient))
+                    assert Fraction(num, den) == rational.value(), (spec, lc.names(), kind, m)
                     for c in exponents:
                         integer = num * p ** max(-c, 0) == den * p ** max(c, 0)
-                        assert integer is (quotient == FactoredRational({p: c})), (spec, lc.names(), kind, m, c)
+                        assert integer is (rational == FactoredRational({p: c})), (spec, lc.names(), kind, m, c)
                     ords = quotients._ord(num, p), quotients._ord(den, p)
                     assert ords == (FactoredRational.from_int(num).ord(p), FactoredRational.from_int(den).ord(p))
-                    assert (ords[0] == ords[1]) is (quotient.ord(p) == 0), (spec, lc.names(), kind, m)
+                    assert (ords[0] == ords[1]) is (ord_of(quotient, p) == 0), (spec, lc.names(), kind, m)
                     places += 1
     assert places == 2 * 1536
 
 
 def test_tables_sweep_factors_nothing(monkeypatch):
     # the tables path checks its cells in integers: no factor() call, in the
-    # module that FactoredRational reads it from or in arith
-    from selgrowth import arith, factored
+    # modules that read it for quotients or in arith
+    from selgrowth import arith, brauer
 
     calls = []
-    for module in (arith, factored):
+    for module in (arith, brauer, quotients):
         monkeypatch.setattr(module, "factor", lambda n, real=module.factor: calls.append(n) or real(n))
-    FactoredRational.from_int(12)
+    quotients.factor(12)
     assert calls == [12]  # the counter sees a call
     calls.clear()
     for spec in family_specs(MAX_ORDER):
@@ -253,29 +261,29 @@ def test_spec_quotient_examples():
     theta = canonical_relation(G)
     lc = LocalClass(G, bytes(range(G.order)), bytes(range(G.order)))
     rep = local_theta_quotient(theta, lc, ReductionData(0, SPLIT_MULT, 3, 1))
-    assert rep.quotient.ord(5) == -1
+    assert ord_of(rep.quotient, 5) == -1
 
     K = parse_group_spec("c2xc2")
     tK = canonical_relation(K)
     lcK = LocalClass(K, bytes(range(K.order)), bytes(range(K.order)))
     rep = local_theta_quotient(tK, lcK, ReductionData(0, NONSPLIT_MULT, 1, 1))
-    assert rep.quotient.ord(2) == -2
+    assert ord_of(rep.quotient, 2) == -2
     lcK2 = LocalClass(K, bytes(range(K.order)), K.class_by_name("C2a").representative)
     rep = local_theta_quotient(tK, lcK2, ReductionData(0, NONSPLIT_MULT, 2, 1))
-    assert rep.quotient.ord(2) == 1
+    assert ord_of(rep.quotient, 2) == 1
 
     for spec, expected in (("cpxcp:5", -4), ("sd:7:3", -2)):
         G = parse_group_spec(spec)
         lc = LocalClass(G, bytes(range(G.order)), bytes(range(G.order)))
         rep = local_theta_quotient(canonical_relation(G), lc, ReductionData(0, SPLIT_MULT, 1, 1))
-        assert rep.quotient.ord(G.family.p) == expected
+        assert ord_of(rep.quotient, G.family.p) == expected
 
 
 def test_good_reduction_contributes_one():
     G = parse_group_spec("d:5")
     lc = LocalClass(G, bytes(range(G.order)), bytes(range(G.order)))
     rep = local_theta_quotient(canonical_relation(G), lc, ReductionData(3, "good", 0, 1))
-    assert rep.quotient == FactoredRational()
+    assert rep.quotient == ()
 
 
 def test_additive_reduction_refused():
@@ -291,7 +299,7 @@ def test_split_completely_gives_one():
         lc = LocalClass(G, bytes((G.identity,)), bytes((G.identity,)))
         for kind in (SPLIT_MULT, NONSPLIT_MULT):
             rep = local_theta_quotient(canonical_relation(G), lc, ReductionData(0, kind, 1, 1))
-            assert rep.quotient == FactoredRational()
+            assert rep.quotient == ()
 
 
 @given(st.sampled_from(FAMILY_SPECS), st.data())
@@ -336,7 +344,7 @@ def test_biquadratic_contributions_match_quadratic_symbols(ds, v, kind, m):
     lc = multiquadratic_local_class(d1, d2, v)
     rep = local_theta_quotient(theta, lc, ReductionData(v, kind, m, 1))
     contribs = {
-        G.class_names[cid]: fr for cid, fr in rep.contributions
+        G.class_names[cid]: FactoredRational(dict(q)) for cid, q in rep.contributions
     }
     subfield_of = {"C2a": d1, "C2b": d2, "C2c": third_discriminant(d1, d2)}
     for name, d in subfield_of.items():
@@ -394,6 +402,38 @@ def test_mq_quotients_are_tamagawa_products_of_the_five_subfields():
         assert total == cert["ord_p"]["tamagawa_quotient"]
 
 
+# fields for the parity check on data/curves.csv: every pair of these, whose
+# primes ramify at most of the table's bad primes
+PARITY_DISCRIMINANTS = (-1, 2, -3, 5, -7, 11, 13, -19, 37, -43)
+
+
+def test_tamagawa_quotient_parity_matches_root_numbers():
+    """ord_2 of a C2 x C2 Tamagawa quotient has the parity of the number of
+    twists E^d, d in {1, d1, d2, d1 d2}, with root number -1 (tests/oracle.py).
+    Over one seed round of certify_mq and over the semistable curves of
+    data/curves.csv on every pair of PARITY_DISCRIMINANTS."""
+    cases = []
+    for req in bench_module("inputs").mq_round(7, DATA):
+        model = WeierstrassModel.from_ainvs(req["ainvs"])
+        cases.append((make_profile(model, rank=req["rank"], torsion_order=req["torsion"]), req["field"]))
+    profiles = [make_profile(rec.model(), rank=rec.rank) for rec in ingest(DATA).records]
+    semistable = [prof for prof in profiles if prof.is_semistable()]
+    assert len(semistable) == 23
+    for i, d1 in enumerate(PARITY_DISCRIMINANTS):
+        for d2 in PARITY_DISCRIMINANTS[i + 1:]:
+            cases += [(prof, (d1, d2)) for prof in semistable]
+    disagreements, odd = [], 0
+    for prof, (d1, d2) in cases:
+        cert = certify(prof, FieldSpec.multiquadratic(d1, d2), 2)
+        split = {place.v: place.reduction_kind == SPLIT_MULT for place in cert.places}
+        count = twists_with_root_number_minus_one(d1, d2, split)
+        if count % 2 != cert.ord_p_tamagawa % 2:
+            disagreements.append((prof.model.ainvs(), d1, d2, cert.ord_p_tamagawa, count))
+        odd += cert.ord_p_tamagawa % 2
+    assert disagreements == []
+    assert odd > len(cases) // 10  # the check bites: an odd ord_2 is common
+
+
 def test_report_internal_consistency():
     G = parse_group_spec("c2xc2")
     theta = canonical_relation(G)
@@ -403,8 +443,8 @@ def test_report_internal_consistency():
     acc = FactoredRational()
     coeffs = dict(theta.coeffs)
     for cid, contrib in rep.contributions:
-        acc = acc * contrib ** coeffs[cid]
-    assert acc == rep.quotient
+        acc = acc * FactoredRational(dict(contrib)) ** coeffs[cid]
+    assert acc == FactoredRational(dict(rep.quotient))
 
 
 # -- regulator quotient ------------------------------------------------------------
@@ -412,10 +452,10 @@ def test_report_internal_consistency():
 
 def test_regulator_quotient_values():
     K = parse_group_spec("c2xc2")
-    assert regulator_quotient(norm_constant(canonical_relation(K)), 1).factors() == {2: -1}
-    assert regulator_quotient(norm_constant(canonical_relation(K)), 0) == FactoredRational()
+    assert dict(regulator_quotient(norm_constant(canonical_relation(K)), 1)) == {2: -1}
+    assert regulator_quotient(norm_constant(canonical_relation(K)), 0) == ()
     G = parse_group_spec("d:5")
-    assert regulator_quotient(norm_constant(canonical_relation(G)), 2).factors() == {5: -2}
+    assert dict(regulator_quotient(norm_constant(canonical_relation(G)), 2)) == {5: -2}
 
 
 # -- hypothesis checks ---------------------------------------------------------------
@@ -523,7 +563,7 @@ def test_certify_all_places_split_completely():
     overrides = {5: ("1", "1"), 13: ("1", "1")}
     cert = certify(prof, FieldSpec.multiquadratic(3, 5), 2, overrides)
     assert cert.ord_p_tamagawa == 0
-    assert cert.ord_p_sha_quotient == cert.profile.rank * norm_constant(cert.theta).ord(2) == 1
+    assert cert.ord_p_sha_quotient == cert.profile.rank * ord_of(norm_constant(cert.theta), 2) == 1
 
 
 def test_certify_rank0_trivial_quotients():
@@ -558,7 +598,7 @@ def test_certify_dihedral_polynomial_field():
     assert cert.hypothesis.hypotheses_pass
     for place in cert.places:
         assert place.reduction_kind == SPLIT_MULT
-        assert place.quotient == FactoredRational()
+        assert place.quotient == ()
     assert cert.ord_p_tamagawa == 0
     assert cert.ord_p_sha_quotient == cert.ord_p_rhs == 1
 

@@ -14,8 +14,6 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 LIBRARY_API = {
     "coeff_vector": "BrauerRelation.coeff_vector: the lattice tests compare relations by it",
     "degree": "BrauerRelation.degree: the dimension of the virtual representation",
-    "factors": "FactoredRational.factors: the exponents as a dict",
-    "value": "FactoredRational.value: the rational number itself",
     "reduction": "CurveProfile.reduction(v): the reduction data at one prime",
     "quadratic_symbol": "splitting.quadratic_symbol: the checked form of the symbol certify uses",
     "error": "cli's ArgumentParser.error: argparse calls it",
